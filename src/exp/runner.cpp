@@ -26,40 +26,6 @@ namespace geogossip::exp {
 
 namespace {
 
-/// Admission control for memory-hinted replicates: in-flight hints may sum
-/// to at most `budget`, except that one replicate is always admitted (so a
-/// hint larger than the whole budget degrades to run-alone, never
-/// deadlock).  Purely a scheduling constraint — results are written to
-/// preallocated slots either way, so summaries stay bit-identical.
-class MemoryGate {
- public:
-  explicit MemoryGate(std::uint64_t budget) : budget_(budget) {}
-
-  void acquire(std::uint64_t hint) {
-    if (budget_ == 0 || hint == 0) return;
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] {
-      return in_flight_ == 0 || in_flight_ + hint <= budget_;
-    });
-    in_flight_ += hint;
-  }
-
-  void release(std::uint64_t hint) {
-    if (budget_ == 0 || hint == 0) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      in_flight_ -= hint;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  std::uint64_t budget_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::uint64_t in_flight_ = 0;
-};
-
 std::vector<double> make_initial_field(const Cell& cell,
                                        const graph::GeometricGraph& graph,
                                        Rng& rng) {
@@ -123,9 +89,25 @@ ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed,
   return result;
 }
 
-Runner::Runner(RunnerOptions options) : options_(std::move(options)) {}
+void MemoryGate::acquire(std::uint64_t hint) {
+  if (budget_ == 0 || hint == 0) return;
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock,
+           [&] { return in_flight_ == 0 || in_flight_ + hint <= budget_; });
+  in_flight_ += hint;
+}
 
-SweepSummary Runner::run(const Scenario& scenario) const {
+void MemoryGate::release(std::uint64_t hint) {
+  if (budget_ == 0 || hint == 0) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    in_flight_ -= hint;
+  }
+  cv_.notify_all();
+}
+
+SweepShard::SweepShard(const Scenario& scenario, RunnerOptions options)
+    : scenario_(scenario), options_(std::move(options)) {
   GG_CHECK_ARG(!scenario.cells.empty(), "Runner::run: scenario has cells");
   GG_CHECK_ARG(scenario.replicates >= 1, "Runner::run: replicates >= 1");
   GG_CHECK_ARG(options_.shard_count >= 1,
@@ -142,24 +124,19 @@ SweepSummary Runner::run(const Scenario& scenario) const {
 
   // Mid-replicate snapshot store (see RunnerOptions::snapshot_dir).  Tasks
   // own disjoint slots, so workers never touch the same file.
-  std::unique_ptr<SnapshotStore> store;
   if (!options_.snapshot_dir.empty()) {
-    store = std::make_unique<SnapshotStore>(
+    store_ = std::make_unique<SnapshotStore>(
         options_.snapshot_dir, scenario.name, scenario.master_seed);
   }
 
   const std::size_t cell_count = scenario.cells.size();
   const std::uint32_t replicates = scenario.replicates;
   const std::size_t task_count = cell_count * replicates;
-  std::vector<ReplicateResult> results(task_count);
-  // Tasks outside this shard (and outside the checkpoint) stay unset and
-  // are excluded from aggregation below.
-  std::vector<std::uint8_t> have(task_count, 0);
+  results_.resize(task_count);
+  have_.assign(task_count, 0);
 
   // Partition first, then subtract completed work: a shard resumed from
   // the merged k-shard file still re-runs only its own missing tasks.
-  std::vector<std::size_t> pending;
-  std::uint64_t resumed = 0;
   for (std::size_t task = 0; task < task_count; ++task) {
     if (!shard_owns(options_.shard_index, options_.shard_count, task)) {
       continue;
@@ -180,142 +157,155 @@ SweepSummary Runner::run(const Scenario& scenario) const {
                 std::to_string(cell_index) + " replicate " +
                 std::to_string(replicate) +
                 " — checkpoint from a different scenario definition?");
-        results[task] = *done;
-        have[task] = 1;
-        ++resumed;
+        results_[task] = *done;
+        have_[task] = 1;
+        ++resumed_;
         // The record is durable; a stale mid-replicate snapshot for the
         // slot would only be reloaded pointlessly on the next resume.
-        if (store != nullptr) store->remove(cell_index, replicate);
+        if (store_ != nullptr) store_->remove(cell_index, replicate);
         continue;
       }
     }
-    pending.push_back(task);
+    pending_.push_back(task);
   }
-  if (resumed > 0) {
+  if (resumed_ > 0) {
     static const auto c_reingested = obs::counter("runner.resume_reingested");
-    obs::add(c_reingested, resumed);
+    obs::add(c_reingested, resumed_);
     if (options_.heartbeat != nullptr) {
-      options_.heartbeat->add_completed(resumed);
+      options_.heartbeat->add_completed(resumed_);
     }
   }
+  if (obs::enabled()) task_times_.resize(pending_.size());
+}
 
-  obs::Span sweep_span("sweep", "cells",
-                       static_cast<std::int64_t>(cell_count), "replicates",
-                       static_cast<std::int64_t>(replicates));
-  // Per-task [start, end) times feed the synthetic per-cell envelope spans
-  // below; sized only when telemetry is live so the dark path allocates
-  // nothing.
-  std::vector<std::array<std::uint64_t, 2>> task_times;
-  const bool trace_tasks = obs::enabled();
-  if (trace_tasks) task_times.resize(pending.size());
+SweepShard::~SweepShard() = default;
 
-  ThreadPool pool(options_.threads);
-  MemoryGate gate(options_.memory_budget_bytes);
-  std::mutex progress_mu;
-  const auto start = std::chrono::steady_clock::now();
-  pool.run(pending.size(), [&](std::size_t index) {
-    const std::size_t task = pending[index];
-    const std::size_t cell_index = task / replicates;
-    const auto replicate = static_cast<std::uint32_t>(task % replicates);
-    const Cell& cell = scenario.cells[cell_index];
-    const std::size_t stream = cell.seed_stream == kAutoSeedStream
-                                   ? cell_index
-                                   : cell.seed_stream;
-    if (options_.heartbeat != nullptr) {
-      options_.heartbeat->note_start(static_cast<std::int64_t>(cell_index),
-                                     replicate);
-    }
-    gate.acquire(cell.mem_hint_bytes);
-    try {
-      const std::uint64_t seed =
-          replicate_seed(scenario.master_seed, stream, replicate);
-      // Restore-or-fresh + cadence wiring for the durable snapshot slot.
-      // try_load happens inside the task (not the partition loop): it
-      // reads a payload proportional to the cell's n, and the pool
-      // parallelizes that the same way it parallelizes the replicates.
-      std::string resume_payload;
-      sim::CheckpointPolicy policy;
-      if (store != nullptr) {
-        if (auto snapshot = store->try_load(cell_index, replicate, seed)) {
-          resume_payload = std::move(snapshot->payload);
-          static const auto c_restored =
-              obs::counter("runner.snapshot_restored");
-          obs::add(c_restored);
-        }
-        policy.every_ticks = options_.snapshot_every_ticks;
-        policy.every_seconds = options_.snapshot_every_seconds;
-        SnapshotStore* slot_store = store.get();
-        policy.persist = [slot_store, cell_index, replicate, seed](
-                             std::string_view payload, std::uint64_t ticks) {
-          slot_store->save(cell_index, replicate, seed, ticks, payload);
-        };
+void SweepShard::run(std::size_t index, MemoryGate& gate) {
+  const std::size_t task = pending_[index];
+  const std::uint32_t replicates = scenario_.replicates;
+  const std::size_t cell_index = task / replicates;
+  const auto replicate = static_cast<std::uint32_t>(task % replicates);
+  const Cell& cell = scenario_.cells[cell_index];
+  const std::size_t stream =
+      cell.seed_stream == kAutoSeedStream ? cell_index : cell.seed_stream;
+  if (options_.heartbeat != nullptr) {
+    options_.heartbeat->note_start(static_cast<std::int64_t>(cell_index),
+                                   replicate);
+  }
+  const bool trace_task = !task_times_.empty();
+  gate.acquire(cell.mem_hint_bytes);
+  try {
+    const std::uint64_t seed =
+        replicate_seed(scenario_.master_seed, stream, replicate);
+    // Restore-or-fresh + cadence wiring for the durable snapshot slot.
+    // try_load happens inside the task (not the partition loop): it
+    // reads a payload proportional to the cell's n, and the pool
+    // parallelizes that the same way it parallelizes the replicates.
+    std::string resume_payload;
+    sim::CheckpointPolicy policy;
+    if (store_ != nullptr) {
+      if (auto snapshot = store_->try_load(cell_index, replicate, seed)) {
+        resume_payload = std::move(snapshot->payload);
+        static const auto c_restored =
+            obs::counter("runner.snapshot_restored");
+        obs::add(c_restored);
       }
-      // Envelope timestamps bracket the replicate Span's lifetime (not
-      // the reverse), so the derived per-cell envelope always encloses
-      // its replicates' spans in the exported trace.
-      if (trace_tasks) task_times[index][0] = obs::now_ns();
-      {
-        obs::Span span("replicate", "cell",
-                       static_cast<std::int64_t>(cell_index), "replicate",
-                       replicate);
-        results[task] = run_replicate(cell, seed, policy, resume_payload);
-      }
-      if (trace_tasks) task_times[index][1] = obs::now_ns();
-    } catch (...) {
-      gate.release(cell.mem_hint_bytes);
-      throw;
+      policy.every_ticks = options_.snapshot_every_ticks;
+      policy.every_seconds = options_.snapshot_every_seconds;
+      SnapshotStore* slot_store = store_.get();
+      policy.persist = [slot_store, cell_index, replicate, seed](
+                           std::string_view payload, std::uint64_t ticks) {
+        slot_store->save(cell_index, replicate, seed, ticks, payload);
+      };
     }
+    // Envelope timestamps bracket the replicate Span's lifetime (not
+    // the reverse), so the derived per-cell envelope always encloses
+    // its replicates' spans in the exported trace.
+    if (trace_task) task_times_[index][0] = obs::now_ns();
+    {
+      obs::Span span("replicate", "cell",
+                     static_cast<std::int64_t>(cell_index), "replicate",
+                     replicate);
+      results_[task] = run_replicate(cell, seed, policy, resume_payload);
+    }
+    if (trace_task) task_times_[index][1] = obs::now_ns();
+  } catch (...) {
     gate.release(cell.mem_hint_bytes);
-    if (options_.progress) {
-      // The callback runs BEFORE the task is marked held: a sink that
-      // throws (disk full, failed stream) keeps the replicate out of the
-      // completed set, so a crash can never report work the checkpoint
-      // file does not hold.
-      std::lock_guard<std::mutex> lock(progress_mu);
-      options_.progress(cell, cell_index, replicate, results[task]);
-    }
-    have[task] = 1;
-    // Snapshot cleanup only AFTER the result is held (and, when a progress
-    // sink is wired, persisted): a crash between the progress throw above
-    // and here keeps the snapshot, so the replicate resumes instead of
-    // restarting.
-    if (store != nullptr) store->remove(cell_index, replicate);
-    if (options_.heartbeat != nullptr) options_.heartbeat->note_done();
-  });
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
+    throw;
+  }
+  gate.release(cell.mem_hint_bytes);
+  if (options_.progress) {
+    // The callback runs BEFORE the task is marked held: a sink that
+    // throws (disk full, failed stream) keeps the replicate out of the
+    // completed set, so a crash can never report work the checkpoint
+    // file does not hold.
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    options_.progress(cell, cell_index, replicate, results_[task]);
+  }
+  have_[task] = 1;
+  // Snapshot cleanup only AFTER the result is held (and, when a progress
+  // sink is wired, persisted): a crash between the progress throw above
+  // and here keeps the snapshot, so the replicate resumes instead of
+  // restarting.
+  if (store_ != nullptr) store_->remove(cell_index, replicate);
+  if (options_.heartbeat != nullptr) options_.heartbeat->note_done();
+}
 
+void SweepShard::trace_cells() const {
   // Envelope spans: one per cell on the synthetic lane, spanning the
   // min..max recorded times of its executed replicates.  Work-stealing
   // interleaves cells across workers, so real RAII spans cannot express
-  // "the cell" — the envelope is derived after the pool drains instead.
-  if (trace_tasks) {
-    for (std::size_t c = 0; c < cell_count; ++c) {
-      std::uint64_t lo = UINT64_MAX;
-      std::uint64_t hi = 0;
-      for (std::size_t index = 0; index < pending.size(); ++index) {
-        if (pending[index] / replicates != c) continue;
-        if (task_times[index][1] == 0) continue;  // task threw / never ran
-        lo = std::min(lo, task_times[index][0]);
-        hi = std::max(hi, task_times[index][1]);
-      }
-      if (hi == 0) continue;  // no executed replicates for this cell
-      obs::record_span_on("cell", lo, hi, "cell",
-                          static_cast<std::int64_t>(c), "n",
-                          static_cast<std::int64_t>(scenario.cells[c].n));
+  // "the cell" — the envelope is derived after the tasks ran instead.
+  if (task_times_.empty()) return;
+  const std::uint32_t replicates = scenario_.replicates;
+  for (std::size_t c = 0; c < scenario_.cells.size(); ++c) {
+    std::uint64_t lo = UINT64_MAX;
+    std::uint64_t hi = 0;
+    for (std::size_t index = 0; index < pending_.size(); ++index) {
+      if (pending_[index] / replicates != c) continue;
+      if (task_times_[index][1] == 0) continue;  // task threw / never ran
+      lo = std::min(lo, task_times_[index][0]);
+      hi = std::max(hi, task_times_[index][1]);
     }
+    if (hi == 0) continue;  // no executed replicates for this cell
+    obs::record_span_on("cell", lo, hi, "cell", static_cast<std::int64_t>(c),
+                        "n", static_cast<std::int64_t>(scenario_.cells[c].n));
   }
+}
 
+Runner::Runner(RunnerOptions options) : options_(std::move(options)) {}
+
+SweepSummary Runner::run(const Scenario& scenario) const {
+  SweepShard shard(scenario, options_);
+  obs::Span sweep_span("sweep", "cells",
+                       static_cast<std::int64_t>(scenario.cells.size()),
+                       "replicates",
+                       static_cast<std::int64_t>(scenario.replicates));
+  ThreadPool pool(options_.threads);
+  MemoryGate gate(options_.memory_budget_bytes);
+  const auto start = std::chrono::steady_clock::now();
+  pool.run(shard.pending(),
+           [&](std::size_t index) { shard.run(index, gate); });
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  shard.trace_cells();
+  return shard.summarize(pool.thread_count(), elapsed.count());
+}
+
+SweepSummary SweepShard::summarize(unsigned threads,
+                                   double wall_seconds) const {
+  const std::size_t cell_count = scenario_.cells.size();
+  const std::uint32_t replicates = scenario_.replicates;
   SweepSummary summary;
-  summary.scenario = scenario.name;
+  summary.scenario = scenario_.name;
   summary.replicates = replicates;
-  summary.master_seed = scenario.master_seed;
-  summary.threads = pool.thread_count();
-  summary.wall_seconds = elapsed.count();
+  summary.master_seed = scenario_.master_seed;
+  summary.threads = threads;
+  summary.wall_seconds = wall_seconds;
   summary.shard_index = options_.shard_index;
   summary.shard_count = options_.shard_count;
-  summary.resumed_replicates = resumed;
-  summary.executed_replicates = pending.size();
+  summary.resumed_replicates = resumed_;
+  summary.executed_replicates = pending_.size();
   summary.peak_rss_kb = obs::max_rss_kb();
   summary.cells.reserve(cell_count);
 
@@ -327,7 +317,7 @@ SweepSummary Runner::run(const Scenario& scenario) const {
   // would have been computed into, not on how many of them were resumed.
   for (std::size_t c = 0; c < cell_count; ++c) {
     CellSummary cs;
-    cs.cell = scenario.cells[c];
+    cs.cell = scenario_.cells[c];
     cs.cell_index = c;
     cs.replicates = 0;
 
@@ -339,9 +329,9 @@ SweepSummary Runner::run(const Scenario& scenario) const {
     std::uint32_t far_near_count = 0;
     std::map<std::string, stats::Quantiles> metric_samples;
     for (std::uint32_t r = 0; r < replicates; ++r) {
-      if (!have[c * replicates + r]) continue;
+      if (!have_[c * replicates + r]) continue;
       ++cs.replicates;
-      const ReplicateResult& rr = results[c * replicates + r];
+      const ReplicateResult& rr = results_[c * replicates + r];
       if (options_.keep_replicates) cs.raw.push_back(rr);
       for (const auto& [key, value] : rr.metrics) {
         metric_samples[key].push(value);

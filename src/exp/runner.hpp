@@ -12,10 +12,13 @@
 #ifndef GEOGOSSIP_EXP_RUNNER_HPP
 #define GEOGOSSIP_EXP_RUNNER_HPP
 
+#include <array>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -30,6 +33,8 @@ class Heartbeat;
 }  // namespace geogossip::obs
 
 namespace geogossip::exp {
+
+class SnapshotStore;
 
 // ReplicateResult lives in scenario.hpp (cells carry TrialFn, which
 // returns it); re-exported here through that include.
@@ -174,6 +179,82 @@ class Runner {
 
  private:
   RunnerOptions options_;
+};
+
+/// Admission control for memory-hinted replicates: in-flight hints may sum
+/// to at most `budget`, except that one replicate is always admitted (so a
+/// hint larger than the whole budget degrades to run-alone, never
+/// deadlock).  Purely a scheduling constraint — results are written to
+/// preallocated slots either way, so summaries stay bit-identical.  One
+/// gate serves every shard an executor runs at once.
+class MemoryGate {
+ public:
+  explicit MemoryGate(std::uint64_t budget) : budget_(budget) {}
+
+  void acquire(std::uint64_t hint);
+  void release(std::uint64_t hint);
+
+ private:
+  std::uint64_t budget_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::uint64_t in_flight_ = 0;
+};
+
+/// The replicate tasks of one Runner shard, ready to execute.  The
+/// constructor validates the options, partitions the owned tasks, folds
+/// RunnerOptions::resume_from into the result slots (deleting the folded
+/// slots' stale snapshots) and opens the snapshot store; what remains is
+/// `pending()` tasks for run() to execute, in any order, on any threads.
+/// Runner::run drives one shard on a fresh pool; a fleet worker drives
+/// every batch it leases as a shard on one long-lived pool.
+class SweepShard {
+ public:
+  /// `scenario` must outlive the shard.
+  SweepShard(const Scenario& scenario, RunnerOptions options);
+  ~SweepShard();
+  SweepShard(const SweepShard&) = delete;
+  SweepShard& operator=(const SweepShard&) = delete;
+
+  /// Tasks left to execute (owned, not re-ingested).
+  std::size_t pending() const noexcept { return pending_.size(); }
+  /// Tasks re-ingested from resume_from.
+  std::uint64_t resumed() const noexcept { return resumed_; }
+  /// The cell pending task `index` replicates.
+  const Cell& cell(std::size_t index) const {
+    return scenario_.cells[pending_[index] / scenario_.replicates];
+  }
+
+  /// Executes pending task `index`: derives its seed, restores its
+  /// snapshot (or starts fresh) under the snapshot cadence, runs the
+  /// replicate inside `gate`, reports it through `progress` BEFORE
+  /// marking it held, then deletes its snapshot and notes it on the
+  /// heartbeat.  Distinct indices may run concurrently.  A throw leaves
+  /// the task unheld and its snapshot parked.
+  void run(std::size_t index, MemoryGate& gate);
+
+  /// One synthetic per-cell envelope span over the executed replicates'
+  /// recorded times (telemetry on).  Call after every run() returned.
+  void trace_cells() const;
+
+  /// Aggregates the held replicates per cell, in index order.  Call after
+  /// every run() returned.
+  SweepSummary summarize(unsigned threads, double wall_seconds) const;
+
+ private:
+  const Scenario& scenario_;
+  RunnerOptions options_;
+  std::unique_ptr<SnapshotStore> store_;
+  std::vector<ReplicateResult> results_;
+  /// Tasks outside this shard (and outside the checkpoint) stay unheld
+  /// and are excluded from aggregation.
+  std::vector<std::uint8_t> have_;
+  std::vector<std::size_t> pending_;
+  std::uint64_t resumed_ = 0;
+  /// Per-pending-task [start, end) times for trace_cells(); sized only
+  /// when telemetry is live so the dark path allocates nothing.
+  std::vector<std::array<std::uint64_t, 2>> task_times_;
+  std::mutex progress_mu_;
 };
 
 /// Runs a single replicate.  Probe cells (cell.trial set) invoke their

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <random>
 #include <utility>
@@ -151,6 +152,23 @@ bool parse_snapshot_every(const std::string& spec, std::uint64_t* ticks,
                  "(seconds) suffix, e.g. 20000t or 30s\n";
     return false;
   }
+}
+
+/// Throws ArgumentError unless `path` (when set) can be opened for
+/// writing.  The probe appends nothing to an existing file and removes a
+/// file it created.
+void require_writable(const std::string& path, const char* flag) {
+  if (path.empty()) return;
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  {
+    std::ofstream probe(path, std::ios::app);
+    if (!probe.is_open()) {
+      throw ArgumentError(std::string(flag) + "=" + path +
+                          ": cannot open the file for writing");
+    }
+  }
+  if (!existed) std::filesystem::remove(path, ec);
 }
 
 /// Default fleet worker id: "w<pid>-<hex>".  The pid alone collides when
@@ -387,6 +405,21 @@ RunnerOptions SweepCli::base_options() const {
 }
 
 int SweepCli::run(Scenario scenario, std::ostream& out) {
+  // Misuse the flag checks in parse() cannot see — a missing resume file,
+  // an unwritable output, a fleet directory with no plan and no batch
+  // count — surfaces as ArgumentError/IoError.  It ends the run with
+  // exit 1 and the message, never an abort.
+  try {
+    return run_checked(std::move(scenario), out);
+  } catch (const ArgumentError& error) {
+    std::cerr << program_ << ": " << error.what() << "\n";
+  } catch (const IoError& error) {
+    std::cerr << program_ << ": " << error.what() << "\n";
+  }
+  return 1;
+}
+
+int SweepCli::run_checked(Scenario scenario, std::ostream& out) {
   apply_overrides(scenario);
 
   if (fleet_mode()) {
@@ -415,6 +448,11 @@ int SweepCli::run(Scenario scenario, std::ostream& out) {
   if (!trace_path.empty()) {
     trace_path = shard_path(trace_path, shard_index_, shard_count_);
   }
+  // The summary sinks and the trace are written after the sweep: find
+  // out now, not hours later, that they cannot be.
+  require_writable(csv_path, "--csv");
+  require_writable(json_path, "--json");
+  require_writable(trace_path, "--trace");
 
   // Load checkpoints BEFORE any sink opens the replicate path: resuming
   // into the same file must read it completely first.
@@ -535,14 +573,16 @@ int SweepCli::run_fleet_worker(const Scenario& scenario, std::ostream& out) {
   }
   options.max_batches =
       static_cast<std::uint64_t>(fleet_max_batches_flag_);
+  const std::string trace =
+      trace_path_.empty() ? "" : trace_path_ + "." + options.worker;
+  require_writable(trace, "--trace");
 
   out << "fleet: worker '" << options.worker << "' joining " << fleet_dir_
       << "\n";
   const fleet::WorkerReport report =
       fleet::run_worker(scenario, options, out);
 
-  if (!trace_path_.empty()) {
-    const std::string trace = trace_path_ + "." + options.worker;
+  if (!trace.empty()) {
     obs::write_chrome_trace_file(trace, obs::snapshot(),
                                  program_ + " " + scenario.name);
     out << "trace: " << trace << "\n";
@@ -562,6 +602,8 @@ int SweepCli::run_fleet_merge(const Scenario& scenario, std::ostream& out) {
   }
   // batches = 0: adopt the plan's batch count, validate everything else.
   fleet::validate_plan_match(*plan, fleet::plan_for(scenario, 0));
+  require_writable(csv_path_, "--csv");
+  require_writable(json_path_, "--json");
 
   auto checkpoint =
       std::make_shared<Checkpoint>(scenario.name, scenario.master_seed);

@@ -56,6 +56,10 @@ class SweepCli {
   /// snapshots — prints the summary table to `out`, exports the telemetry
   /// trace and writes the CSV/JSON sinks.  Returns the process exit code
   /// (0 on success); the aggregates stay available via summary().
+  /// Misuse found only here — a missing --resume file, an unwritable
+  /// output path (checked before any work starts), a fleet directory
+  /// with neither a plan nor --fleet-batches — prints the reason and
+  /// returns 1.
   int run(Scenario scenario, std::ostream& out);
 
   /// Aggregates of the last successful run().
@@ -75,6 +79,7 @@ class SweepCli {
   bool fleet_mode() const noexcept { return !fleet_dir_.empty(); }
 
  private:
+  int run_checked(Scenario scenario, std::ostream& out);
   int run_fleet_worker(const Scenario& scenario, std::ostream& out);
   int run_fleet_merge(const Scenario& scenario, std::ostream& out);
 

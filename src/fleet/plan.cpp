@@ -250,6 +250,13 @@ FleetPlan ensure_plan(const std::string& fleet_dir,
   GG_CHECK_ARG(!fleet_dir.empty(), "ensure_plan: fleet_dir must not be empty");
   GG_CHECK_ARG(scenario.replicates > 0 && !scenario.cells.empty(),
                "ensure_plan: the scenario has no work");
+  // Refuse before touching the filesystem: a typo'd directory must not be
+  // left behind, empty, by a worker that could never have founded it.
+  if (batches == 0 && !try_load_plan(fleet_dir)) {
+    throw ArgumentError("ensure_plan: '" + fleet_dir +
+                        "' holds no fleet plan to adopt, and founding one "
+                        "needs a batch count >= 1 (--fleet-batches)");
+  }
   std::error_code ec;
   fs::create_directories(fleet_dir, ec);
   if (ec) {
@@ -273,10 +280,6 @@ FleetPlan ensure_plan(const std::string& fleet_dir,
       validate_plan_match(*on_disk, plan_for(scenario, batches));
       return *on_disk;
     }
-    GG_CHECK_ARG(batches >= 1,
-                 "ensure_plan: founding a fleet needs a batch count >= 1 "
-                 "(--fleet-batches)");
-
     if (fs::create_directory(claim_dir(fleet_dir), ec) && !ec) {
       // We are the planner.  Tickets first, plan.json LAST: its
       // existence commits the whole layout.

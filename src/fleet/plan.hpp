@@ -106,9 +106,10 @@ struct EnsurePlanOptions {
 
 /// Joins (or founds) the fleet: loads-and-validates an existing plan, or
 /// wins the election and writes layout + tickets + plan.  `batches` is
-/// the caller's intended batch count; it must be >= 1 and must match an
-/// existing plan exactly.  Throws ArgumentError on mismatch, IoError on
-/// timeout or filesystem failure.
+/// the caller's intended batch count; it must match an existing plan
+/// exactly, and 0 adopts an existing plan (ArgumentError, with nothing
+/// created on disk, when there is none).  Throws ArgumentError on
+/// mismatch, IoError on timeout or filesystem failure.
 FleetPlan ensure_plan(const std::string& fleet_dir,
                       const exp::Scenario& scenario, std::uint32_t batches,
                       const EnsurePlanOptions& options = {});

@@ -1,5 +1,6 @@
 #include "obs/heartbeat.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -95,9 +96,15 @@ void Heartbeat::add_total(std::uint64_t count) {
   total_ += count;
 }
 
-void Heartbeat::set_lease(std::string lease) {
+void Heartbeat::add_lease(std::string lease) {
   std::lock_guard<std::mutex> lock(mu_);
-  lease_ = std::move(lease);
+  leases_.push_back(std::move(lease));
+}
+
+void Heartbeat::remove_lease(const std::string& lease) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = std::find(leases_.begin(), leases_.end(), lease);
+  if (it != leases_.end()) leases_.erase(it);
 }
 
 void Heartbeat::stop() {
@@ -161,10 +168,15 @@ std::string Heartbeat::compose_locked() {
     line += json_escape_min(options_.worker);
     line += "\"";
   }
-  if (!lease_.empty()) {
-    line += ",\"lease\":\"";
-    line += json_escape_min(lease_);
-    line += "\"";
+  if (!leases_.empty()) {
+    line += ",\"leases\":[";
+    for (std::size_t i = 0; i < leases_.size(); ++i) {
+      if (i != 0) line += ",";
+      line += "\"";
+      line += json_escape_min(leases_[i]);
+      line += "\"";
+    }
+    line += "]";
   }
   line += ",\"seq\":";
   line += std::to_string(seq_);

@@ -20,10 +20,11 @@
 //    "completed":c,"total":t,"cell":ci,"replicate":r,"rss_kb":m,
 //    "flush_unix_ms":w,"seq":q}
 // Fleet workers add two optional keys: "worker" (the stable worker id)
-// and "lease" (the lease currently held, e.g. "batch-3.g2"; absent
-// between batches).  `cell`/`replicate` are -1 until the first replicate
-// starts; `seq` increases by 1 per line, so a stuck `seq` means a dead
-// writer.
+// and "leases" (every lease currently held, in claim order, e.g.
+// ["batch-3.g2","batch-4.g0"] while one batch drains and the next has
+// started; absent while none is held).  `cell`/`replicate` are -1 until
+// the first replicate starts; `seq` increases by 1 per line, so a stuck
+// `seq` means a dead writer.
 #ifndef GEOGOSSIP_OBS_HEARTBEAT_HPP
 #define GEOGOSSIP_OBS_HEARTBEAT_HPP
 
@@ -32,6 +33,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace geogossip::obs {
 
@@ -70,8 +72,9 @@ class Heartbeat {
   void add_completed(std::uint64_t count);
   /// More work became owned (a fleet worker claimed another batch).
   void add_total(std::uint64_t count);
-  /// Lease currently held; empty clears it (shown as an optional key).
-  void set_lease(std::string lease);
+  /// A lease was claimed / given up (shown in the optional "leases" key).
+  void add_lease(std::string lease);
+  void remove_lease(const std::string& lease);
 
   /// Writes a final beat and joins the timer thread.  Idempotent.
   void stop();
@@ -99,7 +102,7 @@ class Heartbeat {
   std::uint64_t total_ = 0;
   std::int64_t current_cell_ = -1;
   std::int64_t current_replicate_ = -1;
-  std::string lease_;
+  std::vector<std::string> leases_;  ///< held, in claim order
   std::uint64_t seq_ = 0;
   std::string lines_;  ///< full file image, rewritten atomically per beat
   std::thread thread_;

@@ -12,16 +12,23 @@ namespace {
 
 constexpr std::size_t kDefaultRingCapacity = std::size_t{1} << 16;
 
-/// Per-thread recording state.  Single writer (the owning thread); read by
-/// snapshot()/reset() only while writers are quiescent, per the header
-/// contract.  The event buffer is allocated on the first recorded event,
-/// so threads that never record while telemetry is on cost nothing.
+/// Per-thread recording state.  Single writer (the owning thread).  The
+/// events are read by snapshot()/reset() only while writers are
+/// quiescent, per the header contract; the counter cells are relaxed
+/// atomics, so counter_totals() may read them while their owner records.
+/// The event buffer is allocated on the first recorded event, so threads
+/// that never record while telemetry is on cost nothing, and trimmed to
+/// the recorded events when the thread exits.
 struct ThreadState {
-  std::vector<Event> events;  ///< size() == capacity once allocated
+  std::vector<Event> events;  ///< size() == capacity while the thread lives
   std::size_t count = 0;      ///< events stored (<= events.size())
   std::uint64_t dropped = 0;
-  std::vector<std::uint64_t> counters;  ///< indexed by CounterId
+  /// Indexed by CounterId.  Only the owner replaces the array, and only
+  /// under the registry mutex, which every cross-thread reader holds.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> counters;
+  std::size_t counter_slots = 0;
   std::uint32_t tid = 0;
+  bool exited = false;  ///< the owning thread is gone: buffer trimmed
 };
 
 struct Registry {
@@ -42,16 +49,31 @@ Registry& registry() {
   return *r;
 }
 
-ThreadState& thread_state() {
-  thread_local std::shared_ptr<ThreadState> state = [] {
-    auto s = std::make_shared<ThreadState>();
+/// A thread's TLS handle on its state.  On thread exit it trims the
+/// event buffer to the events actually recorded: a pool thread's 4 MiB
+/// buffer otherwise stays resident until reset(), for every pool a
+/// process ever ran with telemetry on.
+struct ThreadSlot {
+  std::shared_ptr<ThreadState> state = std::make_shared<ThreadState>();
+
+  ThreadSlot() {
     Registry& r = registry();
     std::lock_guard<std::mutex> lock(r.mu);
-    s->tid = r.next_tid++;
-    r.threads.push_back(s);
-    return s;
-  }();
-  return *state;
+    state->tid = r.next_tid++;
+    r.threads.push_back(state);
+  }
+  ~ThreadSlot() {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    state->events.resize(state->count);
+    state->events.shrink_to_fit();
+    state->exited = true;
+  }
+};
+
+ThreadState& thread_state() {
+  thread_local ThreadSlot slot;
+  return *slot.state;
 }
 
 }  // namespace
@@ -105,18 +127,28 @@ void record(const char* name, std::uint64_t start_ns, std::uint64_t end_ns,
 
 void counter_add_slow(std::uint32_t id, std::uint64_t value) {
   ThreadState& state = thread_state();
-  if (id >= state.counters.size()) {
+  if (id >= state.counter_slots) {
     // Sized to the full registered set, so later counters registered
     // before the hot phase never trigger another growth here.
-    std::size_t registered;
-    {
-      Registry& r = registry();
-      std::lock_guard<std::mutex> lock(r.mu);
-      registered = r.counter_names.size();
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    const std::size_t slots =
+        std::max<std::size_t>(r.counter_names.size(), id + 1);
+    auto grown = std::make_unique<std::atomic<std::uint64_t>[]>(slots);
+    for (std::size_t i = 0; i < slots; ++i) {
+      grown[i].store(i < state.counter_slots
+                         ? state.counters[i].load(std::memory_order_relaxed)
+                         : 0,
+                     std::memory_order_relaxed);
     }
-    state.counters.resize(std::max<std::size_t>(registered, id + 1), 0);
+    state.counters = std::move(grown);
+    state.counter_slots = slots;
   }
-  state.counters[id] += value;
+  // Single writer: a relaxed load + store is an exact add, and compiles
+  // to the plain increment a non-atomic cell would.
+  std::atomic<std::uint64_t>& cell = state.counters[id];
+  cell.store(cell.load(std::memory_order_relaxed) + value,
+             std::memory_order_relaxed);
 }
 
 }  // namespace detail
@@ -132,39 +164,78 @@ CounterId counter(std::string_view name) {
   return id;
 }
 
+namespace {
+
+/// Every registered counter's total over every thread.  Caller holds
+/// r.mu, which keeps each thread's counter array in place.
+std::map<std::string, std::uint64_t> counter_totals_locked(Registry& r) {
+  std::vector<std::uint64_t> totals(r.counter_names.size(), 0);
+  for (const auto& state : r.threads) {
+    const std::size_t slots = std::min(state->counter_slots, totals.size());
+    for (std::size_t i = 0; i < slots; ++i) {
+      totals[i] += state->counters[i].load(std::memory_order_relaxed);
+    }
+  }
+  std::map<std::string, std::uint64_t> named;
+  for (std::size_t i = 0; i < totals.size(); ++i) {
+    named.emplace(r.counter_names[i], totals[i]);
+  }
+  return named;
+}
+
+}  // namespace
+
+std::map<std::string, std::uint64_t> counter_totals() {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  return counter_totals_locked(r);
+}
+
+std::size_t event_buffer_bytes() {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  std::size_t bytes = 0;
+  for (const auto& state : r.threads) {
+    bytes += state->events.capacity() * sizeof(Event);
+  }
+  return bytes;
+}
+
 Snapshot snapshot() {
   Snapshot snap;
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
-  std::vector<std::uint64_t> totals(r.counter_names.size(), 0);
   for (const auto& state : r.threads) {
     snap.events.insert(snap.events.end(), state->events.begin(),
                        state->events.begin() +
                            static_cast<std::ptrdiff_t>(state->count));
     snap.dropped_events += state->dropped;
-    for (std::size_t i = 0;
-         i < state->counters.size() && i < totals.size(); ++i) {
-      totals[i] += state->counters[i];
-    }
   }
   std::sort(snap.events.begin(), snap.events.end(),
             [](const Event& a, const Event& b) {
               return a.start_ns != b.start_ns ? a.start_ns < b.start_ns
                                               : a.tid < b.tid;
             });
-  for (std::size_t i = 0; i < totals.size(); ++i) {
-    snap.counters.emplace(r.counter_names[i], totals[i]);
-  }
+  snap.counters = counter_totals_locked(r);
   return snap;
 }
 
 void reset() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
+  // An exited thread can never record again, so once zeroed its state is
+  // dead weight: drop it.
+  r.threads.erase(std::remove_if(r.threads.begin(), r.threads.end(),
+                                 [](const auto& state) {
+                                   return state->exited;
+                                 }),
+                  r.threads.end());
   for (const auto& state : r.threads) {
     state->count = 0;
     state->dropped = 0;
-    std::fill(state->counters.begin(), state->counters.end(), 0);
+    for (std::size_t i = 0; i < state->counter_slots; ++i) {
+      state->counters[i].store(0, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -173,6 +244,13 @@ void set_ring_capacity(std::size_t events_per_thread) {
   std::lock_guard<std::mutex> lock(r.mu);
   r.capacity = events_per_thread;
   for (const auto& state : r.threads) {
+    if (state->exited) {
+      // A trimmed buffer never grows back (nothing can be recorded into
+      // it); it only keeps within the capacity.
+      state->count = std::min(state->count, events_per_thread);
+      state->events.resize(state->count);
+      continue;
+    }
     if (!state->events.empty() || events_per_thread == 0) {
       state->events.assign(events_per_thread, Event{});
       state->count = std::min(state->count, events_per_thread);

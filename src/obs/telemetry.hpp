@@ -17,7 +17,8 @@
 // Threading contract: recording is safe from any thread.  snapshot(),
 // reset() and set_ring_capacity() require recording threads to be
 // quiescent (the Runner exports after its pool has drained; tests follow
-// suit).  Buffers of exited threads are retained until reset().
+// suit); counter_totals() does not.  Events of exited threads are
+// retained until reset(), their buffers trimmed to the events recorded.
 #ifndef GEOGOSSIP_OBS_TELEMETRY_HPP
 #define GEOGOSSIP_OBS_TELEMETRY_HPP
 
@@ -160,12 +161,23 @@ struct Snapshot {
 /// Merges all thread buffers.  Requires recording threads to be quiescent.
 Snapshot snapshot();
 
-/// Zeroes every buffer and counter cell (registrations and interned
-/// strings are kept).  Requires quiescence; primarily for tests.
+/// Snapshot::counters alone — safe while other threads record (a live
+/// worker's stats file reads it mid-run).  Totals of a running sweep are
+/// a moment's view; they are exact once the recorders are quiescent.
+std::map<std::string, std::uint64_t> counter_totals();
+
+/// Bytes held by the per-thread event buffers (live threads' full
+/// rings plus exited threads' trimmed events) — a diagnostic for tests.
+std::size_t event_buffer_bytes();
+
+/// Zeroes every buffer and counter cell and frees exited threads' state
+/// (registrations and interned strings are kept).  Requires quiescence;
+/// primarily for tests.
 void reset();
 
-/// Per-thread event-buffer capacity.  Setting it resizes existing buffers
-/// (quiescence required) and applies to threads yet to record.
+/// Per-thread event-buffer capacity.  Setting it resizes live threads'
+/// buffers (quiescence required) and applies to threads yet to record;
+/// exited threads' trimmed buffers only truncate to it.
 void set_ring_capacity(std::size_t events_per_thread);
 std::size_t ring_capacity() noexcept;
 

@@ -7,11 +7,14 @@
 // deques round-robin, workers pop from the back of their own deque and steal
 // from the front of a victim's when theirs drains.  Tasks never enqueue new
 // tasks, so a worker that finds every deque empty can exit — no condition
-// variables or shutdown protocol needed.  Determinism of experiment results
-// is the runner's job (each task writes to its own result slot and seeds its
-// own Rng); the pool only promises that every index in [0, task_count) runs
-// exactly once.  run() keeps no state between calls, so nested use (a task
-// that itself runs a pool) is safe — it merely oversubscribes threads.
+// variables or shutdown protocol needed.  drain() is the pull-mode
+// alternative for work that arrives while the pool runs: the caller's task
+// source decides when each worker retires.  Determinism of experiment
+// results is the runner's job (each task writes to its own result slot and
+// seeds its own Rng); the pool only promises that every index in
+// [0, task_count) runs exactly once.  run() keeps no state between calls,
+// so nested use (a task that itself runs a pool) is safe — it merely
+// oversubscribes threads.
 #ifndef GEOGOSSIP_SUPPORT_THREAD_POOL_HPP
 #define GEOGOSSIP_SUPPORT_THREAD_POOL_HPP
 
@@ -115,6 +118,45 @@ class ThreadPool {
     pool.reserve(workers - 1);
     for (unsigned t = 1; t < workers; ++t) pool.emplace_back(worker, t);
     worker(0);
+    for (auto& thread : pool) thread.join();
+    if (first_error) std::rethrow_exception(first_error);
+  }
+
+  /// Pull mode, for work that arrives while the pool runs: every worker
+  /// (the caller is one) calls next() and runs the task it returns, until
+  /// next() returns an empty task, which retires that worker.  next()
+  /// must be thread-safe and may block — that is how a long-lived pool
+  /// waits for more work.  Blocks until every worker has retired; the
+  /// first exception a task threw is then rethrown.
+  void drain(const std::function<std::function<void()>()>& next) const {
+    GG_CHECK_ARG(static_cast<bool>(next), "ThreadPool::drain: next required");
+    std::mutex error_mu;
+    std::exception_ptr first_error;
+    const auto note_error = [&] {
+      std::lock_guard<std::mutex> lock(error_mu);
+      if (!first_error) first_error = std::current_exception();
+    };
+    const auto worker = [&] {
+      for (;;) {
+        std::function<void()> task;
+        try {
+          task = next();
+        } catch (...) {
+          note_error();  // a failing source retires its caller
+          return;
+        }
+        if (!task) return;
+        try {
+          task();
+        } catch (...) {
+          note_error();
+        }
+      }
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(threads_ - 1);
+    for (unsigned t = 1; t < threads_; ++t) pool.emplace_back(worker);
+    worker();
     for (auto& thread : pool) thread.join();
     if (first_error) std::rethrow_exception(first_error);
   }

@@ -4,7 +4,9 @@
 // TTL, supersession detection, planner election (including dead-planner
 // re-election and plan mismatch refusal), the solo-worker end-to-end
 // path, a kill-at-every-phase battery over hand-built on-disk states,
-// torn-snapshot fallback, and merge bit-identity against an
+// torn-snapshot fallback, overlapping batches inside one worker (byte
+// identity at any batch and thread count, max_batches, a failure while
+// two batches are held), and merge bit-identity against an
 // uninterrupted single-process run.
 #include <gtest/gtest.h>
 
@@ -13,13 +15,16 @@
 #include <unistd.h>
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -554,6 +559,31 @@ TEST(FleetWorker, RecoversFromAKillAtEveryProtocolPhase) {
     EXPECT_EQ(fold.stats().duplicate, 0u);
   }
 
+  {  // Phase: killed after claiming a second lease while the first batch
+     // drained — two expired leases of one owner, the first with one of
+     // its records on disk, the second with none.
+    const std::string dir = test_dir("kill_two_leases");
+    fleet::ensure_plan(dir, scenario, kBatches, fast_plan_options());
+    fleet::LeaseStore store(dir);
+    ASSERT_TRUE(store.try_claim(0, "dead", 0.01, "hb/dead.jsonl").has_value());
+    {
+      exp::JsonLinesSink sink(fleet::records_path(dir, 0, 0, "dead"));
+      sink.write_replicate(
+          scenario.name, scenario.master_seed, scenario.cells[0], 0, 0,
+          exp::run_replicate(scenario.cells[0],
+                             exp::replicate_seed(scenario.master_seed, 0, 0)));
+    }
+    ASSERT_TRUE(store.try_claim(1, "dead", 0.01, "hb/dead.jsonl").has_value());
+    sleep_ms(30);
+    complete_and_verify(dir, scenario, kBatches, reference, "rescue");
+    exp::Checkpoint fold(scenario.name, scenario.master_seed);
+    for (const std::string& file : fleet::all_record_files(dir)) {
+      fold.load_file(file);
+    }
+    EXPECT_EQ(fold.stats().accepted, 4u);
+    EXPECT_EQ(fold.stats().duplicate, 0u);
+  }
+
   {  // Phase: killed between the done marker and the lease sweep — the
      // batch is complete but its lease file lingers.
     const std::string dir = test_dir("kill_before_sweep");
@@ -589,6 +619,165 @@ TEST(FleetWorker, TornSnapshotFallsBackToRestartFromScratch) {
                  fleet::lease_filename(0, 0, "dead"));
 
   complete_and_verify(dir, scenario, 2, reference, "rescue");
+}
+
+// ------------------------------------------------- overlapping batches ----
+
+/// Sweep CSV bytes with the thread-count column pinned, so runs at
+/// different thread counts compare byte for byte.
+std::string csv_bytes(exp::SweepSummary summary) {
+  summary.threads = 0;
+  std::ostringstream out;
+  exp::CsvSink sink(out);
+  sink.write(summary);
+  return out.str();
+}
+
+/// Three cells x 4 replicates: enough tasks for four batches to overlap.
+exp::Scenario overlap_scenario() {
+  exp::Scenario scenario = fleet_scenario();
+  scenario.name = "fleet-overlap";
+  scenario.replicates = 4;
+  scenario.add(core::ProtocolKind::kDimakisGeographic, 128).options.eps =
+      1e-2;
+  return scenario;
+}
+
+TEST(FleetWorker, OneWorkerAtFourBatchesMergesToTheBytesOfOneBatch) {
+  const exp::Scenario scenario = overlap_scenario();
+  for (const unsigned threads : {1u, 4u}) {
+    exp::RunnerOptions plain;
+    plain.threads = threads;
+    const std::string reference = csv_bytes(exp::Runner(plain).run(scenario));
+    for (const std::uint32_t batches : {1u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", batches " +
+                   std::to_string(batches));
+      const std::string dir = test_dir("overlap_t" + std::to_string(threads) +
+                                       "_b" + std::to_string(batches));
+      fleet::WorkerOptions options = worker_options(dir, "solo", batches);
+      options.threads = threads;
+      std::ostringstream out;
+      const fleet::WorkerReport report =
+          fleet::run_worker(scenario, options, out);
+      EXPECT_TRUE(report.fleet_complete) << out.str();
+      EXPECT_EQ(report.batches_completed, batches);
+      EXPECT_EQ(report.replicates_executed, 12u);
+      expect_fleet_clean(dir, batches);
+      EXPECT_EQ(csv_bytes(merge_fleet(dir, scenario)), reference);
+    }
+  }
+}
+
+TEST(FleetWorker, MaxBatchesOneNeverClaimsASecondLease) {
+  const std::string dir = test_dir("max_one");
+  const exp::Scenario scenario = overlap_scenario();
+  fleet::WorkerOptions options = worker_options(dir, "once", 4);
+  options.threads = 4;
+  options.max_batches = 1;
+  options.heartbeat_interval_seconds = 0.001;
+  std::ostringstream out;
+  const fleet::WorkerReport report =
+      fleet::run_worker(scenario, options, out);
+
+  EXPECT_FALSE(report.fleet_complete);
+  EXPECT_EQ(report.batches_claimed + report.batches_stolen, 1u);
+  EXPECT_EQ(report.batches_completed, 1u);
+  EXPECT_EQ(report.replicates_executed, 3u);
+  // No lease residue; the three unclaimed batches keep their tickets and
+  // the completed one has none.
+  EXPECT_TRUE(fs::is_empty(fleet::leases_dir(dir)));
+  const std::vector<std::uint32_t> done = fleet::done_batches(dir, 4);
+  ASSERT_EQ(done.size(), 1u);
+  const std::vector<std::uint32_t> queued = fleet::LeaseStore(dir).queued();
+  EXPECT_EQ(queued.size(), 3u);
+  EXPECT_EQ(std::count(queued.begin(), queued.end(), done[0]), 0);
+  // The heartbeat never showed a second lease.
+  std::istringstream beats(slurp(fleet::heartbeat_path(dir, "once")));
+  for (std::string line; std::getline(beats, line);) {
+    EXPECT_EQ(line.find("\",\"batch-"), std::string::npos) << line;
+  }
+}
+
+std::atomic<bool> g_inject_failure{false};
+std::atomic<bool> g_injected{false};
+
+bool poll_until(const std::function<bool()>& condition) {
+  for (int i = 0; i < 2000; ++i) {
+    if (condition()) return true;
+    sleep_ms(5);
+  }
+  return false;
+}
+
+TEST(FleetWorker, AFailureReleasesEveryHeldBatchAndASecondWorkerFinishes) {
+  const std::string dir = test_dir("fail_two_held");
+  // One cell, three replicates, two batches: batch 0 owns replicates
+  // {0, 2}, batch 1 owns {1}.
+  exp::Scenario scenario;
+  scenario.name = "fleet-failure";
+  scenario.replicates = 3;
+  scenario.master_seed = 8;
+  const std::uint64_t seed_1 = exp::replicate_seed(8, 0, 1);
+  const std::uint64_t seed_2 = exp::replicate_seed(8, 0, 2);
+  exp::Cell& cell = scenario.add(core::ProtocolKind::kBoydPairwise, 64);
+  cell.trial = [dir, seed_1, seed_2](const exp::Cell&, std::uint64_t seed) {
+    exp::ReplicateResult result;
+    result.converged = true;
+    result.metrics["seed_low"] = static_cast<double>(seed & 0xFFFF);
+    if (!g_inject_failure) return result;
+    if (seed == seed_1) {
+      // Batch 1's only replicate: throw once batch 0 has been stolen, so
+      // that it is in flight on the other pool thread.
+      poll_until([&] {
+        return fs::exists(fs::path(fleet::leases_dir(dir)) /
+                          fleet::lease_filename(0, 1, "w1"));
+      });
+      g_injected = true;
+      throw std::runtime_error("injected replicate failure");
+    }
+    if (seed == seed_2) {
+      // Starts only if it raced the failure; failing too keeps batch 0
+      // incomplete either way.
+      throw std::runtime_error("injected replicate failure");
+    }
+    // Batch 0's first replicate finishes beside the failure.
+    poll_until([] { return g_injected.load(); });
+    return result;
+  };
+
+  // Batch 0 sits under a dead worker's expired lease, so the worker
+  // claims the queued batch 1 first and steals batch 0 as batch 1 drains.
+  fleet::ensure_plan(dir, scenario, 2, fast_plan_options());
+  fleet::LeaseStore store(dir);
+  ASSERT_TRUE(store.try_claim(0, "dead", 0.01, "hb/dead.jsonl").has_value());
+  sleep_ms(30);
+
+  g_inject_failure = true;
+  g_injected = false;
+  std::ostringstream out;
+  EXPECT_THROW(fleet::run_worker(scenario, worker_options(dir, "w1", 2), out),
+               std::runtime_error);
+  g_inject_failure = false;
+  ASSERT_TRUE(g_injected.load()) << "the failure never met batch 0 in flight";
+
+  // Both batches went back: tickets restored, leases released, neither
+  // done.
+  EXPECT_EQ(store.queued(), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_TRUE(store.leases().empty());
+  EXPECT_TRUE(fleet::done_batches(dir, 2).empty());
+
+  std::ostringstream rescue_out;
+  const fleet::WorkerReport rescue =
+      fleet::run_worker(scenario, worker_options(dir, "w2", 2), rescue_out);
+  EXPECT_TRUE(rescue.fleet_complete);
+  // Batch 0's replicate that finished beside the failure was kept.
+  EXPECT_EQ(rescue.replicates_resumed, 1u);
+  EXPECT_EQ(rescue.replicates_executed, 2u);
+  expect_fleet_clean(dir, 2);
+  exp::RunnerOptions plain;
+  plain.threads = 2;
+  EXPECT_EQ(csv_bytes(merge_fleet(dir, scenario)),
+            csv_bytes(exp::Runner(plain).run(scenario)));
 }
 
 // --------------------------------------------------------------- merge ----

@@ -6,6 +6,7 @@
 // at any thread count, heartbeat files always parse whole, and the spans
 // the Runner/graph record nest the way the trace exporter and
 // tools/trace_summary.py expect.
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -25,6 +26,7 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
 #include "support/check.hpp"
+#include "support/thread_pool.hpp"
 
 namespace gg = geogossip;
 
@@ -129,6 +131,69 @@ TEST(Telemetry, CounterTotalsBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(counters_1.at("routing.routes"), 0u);
   EXPECT_GT(counters_1.at("routing.hops"), 0u);
   EXPECT_EQ(counters_1.at("trial.count"), 6u);
+}
+
+TEST(Telemetry, JoinedPoolThreadsKeepTheirEventsInATrimmedBuffer) {
+  ObsGuard guard;
+  gg::obs::set_enabled(true);
+  constexpr std::size_t kTasks = 16;
+  constexpr int kSpansPerTask = 3;
+  gg::ThreadPool(4).run(kTasks, [](std::size_t task) {
+    for (int i = 0; i < kSpansPerTask; ++i) {
+      gg::obs::Span span("pool_probe", "task",
+                         static_cast<std::int64_t>(task));
+    }
+  });
+  gg::obs::set_enabled(false);
+
+  // The three joined threads gave back their rings: what stays allocated
+  // is the calling thread's live ring plus the joined threads' events.
+  const std::size_t ring = gg::obs::ring_capacity() * sizeof(gg::obs::Event);
+  EXPECT_LE(gg::obs::event_buffer_bytes(),
+            ring + kTasks * kSpansPerTask * sizeof(gg::obs::Event));
+
+  // ...and every event survives into the snapshot and the Chrome export.
+  const auto snap = gg::obs::snapshot();
+  std::size_t probes = 0;
+  for (const auto& event : snap.events) {
+    if (std::string(event.name) == "pool_probe") ++probes;
+  }
+  EXPECT_EQ(probes, kTasks * kSpansPerTask);
+  std::ostringstream trace;
+  gg::obs::write_chrome_trace(trace, snap, "trim");
+  const std::string text = trace.str();
+  std::size_t exported = 0;
+  for (auto at = text.find("\"pool_probe\""); at != std::string::npos;
+       at = text.find("\"pool_probe\"", at + 1)) {
+    ++exported;
+  }
+  EXPECT_EQ(exported, kTasks * kSpansPerTask);
+
+  // reset() frees the joined threads' state outright.
+  gg::obs::reset();
+  EXPECT_LE(gg::obs::event_buffer_bytes(), ring);
+}
+
+TEST(Telemetry, CounterTotalsReadableWhileThreadsRecord) {
+  ObsGuard guard;
+  gg::obs::set_enabled(true);
+  static const auto c_probe = gg::obs::counter("obs_test.live_counter");
+  std::atomic<bool> stop{false};
+  std::thread recorder([&stop] {
+    while (!stop.load()) gg::obs::add(c_probe, 1);
+  });
+  std::uint64_t last = 0;
+  for (int i = 0; i < 100; ++i) {
+    const std::uint64_t now = gg::obs::counter_totals().at(
+        "obs_test.live_counter");
+    EXPECT_GE(now, last);  // a moment's view, never torn backwards
+    last = now;
+  }
+  stop = true;
+  recorder.join();
+  gg::obs::set_enabled(false);
+  EXPECT_EQ(gg::obs::counter_totals().at("obs_test.live_counter"),
+            gg::obs::snapshot().counters.at("obs_test.live_counter"));
 }
 
 TEST(Telemetry, RunnerSpansNestForTheTraceExporter) {
@@ -279,6 +344,50 @@ TEST(Heartbeat, EveryLineParsesAndNoTempFileRemains) {
   }
   EXPECT_GE(lines, 2u);
   EXPECT_EQ(last_completed, 3u);  // 2 re-ingested + 1 noted done
+  std::filesystem::remove(path);
+}
+
+TEST(Heartbeat, ReportsEveryHeldLeaseInClaimOrder) {
+  const auto path = (std::filesystem::path(::testing::TempDir()) /
+                     "obs_heartbeat_leases.jsonl")
+                        .string();
+  const auto last_line = [&path] {
+    std::ifstream in(path);
+    std::string line;
+    std::string last;
+    while (std::getline(in, line)) last = line;
+    return last;
+  };
+  gg::obs::Heartbeat::Options options;
+  options.path = path;
+  options.interval_seconds = 60.0;  // only the initial and final beats
+  options.worker = "w1";
+  {
+    gg::obs::Heartbeat heartbeat(options);
+    heartbeat.add_lease("batch-3.g0");
+    heartbeat.add_lease("batch-4.g1");
+    heartbeat.stop();
+  }
+  EXPECT_NE(last_line().find("\"leases\":[\"batch-3.g0\",\"batch-4.g1\"]"),
+            std::string::npos)
+      << last_line();
+  {
+    gg::obs::Heartbeat heartbeat(options);
+    heartbeat.add_lease("batch-3.g0");
+    heartbeat.add_lease("batch-4.g1");
+    heartbeat.remove_lease("batch-3.g0");
+    heartbeat.stop();
+  }
+  EXPECT_NE(last_line().find("\"leases\":[\"batch-4.g1\"]"),
+            std::string::npos)
+      << last_line();
+  {
+    gg::obs::Heartbeat heartbeat(options);
+    heartbeat.add_lease("batch-4.g1");
+    heartbeat.remove_lease("batch-4.g1");
+    heartbeat.stop();
+  }
+  EXPECT_EQ(last_line().find("\"leases\""), std::string::npos) << last_line();
   std::filesystem::remove(path);
 }
 

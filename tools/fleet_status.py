@@ -14,8 +14,8 @@ A fleet directory is the coordination bus for leased sweep workers:
 
 With no flags, prints a human summary: the plan, each batch's state
 (queued / leased / done, with lease owner, generation and expiry
-freshness) and each worker's latest heartbeat.  Exit 0 unless the fleet
-directory is unreadable.
+freshness) and each worker's latest heartbeat, with every lease it
+holds.  Exit 0 unless the fleet directory is unreadable.
 
 With --validate, checks machine-verifiable invariants and exits 1 on any
 violation:
@@ -165,6 +165,16 @@ def scan(fleet_dir):
     return state
 
 
+def held_leases(beat):
+    """Lease labels a heartbeat line reports, in claim order.  A worker
+    overlaps batches, so it can hold several ("leases"); heartbeats of
+    older workers carry a single "lease" string."""
+    leases = beat.get("leases")
+    if isinstance(leases, list):
+        return [str(lease) for lease in leases]
+    return [beat["lease"]] if beat.get("lease") else []
+
+
 def is_complete(state):
     return all(slot["done"] is not None
                for slot in state["batches"].values()) and state["batches"]
@@ -211,9 +221,10 @@ def render(state, out=sys.stdout, now_unix_ms=None):
         if not beat:
             print(f"worker {worker}: heartbeat unreadable", file=out)
             continue
+        held = held_leases(beat)
         print(f"worker {worker}: {beat.get('completed', '?')}/"
               f"{beat.get('total', '?')} replicates, "
-              f"lease '{beat.get('lease', '')}'"
+              + (f"leases {', '.join(held)}" if held else "no lease")
               + (" [stopped]" if beat.get("stopped") else ""), file=out)
 
     if state["snapshots"]:
@@ -341,7 +352,7 @@ def self_test():
             "leases/batch-0.g0.w.lease": _lease(far_future),
             "records/batch-0.g0.w.jsonl": "",
             "hb/w.jsonl": json.dumps({"completed": 1, "total": 2,
-                                      "lease": "batch-0.g0", "seq": 3}),
+                                      "leases": ["batch-0.g0"], "seq": 3}),
         })
         state = scan(live)
         check("live_validates", validate(state) == [])
@@ -351,6 +362,30 @@ def self_test():
         check("live_renders",
               "batch 0: leased" in text and "batch 1: queued" in text
               and "worker w: 1/2" in text)
+
+        # A worker overlapping two batches heartbeats both leases; the
+        # board shows both, and the older single-lease key still reads.
+        overlap = _fleet(tmp, "overlap", {
+            "plan.json": _plan(),
+            "leases/batch-0.g0.w.lease": _lease(far_future),
+            "leases/batch-1.g0.w.lease": _lease(far_future),
+            "hb/w.jsonl": json.dumps({"completed": 1, "total": 4,
+                                      "leases": ["batch-0.g0", "batch-1.g0"],
+                                      "seq": 5}),
+            "hb/old.jsonl": json.dumps({"completed": 0, "total": 2,
+                                        "lease": "batch-1.g0", "seq": 1}),
+        })
+        state = scan(overlap)
+        check("two_leases_validate", validate(state) == [])
+        out = io.StringIO()
+        render(state, out)
+        text = out.getvalue()
+        check("two_leases_render",
+              "batch 0: leased" in text and "batch 1: leased" in text
+              and "worker w: 1/4 replicates, leases batch-0.g0, batch-1.g0"
+              in text)
+        check("single_lease_key_renders",
+              "worker old: 0/2 replicates, leases batch-1.g0" in text)
 
         # An expired lease renders as such but is NOT a violation (it is
         # reclaimable, which is the protocol working).
