@@ -1,10 +1,13 @@
 // Self-timed perf-kernel harness: times the simulator's hot paths across n
-// and emits JSON, with no external benchmark dependency (unlike
-// micro_kernels, which needs Google Benchmark and is skipped when the
-// library is absent).  The committed BENCH_*.json trajectory is produced by
-// this binary so perf regressions are visible PR over PR.
+// and emits JSON, with no external benchmark dependency.  The committed
+// BENCH_*.json trajectory is produced by this binary so perf regressions
+// are visible from one change to the next.
 //
 // Kernels:
+//   affine_pair_update     the paper's mirrored affine update, over
+//                          adjacent pairs of an n-value array
+//   rng_below              one bounded draw Rng::below(n)
+//   poisson_tick           one AsyncClock::next() over n sensors
 //   graph_build            GeometricGraph::sample — two-pass CSR straight
 //                          from the bucket grid, NO routing mirror (the
 //                          non-routing-workload build cost)
@@ -41,9 +44,9 @@
 #include <string>
 #include <vector>
 
+#include "core/affine.hpp"
 #include "core/decentralized.hpp"
 #include "core/hierarchy_protocol.hpp"
-#include "exp/thread_pool.hpp"
 #include "gossip/geographic.hpp"
 #include "gossip/pairwise.hpp"
 #include "graph/geometric_graph.hpp"
@@ -56,6 +59,7 @@
 #include "sim/field.hpp"
 #include "support/cli.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace gg = geogossip;
 
@@ -122,7 +126,7 @@ double engine_check(const Protocol& protocol, double initial_norm) {
 /// from the same harness source.
 template <typename Graph = gg::graph::GeometricGraph>
 Graph sample_graph(std::size_t n, double mult, gg::Rng& rng,
-                   const gg::exp::ThreadPool* pool = nullptr,
+                   const gg::ThreadPool* pool = nullptr,
                    bool eager_mirror = false) {
   if constexpr (requires { typename Graph::BuildOptions; }) {
     typename Graph::BuildOptions options;
@@ -269,7 +273,42 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{256, 1024, 4096, 16384};
   const std::vector<std::size_t> e2e_ns{1024, 4096};
 
-  gg::exp::ThreadPool hw_pool;  // hardware concurrency, for the _mt builds
+  gg::ThreadPool hw_pool;  // hardware concurrency, for the _mt builds
+
+  {
+    constexpr std::size_t kValues = 4096;
+    gg::Rng rng(0xaff1);
+    std::vector<double> x(kValues);
+    for (double& v : x) v = rng.normal();
+    const double ai = gg::core::draw_alpha(rng);
+    const double aj = gg::core::draw_alpha(rng);
+    h.run("affine_pair_update", kValues, [&] {
+      for (std::size_t i = 0; i < kValues; ++i) {
+        gg::core::affine_pair_update(x[i], x[(i + 1) % kValues], ai, aj);
+      }
+      g_sink = g_sink + x[0];
+      return std::uint64_t{kValues};
+    });
+
+    constexpr std::uint64_t kBatch = 4096;
+    constexpr std::uint64_t kBound = 12345;
+    gg::Rng below_rng(0xbe10);
+    h.run("rng_below", kBound, [&] {
+      std::uint64_t acc = 0;
+      for (std::uint64_t i = 0; i < kBatch; ++i) acc += below_rng.below(kBound);
+      g_sink = g_sink + static_cast<double>(acc);
+      return kBatch;
+    });
+
+    gg::Rng clock_rng(0xc10c);
+    gg::sim::AsyncClock clock(kValues, clock_rng);
+    h.run("poisson_tick", kValues, [&] {
+      std::uint64_t acc = 0;
+      for (std::uint64_t i = 0; i < kBatch; ++i) acc += clock.next().node;
+      g_sink = g_sink + static_cast<double>(acc);
+      return kBatch;
+    });
+  }
 
   for (const std::size_t n : micro_ns) {
     // Every kernel gets its own fixed-seed stream: the self-timed build

@@ -25,9 +25,10 @@
 //   parallel_sweep --scenario=e5-scaling-xl --shard=0/2 --json-replicates=xl.jsonl
 //   parallel_sweep --scenario=e5-scaling-xl --shard=1/2 --json-replicates=xl.jsonl
 //   # then fold the shard files into the summaries a single uninterrupted
-//   # run would emit (tools/merge_replicates.py validates + canonicalizes)
+//   # run would emit, plus one canonical merged record file
 //   parallel_sweep --scenario=e5-scaling-xl --merge-only
 //       --resume=xl.shard-0-of-2.jsonl,xl.shard-1-of-2.jsonl --csv=xl.csv
+//       --json-replicates=xl.merged.jsonl
 //
 // Long replicates can additionally checkpoint MID-flight: --snapshot-dir
 // (+ --snapshot-every) periodically persists each running replicate's full

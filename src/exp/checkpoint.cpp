@@ -140,8 +140,7 @@ void Checkpoint::load(std::istream& in) {
     // writer — any failure below lands in torn_tail instead of malformed.
     // The one exception that succeeds: a tail that parses as a COMPLETE
     // record lost only its '\n' (records close with "}\n" in one write,
-    // so no strict prefix of one is itself valid JSON) and is accepted;
-    // tools/merge_replicates.py applies the same rule.
+    // so no strict prefix of one is itself valid JSON) and is accepted.
     try {
       const JsonValue object = JsonParser(line).parse();
       if (object.kind != JsonValue::Kind::kObject) {

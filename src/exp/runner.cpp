@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "exp/snapshot_store.hpp"
-#include "exp/thread_pool.hpp"
 #include "graph/geometric_graph.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/memory.hpp"
@@ -21,6 +20,7 @@
 #include "support/check.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
+#include "support/thread_pool.hpp"
 
 namespace geogossip::exp {
 

@@ -1,19 +1,14 @@
 #include "exp/snapshot_store.hpp"
 
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 #include "exp/schema.hpp"
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
+#include "support/durable_file.hpp"
 #include "support/logging.hpp"
 #include "support/snapshot.hpp"
 
@@ -42,26 +37,13 @@ SnapshotStore::SnapshotStore(std::string dir, std::string scenario,
     throw IoError("SnapshotStore: cannot create '" + dir_ +
                   "': " + ec.message());
   }
-  // Sweep crash debris: a writer killed between fopen and rename leaves
-  // "<slot>.ggsnap.tmp" behind forever.  Age-gate the sweep so we never
-  // delete a sibling fleet worker's in-flight save.
-  const auto now = std::filesystem::file_time_type::clock::now();
-  const auto min_age = std::chrono::duration_cast<
-      std::filesystem::file_time_type::duration>(
-      std::chrono::duration<double>(stale_tmp_age_seconds));
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.size() < 4 || name.substr(name.size() - 4) != ".tmp") continue;
-    const auto mtime = entry.last_write_time(ec);
-    if (ec) continue;
-    if (now - mtime < min_age) continue;
-    std::error_code remove_ec;
-    if (std::filesystem::remove(entry.path(), remove_ec)) {
-      obs::add(obs::counter("snapshot.stale_tmp_swept"), 1);
-      log_warn("SnapshotStore: swept stale temp file '",
-               entry.path().string(), "' (crashed writer debris)");
-    }
+  // Sweep crash debris, age-gated so we never delete a sibling fleet
+  // worker's in-flight save.
+  for (const std::string& swept :
+       sweep_durable_temps(dir_, stale_tmp_age_seconds)) {
+    obs::add(obs::counter("snapshot.stale_tmp_swept"), 1);
+    log_warn("SnapshotStore: swept stale temp file '", swept,
+             "' (crashed writer debris)");
   }
 }
 
@@ -89,33 +71,10 @@ void SnapshotStore::save(std::size_t cell_index, std::uint32_t replicate,
   w.u64(fnv1a64(payload));
   w.str(payload);
 
-  const std::string path = path_for(cell_index, replicate);
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) {
-    throw IoError("SnapshotStore: cannot open '" + tmp + "' for writing");
-  }
-  bool ok =
-      std::fwrite(kMagic.data(), 1, kMagic.size(), file) == kMagic.size() &&
-      std::fwrite(w.bytes().data(), 1, w.bytes().size(), file) ==
-          w.bytes().size() &&
-      std::fflush(file) == 0;
-#if defined(__unix__) || defined(__APPLE__)
-  // The rename below only orders the DIRECTORY entry; without an fsync the
-  // flipped-in file could still lose its bytes to a power cut.
-  ok = ok && ::fsync(::fileno(file)) == 0;
-#endif
-  ok = std::fclose(file) == 0 && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    throw IoError("SnapshotStore: write to '" + tmp + "' failed");
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    throw IoError("SnapshotStore: rename to '" + path +
-                  "' failed: " + ec.message());
+  std::string error;
+  if (!write_durable_file(path_for(cell_index, replicate),
+                          std::string(kMagic) + w.bytes(), &error)) {
+    throw IoError("SnapshotStore: " + error);
   }
 }
 
@@ -128,12 +87,16 @@ std::optional<LoadedSnapshot> SnapshotStore::try_load(
     // No committed snapshot — but an orphaned temp here means a writer
     // died mid-save for this very slot; count it so fleets can tell "no
     // snapshot cadence fired yet" apart from "the save itself was torn".
+    const std::string name = std::filesystem::path(path).filename().string();
     std::error_code ec;
-    if (std::filesystem::exists(path + ".tmp", ec)) {
-      obs::add(obs::counter("snapshot.orphan_tmp"), 1);
-      log_warn("snapshot '", path,
-               "': absent but an orphaned .tmp exists (writer died "
-               "mid-save) — replicate restarts from scratch");
+    for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
+      if (durable_temp_target(entry.path().filename().string()) == name) {
+        obs::add(obs::counter("snapshot.orphan_tmp"), 1);
+        log_warn("snapshot '", path,
+                 "': absent but an orphaned temp exists (writer died "
+                 "mid-save) — replicate restarts from scratch");
+        break;
+      }
     }
     return std::nullopt;  // no snapshot: fresh run
   }
@@ -202,7 +165,6 @@ void SnapshotStore::remove(std::size_t cell_index,
   if (ec) {
     log_warn("snapshot '", path, "': cleanup failed: ", ec.message());
   }
-  std::filesystem::remove(path + ".tmp", ec);
 }
 
 }  // namespace geogossip::exp

@@ -3,10 +3,11 @@
 // A long replicate periodically serializes its full trajectory state (see
 // sim::CheckpointPolicy); SnapshotStore gives each (cell_index, replicate)
 // slot one file under a snapshot directory and persists every snapshot
-// torn-write-safely: bytes land in a "<file>.tmp" side file, are fsync'd,
-// and rename(2) flips them in — the live snapshot is never overwritten in
-// place, so a crash at ANY byte offset leaves either the previous snapshot
-// or the new one intact, never a hybrid.
+// through write_durable_file (support/durable_file.hpp): the live
+// snapshot is never overwritten in place, so a crash at ANY byte offset
+// leaves either the previous snapshot or the new one intact, never a
+// hybrid.  Temp names are unique per writer, so two fleet workers saving
+// one slot (a lease stolen from a slow but live owner) both succeed.
 //
 // Files self-identify with (schema, scenario, master_seed, cell_index,
 // replicate, seed) plus an FNV-1a checksum of the payload.  try_load
@@ -35,16 +36,17 @@ struct LoadedSnapshot {
 class SnapshotStore {
  public:
   /// Creates `dir` (and parents) if absent; throws IoError on failure.
-  /// Also sweeps orphaned "*.tmp" debris left by crashed writers — but
-  /// only files older than `stale_tmp_age_seconds`, because in fleet mode
-  /// several workers share one snapshot directory and a fresh .tmp may be
-  /// another worker's in-flight save.  Pass 0 to sweep unconditionally
-  /// (single-writer directories, tests).
+  /// Also sweeps temps left by crashed writers (counted as
+  /// snapshot.stale_tmp_swept) — but only those older than
+  /// `stale_tmp_age_seconds`, because in fleet mode several workers share
+  /// one snapshot directory and a fresh temp may be another worker's
+  /// in-flight save.  Pass 0 to sweep unconditionally (single-writer
+  /// directories, tests).
   SnapshotStore(std::string dir, std::string scenario,
                 std::uint64_t master_seed,
                 double stale_tmp_age_seconds = 300.0);
 
-  /// Atomically persists `payload` for the slot (write-new-then-flip; see
+  /// Atomically and durably persists `payload` for the slot (see the
   /// file comment).  Throws IoError on any filesystem failure — a
   /// checkpoint that cannot be written is an environment failure, matching
   /// the streaming sink's flush-check-throw policy.
@@ -52,7 +54,8 @@ class SnapshotStore {
             std::uint64_t seed, std::uint64_t ticks,
             std::string_view payload) const;
 
-  /// Loads the slot's snapshot.  Absent file -> nullopt (fresh run).
+  /// Loads the slot's snapshot.  Absent file -> nullopt (fresh run; an
+  /// orphaned temp of the slot is counted as snapshot.orphan_tmp).
   /// Truncated or checksum-corrupt file -> nullopt with a logged warning
   /// (the replicate re-runs from scratch; torn debris must never poison a
   /// resume).  A schema-version or identity mismatch (scenario,
@@ -63,7 +66,8 @@ class SnapshotStore {
 
   /// Deletes the slot's snapshot once the replicate's record is durable
   /// elsewhere.  Missing file is fine; other failures are logged, never
-  /// thrown — cleanup must not fail a finished replicate.
+  /// thrown — cleanup must not fail a finished replicate.  Temps are left
+  /// to the age-gated sweep: one may be another worker's save in flight.
   void remove(std::size_t cell_index, std::uint32_t replicate) const noexcept;
 
   /// The slot's snapshot file path ("<dir>/snap-c<cell>-r<replicate>.ggsnap").

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iostream>
 #include <random>
+#include <sstream>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -18,6 +19,7 @@
 #include "obs/heartbeat.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
+#include "support/durable_file.hpp"
 #include "support/logging.hpp"
 #include "support/string_util.hpp"
 
@@ -218,8 +220,9 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
                    "the same --json-replicates path appends only new records");
   parser_.add_flag("merge-only", &merge_only_,
                    "run nothing: require --resume to cover the scenario "
-                   "completely and emit the merged summaries (exit 1 when "
-                   "replicates are missing)");
+                   "exactly and emit the merged summaries, plus the merged "
+                   "record file with --json-replicates (exit 1 when "
+                   "replicates are missing or outside the grid)");
   parser_.add_flag("mem-budget", &mem_budget_gb_,
                    "cap concurrent replicates by their memory hints to this "
                    "many GiB (0 = no cap; XL scenarios carry hints)");
@@ -298,10 +301,10 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
     std::cerr << "--merge-only needs --resume=<shard files>\n";
     return 1;
   }
-  if (merge_only_ && !json_replicates_path_.empty()) {
-    std::cerr << "--merge-only runs nothing, so --json-replicates would "
-                 "write an empty file; use tools/merge_replicates.py to "
-                 "produce a merged record file\n";
+  if (merge_only_ && (!snapshot_dir_.empty() || !heartbeat_spec_.empty() ||
+                      !trace_path_.empty())) {
+    std::cerr << "--merge-only runs nothing: drop --snapshot-dir, "
+                 "--heartbeat and --trace\n";
     return 1;
   }
   if (mem_budget_gb_ < 0.0) {
@@ -426,28 +429,16 @@ int SweepCli::run_checked(Scenario scenario, std::ostream& out) {
     return fleet_merge_ ? run_fleet_merge(scenario, out)
                         : run_fleet_worker(scenario, out);
   }
+  if (merge_only_) return run_merge(scenario, split(resume_spec_, ','), out);
 
   // Per-shard output paths so k cooperating processes can share one
   // command line (identity when unsharded and no {shard} placeholder).
   // The snapshot dir is shared as-is: shards own disjoint (cell,
   // replicate) slots, so their snapshot files never collide.
-  std::string csv_path = csv_path_;
-  std::string json_path = json_path_;
-  std::string json_replicates_path = json_replicates_path_;
-  std::string trace_path = trace_path_;
-  if (!csv_path.empty()) {
-    csv_path = shard_path(csv_path, shard_index_, shard_count_);
-  }
-  if (!json_path.empty()) {
-    json_path = shard_path(json_path, shard_index_, shard_count_);
-  }
-  if (!json_replicates_path.empty()) {
-    json_replicates_path =
-        shard_path(json_replicates_path, shard_index_, shard_count_);
-  }
-  if (!trace_path.empty()) {
-    trace_path = shard_path(trace_path, shard_index_, shard_count_);
-  }
+  const std::string csv_path = output_path(csv_path_);
+  const std::string json_path = output_path(json_path_);
+  const std::string json_replicates_path = output_path(json_replicates_path_);
+  const std::string trace_path = output_path(trace_path_);
   // The summary sinks and the trace are written after the sweep: find
   // out now, not hours later, that they cannot be.
   require_writable(csv_path, "--csv");
@@ -471,22 +462,6 @@ int SweepCli::run_checked(Scenario scenario, std::ostream& out) {
     print_checkpoint_warnings(checkpoint->stats());
     out << "resume: " << checkpoint->size()
         << " completed replicate(s) loaded\n";
-    if (merge_only_) {
-      const std::size_t tasks = scenario.cells.size() * scenario.replicates;
-      std::size_t missing = 0;
-      for (std::size_t task = 0; task < tasks; ++task) {
-        if (!checkpoint->contains(
-                task / scenario.replicates,
-                static_cast<std::uint32_t>(task % scenario.replicates))) {
-          ++missing;
-        }
-      }
-      if (missing > 0) {
-        std::cerr << "--merge-only: " << missing << " of " << tasks
-                  << " replicates missing from the resume files\n";
-        return 1;
-      }
-    }
     checkpoint_ = std::move(checkpoint);
   }
 
@@ -558,6 +533,12 @@ int SweepCli::run_checked(Scenario scenario, std::ostream& out) {
   return 0;
 }
 
+std::string SweepCli::output_path(const std::string& flag_value) const {
+  return flag_value.empty()
+             ? flag_value
+             : shard_path(flag_value, shard_index_, shard_count_);
+}
+
 int SweepCli::run_fleet_worker(const Scenario& scenario, std::ostream& out) {
   fleet::WorkerOptions options;
   options.fleet_dir = fleet_dir_;
@@ -602,35 +583,55 @@ int SweepCli::run_fleet_merge(const Scenario& scenario, std::ostream& out) {
   }
   // batches = 0: adopt the plan's batch count, validate everything else.
   fleet::validate_plan_match(*plan, fleet::plan_for(scenario, 0));
-  require_writable(csv_path_, "--csv");
-  require_writable(json_path_, "--json");
+  const std::vector<std::string> files =
+      fleet::all_record_files(fleet_dir_);
+  out << "fleet merge: " << files.size() << " record file(s), "
+      << fleet::done_batches(fleet_dir_, plan->batches).size() << "/"
+      << plan->batches << " batches done\n";
+  return run_merge(scenario, files, out);
+}
+
+int SweepCli::run_merge(const Scenario& scenario,
+                        const std::vector<std::string>& files,
+                        std::ostream& out) {
+  const std::string json_replicates_path = output_path(json_replicates_path_);
+  const std::string csv_path = output_path(csv_path_);
+  const std::string json_path = output_path(json_path_);
+  require_writable(csv_path, "--csv");
+  require_writable(json_path, "--json");
+  require_writable(json_replicates_path, "--json-replicates");
 
   auto checkpoint =
       std::make_shared<Checkpoint>(scenario.name, scenario.master_seed);
-  const std::vector<std::string> files =
-      fleet::all_record_files(fleet_dir_);
-  for (const std::string& path : files) checkpoint->load_file(path);
+  for (const std::string& path : files) {
+    if (!path.empty()) checkpoint->load_file(path);
+  }
   print_checkpoint_warnings(checkpoint->stats());
-  const std::size_t done =
-      fleet::done_batches(fleet_dir_, plan->batches).size();
-  out << "fleet merge: " << checkpoint->size() << " replicate(s) from "
-      << files.size() << " record file(s), " << done << "/" << plan->batches
-      << " batches done\n";
+  out << "merge: " << checkpoint->size() << " replicate(s) loaded\n";
 
-  const std::size_t tasks = scenario.cells.size() * scenario.replicates;
-  std::size_t missing = 0;
-  for (std::size_t task = 0; task < tasks; ++task) {
-    if (!checkpoint->contains(
-            task / scenario.replicates,
-            static_cast<std::uint32_t>(task % scenario.replicates))) {
-      ++missing;
+  // The records must be exactly the scenario's grid: a hole is unfinished
+  // work, and a record outside it (shards run with another --replicates,
+  // say) means the inputs are not this sweep.
+  std::size_t outside = 0;
+  for (const auto& [key, result] : checkpoint->records()) {
+    if (key.first >= scenario.cells.size() ||
+        key.second >= scenario.replicates) {
+      ++outside;
     }
   }
+  const std::size_t tasks = scenario.cells.size() * scenario.replicates;
+  const std::size_t missing = tasks - (checkpoint->size() - outside);
+  if (outside > 0) {
+    std::cerr << program_ << ": merge: " << outside
+              << " record(s) outside the " << scenario.cells.size() << "x"
+              << scenario.replicates << " (cell, replicate) grid of '"
+              << scenario.name << "' — not this sweep's records\n";
+    return 1;
+  }
   if (missing > 0) {
-    std::cerr << "--fleet-merge: " << missing << " of " << tasks
-              << " replicates missing — the fleet has not finished (or "
-                 "lost records); start a worker with --fleet-dir to "
-                 "complete it\n";
+    std::cerr << program_ << ": merge: " << missing << " of " << tasks
+              << " replicates missing from the record files (shards or "
+                 "fleet batches still to run?)\n";
     return 1;
   }
 
@@ -639,10 +640,24 @@ int SweepCli::run_fleet_merge(const Scenario& scenario, std::ostream& out) {
   // aggregation makes the merged summaries byte-identical to a
   // single-process sweep.
   checkpoint_ = std::move(checkpoint);
-  RunnerOptions options = base_options();
-  summary_ = Runner(options).run(scenario);
+  summary_ = Runner(base_options()).run(scenario);
   print_summary(out, summary_);
-  write_sinks(summary_, csv_path_, json_path_);
+  if (!json_replicates_path.empty()) {
+    // The canonical merged record file: one record per replicate in
+    // (cell_index, replicate) order, committed whole.
+    std::ostringstream merged;
+    JsonLinesSink sink(merged);
+    for (const auto& [key, result] : checkpoint_->records()) {
+      sink.write_replicate(scenario.name, scenario.master_seed,
+                           scenario.cells[key.first], key.first, key.second,
+                           result);
+    }
+    std::string error;
+    if (!write_durable_file(json_replicates_path, merged.str(), &error)) {
+      throw IoError("--json-replicates: " + error);
+    }
+  }
+  write_sinks(summary_, csv_path, json_path);
   return 0;
 }
 

@@ -23,6 +23,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "exp/checkpoint.hpp"
 #include "exp/runner.hpp"
@@ -51,15 +52,15 @@ class SweepCli {
   void apply_overrides(Scenario& scenario) const;
 
   /// Executes `scenario` with the full harness wiring — per-shard output
-  /// paths, resume-checkpoint loading (with --merge-only coverage
-  /// validation), streaming replicate records, heartbeat, mid-replicate
-  /// snapshots — prints the summary table to `out`, exports the telemetry
-  /// trace and writes the CSV/JSON sinks.  Returns the process exit code
-  /// (0 on success); the aggregates stay available via summary().
-  /// Misuse found only here — a missing --resume file, an unwritable
-  /// output path (checked before any work starts), a fleet directory
-  /// with neither a plan nor --fleet-batches — prints the reason and
-  /// returns 1.
+  /// paths, resume-checkpoint loading, streaming replicate records,
+  /// heartbeat, mid-replicate snapshots, or the --merge-only /
+  /// --fleet-merge fold (run_merge) — prints the summary table to `out`,
+  /// exports the telemetry trace and writes the CSV/JSON sinks.  Returns
+  /// the process exit code (0 on success); the aggregates stay available
+  /// via summary().  Misuse found only here — a missing --resume file, an
+  /// unwritable output path (checked before any work starts), a fleet
+  /// directory with neither a plan nor --fleet-batches — prints the
+  /// reason and returns 1.
   int run(Scenario scenario, std::ostream& out);
 
   /// Aggregates of the last successful run().
@@ -82,6 +83,17 @@ class SweepCli {
   int run_checked(Scenario scenario, std::ostream& out);
   int run_fleet_worker(const Scenario& scenario, std::ostream& out);
   int run_fleet_merge(const Scenario& scenario, std::ostream& out);
+  /// The one merge path behind --merge-only and --fleet-merge: folds the
+  /// record `files`, requires them to cover exactly the scenario's (cell,
+  /// replicate) grid — a hole or a record outside it prints why and
+  /// returns 1 — and aggregates them through the Runner (nothing runs).
+  /// Writes the summaries and, with --json-replicates, the canonical
+  /// merged record file: every record once, in (cell_index, replicate)
+  /// order.
+  int run_merge(const Scenario& scenario,
+                const std::vector<std::string>& files, std::ostream& out);
+  /// A flag's output path for this process ("" stays ""; see shard_path).
+  std::string output_path(const std::string& flag_value) const;
 
   ArgParser parser_;
   std::string program_;

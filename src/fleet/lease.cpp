@@ -11,6 +11,7 @@
 #include "fleet/plan.hpp"
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
+#include "support/durable_file.hpp"
 #include "support/json.hpp"
 #include "support/logging.hpp"
 
@@ -317,12 +318,11 @@ void LeaseStore::remove_lease_files(std::uint32_t batch) const noexcept {
     std::uint32_t generation = 0;
     std::string owner;
     const std::string name = entry.path().filename().string();
-    // Completion sweeps the batch's temp debris too (a renewal's
-    // ".tmp.<pid>" sibling orphaned by a kill).
-    std::string base = name;
-    const std::size_t tmp = base.find(".lease.tmp.");
-    if (tmp != std::string::npos) base = base.substr(0, tmp) + ".lease";
-    if (!parse_lease_filename(base, &file_batch, &generation, &owner)) {
+    // Completion sweeps the batch's temp debris too (a renewal's temp
+    // orphaned by a kill).
+    const std::string_view temp_of = durable_temp_target(name);
+    if (!parse_lease_filename(std::string(temp_of.empty() ? name : temp_of),
+                              &file_batch, &generation, &owner)) {
       continue;
     }
     if (file_batch != batch) continue;

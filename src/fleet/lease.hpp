@@ -10,7 +10,7 @@
 //
 // Claiming is rename(2) of the ticket onto the g0 lease path: exactly one
 // renamer wins, the rest get ENOENT.  The owner then renews the lease in
-// place (write-temp-then-rename) before each TTL expires.  Stealing an
+// place (atomic_write_file) before each TTL expires.  Stealing an
 // expired lease is another rename, from generation g to g+1 with the new
 // owner's name in the filename — again exactly-once.  The filename is the
 // authoritative (batch, generation, owner) identity; the JSON content
@@ -97,7 +97,7 @@ class LeaseStore {
                                  double ttl_seconds,
                                  const std::string& heartbeat) const;
 
-  /// Extends the lease's expiry by its TTL (write-temp-then-rename).
+  /// Extends the lease's expiry by its TTL (atomic_write_file).
   /// Returns false — and removes the caller's residue — when the lease
   /// was lost: the file vanished or a higher generation exists.  A false
   /// return does NOT mean "stop working": batch output is idempotent, so

@@ -9,12 +9,9 @@
 #include <system_error>
 #include <thread>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 #include "exp/schema.hpp"
 #include "support/check.hpp"
+#include "support/durable_file.hpp"
 #include "support/json.hpp"
 #include "support/logging.hpp"
 #include "support/retry.hpp"
@@ -63,14 +60,6 @@ std::string ticket_content(std::uint32_t batch) {
   out += ",\"generation\":0,\"owner\":\"\",\"ttl_seconds\":0,"
          "\"acquired_unix_ms\":0,\"expires_unix_ms\":0,\"heartbeat\":\"\"}\n";
   return out;
-}
-
-int process_id() {
-#if defined(__unix__) || defined(__APPLE__)
-  return static_cast<int>(::getpid());
-#else
-  return 0;
-#endif
 }
 
 /// Splits "batch-<id>.g<gen>.<owner>.jsonl"; false on anything else.
@@ -142,21 +131,10 @@ std::string worker_stats_path(const std::string& fleet_dir,
   return hb_dir(fleet_dir) + "/" + owner + ".stats.json";
 }
 
-void atomic_write_file(const std::string& path, const std::string& content) {
-  const std::string tmp =
-      path + ".tmp." + std::to_string(process_id());
-  retry_io(RetryPolicy{}, "fleet: writing " + path, [&] {
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out.is_open()) return false;
-      out << content;
-      out.flush();
-      if (!out.good()) return false;
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    return !ec;
-  });
+void atomic_write_file(const std::string& path, const std::string& content,
+                       Sync sync) {
+  retry_io(RetryPolicy{}, "fleet: writing " + path,
+           [&] { return write_durable_file(path, content, nullptr, sync); });
 }
 
 FleetPlan plan_for(const exp::Scenario& scenario, std::uint32_t batches) {
@@ -294,11 +272,16 @@ FleetPlan ensure_plan(const std::string& fleet_dir,
                         "': " + ec.message());
         }
       }
+      // No fsync: founding a fleet stays cheap, and a layout a power cut
+      // loses is re-planned once its claim goes stale.  Tickets are
+      // renamed before the plan, so a filesystem that orders metadata
+      // (ext4, XFS) never keeps the plan without them.
       for (std::uint32_t batch = 0; batch < batches; ++batch) {
         atomic_write_file(queue_ticket_path(fleet_dir, batch),
-                          ticket_content(batch));
+                          ticket_content(batch), Sync::kNoFsync);
       }
-      atomic_write_file(plan_path(fleet_dir), plan_content(plan));
+      atomic_write_file(plan_path(fleet_dir), plan_content(plan),
+                        Sync::kNoFsync);
       log_info("fleet: planned '", fleet_dir, "' — ", batches,
                " batches over ", plan.total_tasks(), " replicates");
       return plan;

@@ -4,10 +4,10 @@
 // is no designated coordinator.  Election is std::filesystem's
 // create_directory on <fleet>/planner.claim (atomic: exactly one caller
 // creates it); the winner writes one queue ticket per batch and then
-// commits <fleet>/plan.json LAST via write-temp-then-rename, so the plan
-// file's existence means the whole layout is complete.  Losers poll for
-// plan.json; a claim directory that outlives its grace period with no
-// plan behind it is a dead planner — any waiter removes it and the
+// commits <fleet>/plan.json LAST (atomically, see atomic_write_file), so
+// the plan file's existence means the whole layout is complete.  Losers
+// poll for plan.json; a claim directory that outlives its grace period
+// with no plan behind it is a dead planner — any waiter removes it and the
 // election reruns (tickets are deterministic, so rewriting them is
 // idempotent).
 //
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "exp/scenario.hpp"
+#include "support/durable_file.hpp"
 
 namespace geogossip::fleet {
 
@@ -75,11 +76,12 @@ std::string heartbeat_path(const std::string& fleet_dir,
 std::string worker_stats_path(const std::string& fleet_dir,
                               const std::string& owner);
 
-/// Writes `content` to `path` atomically (unique temp sibling + rename),
-/// retrying transient failures.  The temp name embeds the pid so two
-/// electors rewriting identical tickets never interleave one temp file.
-/// Throws IoError when the bounded retries run out.
-void atomic_write_file(const std::string& path, const std::string& content);
+/// Commits `content` to `path` with write_durable_file, retrying
+/// transient failures; throws IoError when the bounded retries run out.
+/// Every fleet file goes through here: leases, tickets, done markers, the
+/// plan and worker stats.
+void atomic_write_file(const std::string& path, const std::string& content,
+                       Sync sync = Sync::kFsync);
 
 // --------------------------------------------------------------- plan ----
 

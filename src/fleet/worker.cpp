@@ -22,6 +22,7 @@
 #include "obs/heartbeat.hpp"
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
+#include "support/durable_file.hpp"
 #include "support/logging.hpp"
 #include "support/retry.hpp"
 #include "support/thread_pool.hpp"
@@ -498,14 +499,7 @@ class Worker {
     // SnapshotStore's age-gated sweep when the fleet finishes fast; with
     // every batch done there is no in-flight writer left to protect, so
     // sweep it all.
-    for (const auto& entry :
-         fs::directory_iterator(snaps_dir(options_.fleet_dir), ec)) {
-      if (entry.path().filename().string().find(".tmp") !=
-          std::string::npos) {
-        std::error_code remove_ec;
-        fs::remove(entry.path(), remove_ec);
-      }
-    }
+    sweep_durable_temps(snaps_dir(options_.fleet_dir), 0.0);
   }
 
   void fail_locked(std::exception_ptr error) {

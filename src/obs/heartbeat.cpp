@@ -4,11 +4,10 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <system_error>
 
 #include "obs/memory.hpp"
 #include "support/check.hpp"
+#include "support/durable_file.hpp"
 #include "support/logging.hpp"
 #include "support/retry.hpp"
 
@@ -58,11 +57,12 @@ Heartbeat::Heartbeat(Options options)
   GG_CHECK_ARG(options_.interval_seconds > 0.0,
                "Heartbeat: interval_seconds must be positive");
   // A crashed predecessor can leave its half-written temp behind; the
-  // temp name is derived from our (unique-per-writer) path, so the
-  // debris is ours to sweep.
-  std::error_code ec;
-  if (std::filesystem::remove(options_.path + ".tmp", ec)) {
-    log_warn("heartbeat: swept stale temp file " + options_.path + ".tmp");
+  // path is unique per writer, so any temp of it is ours to sweep.
+  const std::filesystem::path target(options_.path);
+  for (const std::string& swept : sweep_durable_temps(
+           target.has_parent_path() ? target.parent_path().string() : ".",
+           0.0, target.filename().string())) {
+    log_warn("heartbeat: swept stale temp file " + swept);
   }
   std::string image;
   {
@@ -187,25 +187,12 @@ std::string Heartbeat::compose_locked() {
 }
 
 void Heartbeat::commit(const std::string& image) {
-  // Write the whole image to a sibling temp file and rename it over the
-  // target: readers either see the previous complete file or the new
-  // one, never a prefix of a line.  Transient failures (shared-fs blips)
-  // are retried; a final failure is logged, never thrown — heartbeats
-  // must not kill the host sweep.
-  const std::string tmp = options_.path + ".tmp";
-  retry_io_or_log(
-      RetryPolicy{}, "heartbeat: committing " + options_.path, [&] {
-        {
-          std::ofstream out(tmp, std::ios::trunc);
-          if (!out.is_open()) return false;
-          out << image;
-          out.flush();
-          if (!out.good()) return false;
-        }
-        std::error_code ec;
-        std::filesystem::rename(tmp, options_.path, ec);
-        return !ec;
-      });
+  // Readers either see the previous complete file or the new one, never
+  // a prefix of a line.  Transient failures (shared-fs blips) are
+  // retried; a final failure is logged, never thrown — heartbeats must
+  // not kill the host sweep.
+  retry_io_or_log(RetryPolicy{}, "heartbeat: committing " + options_.path,
+                  [&] { return write_durable_file(options_.path, image); });
 }
 
 }  // namespace geogossip::obs

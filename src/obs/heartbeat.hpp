@@ -4,9 +4,10 @@
 // appends one JSON line — shard coordinates, completed/total replicate
 // counts, the most recently started (cell, replicate), the process RSS
 // high-water and the flush wall-clock timestamp — and commits the WHOLE
-// file via write-temp-then-rename, so a reader (the fleet coordinator
-// deciding whether a lease owner is alive, or a human tailing a remote
-// run) never observes a torn line: every line of the file parses, always.
+// file through write_durable_file (support/durable_file.hpp), so a reader
+// (the fleet coordinator deciding whether a lease owner is alive, or a
+// human tailing a remote run) never observes a torn line: every line of
+// the file parses, always.
 //
 // Heartbeats are observability, not results: a beat failure (full disk,
 // revoked mount) is retried with bounded backoff, then logged and
@@ -52,7 +53,7 @@ class Heartbeat {
     std::string worker;
   };
 
-  /// Sweeps a stale `path + ".tmp"` left by a crashed predecessor, writes
+  /// Sweeps the temps of `path` a crashed predecessor left, writes
   /// the first beat immediately (a scheduler learns the writer is alive
   /// without waiting a full interval), then starts the timer thread.
   /// Throws ArgumentError on an empty path or a non-positive interval.
@@ -87,7 +88,7 @@ class Heartbeat {
   /// Appends the next line to the in-memory image and returns a copy of
   /// the image to commit.  Caller holds mu_.
   std::string compose_locked();
-  /// Commits a composed image with write-temp-then-rename, retrying
+  /// Commits a composed image with write_durable_file, retrying
   /// transient failures.  Never called concurrently: the constructor
   /// commits before the thread exists, the thread while it runs, and
   /// stop() after the join.  Caller must NOT hold mu_.

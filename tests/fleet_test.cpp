@@ -38,6 +38,7 @@
 #include "fleet/plan.hpp"
 #include "fleet/worker.hpp"
 #include "support/check.hpp"
+#include "support/durable_file.hpp"
 
 namespace geogossip {
 namespace {
@@ -194,9 +195,12 @@ TEST(LeaseFilename, RejectsDebrisAndForeignNames) {
   std::uint32_t batch = 0;
   std::uint32_t generation = 0;
   std::string owner;
-  for (const std::string name :
-       {"batch-1.g0.w1.lease.tmp.123", "batch-1.json", "batch-x.g0.w1.lease",
-        "batch-1.gx.w1.lease", "batch-1.g0..lease", "", "lease"}) {
+  const std::string renewal_temp =
+      durable_temp_path(fleet::lease_filename(1, 0, "w1"));
+  ASSERT_EQ(durable_temp_target(renewal_temp), "batch-1.g0.w1.lease");
+  for (const std::string& name : std::vector<std::string>{
+           renewal_temp, "batch-1.json", "batch-x.g0.w1.lease",
+           "batch-1.gx.w1.lease", "batch-1.g0..lease", "", "lease"}) {
     EXPECT_FALSE(
         fleet::parse_lease_filename(name, &batch, &generation, &owner))
         << name;
@@ -700,6 +704,7 @@ TEST(FleetWorker, MaxBatchesOneNeverClaimsASecondLease) {
 
 std::atomic<bool> g_inject_failure{false};
 std::atomic<bool> g_injected{false};
+std::atomic<bool> g_batch0_running{false};
 
 bool poll_until(const std::function<bool()>& condition) {
   for (int i = 0; i < 2000; ++i) {
@@ -720,18 +725,15 @@ TEST(FleetWorker, AFailureReleasesEveryHeldBatchAndASecondWorkerFinishes) {
   const std::uint64_t seed_1 = exp::replicate_seed(8, 0, 1);
   const std::uint64_t seed_2 = exp::replicate_seed(8, 0, 2);
   exp::Cell& cell = scenario.add(core::ProtocolKind::kBoydPairwise, 64);
-  cell.trial = [dir, seed_1, seed_2](const exp::Cell&, std::uint64_t seed) {
+  cell.trial = [seed_1, seed_2](const exp::Cell&, std::uint64_t seed) {
     exp::ReplicateResult result;
     result.converged = true;
     result.metrics["seed_low"] = static_cast<double>(seed & 0xFFFF);
     if (!g_inject_failure) return result;
     if (seed == seed_1) {
-      // Batch 1's only replicate: throw once batch 0 has been stolen, so
-      // that it is in flight on the other pool thread.
-      poll_until([&] {
-        return fs::exists(fs::path(fleet::leases_dir(dir)) /
-                          fleet::lease_filename(0, 1, "w1"));
-      });
+      // Batch 1's only replicate: throw once batch 0 has been stolen and
+      // its first replicate is in flight on the other pool thread.
+      poll_until([] { return g_batch0_running.load(); });
       g_injected = true;
       throw std::runtime_error("injected replicate failure");
     }
@@ -741,6 +743,7 @@ TEST(FleetWorker, AFailureReleasesEveryHeldBatchAndASecondWorkerFinishes) {
       throw std::runtime_error("injected replicate failure");
     }
     // Batch 0's first replicate finishes beside the failure.
+    g_batch0_running = true;
     poll_until([] { return g_injected.load(); });
     return result;
   };
@@ -754,6 +757,7 @@ TEST(FleetWorker, AFailureReleasesEveryHeldBatchAndASecondWorkerFinishes) {
 
   g_inject_failure = true;
   g_injected = false;
+  g_batch0_running = false;
   std::ostringstream out;
   EXPECT_THROW(fleet::run_worker(scenario, worker_options(dir, "w1", 2), out),
                std::runtime_error);

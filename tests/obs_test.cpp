@@ -26,6 +26,7 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
 #include "support/check.hpp"
+#include "support/durable_file.hpp"
 #include "support/thread_pool.hpp"
 
 namespace gg = geogossip;
@@ -303,7 +304,7 @@ TEST(Heartbeat, EveryLineParsesAndNoTempFileRemains) {
   const auto dir = std::filesystem::path(::testing::TempDir());
   const auto path = (dir / "obs_heartbeat_test.jsonl").string();
   std::filesystem::remove(path);
-  std::filesystem::remove(path + ".tmp");
+  gg::sweep_durable_temps(dir.string(), 0.0, "obs_heartbeat_test.jsonl");
 
   {
     gg::obs::Heartbeat::Options options;
@@ -320,8 +321,12 @@ TEST(Heartbeat, EveryLineParsesAndNoTempFileRemains) {
     EXPECT_GE(heartbeat.beats(), 2u);  // initial + final at minimum
   }
 
-  // Committed via rename: the temp image must be gone, the target present.
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  // Committed via rename: no temp image of the target remains.
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_NE(gg::durable_temp_target(entry.path().filename().string()),
+              "obs_heartbeat_test.jsonl")
+        << entry.path();
+  }
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
   std::string line;

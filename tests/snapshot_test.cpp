@@ -7,11 +7,14 @@
 // crash/resume path.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/convergence.hpp"
@@ -23,8 +26,10 @@
 #include "exp/snapshot_store.hpp"
 #include "geometry/sampling.hpp"
 #include "graph/geometric_graph.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/field.hpp"
 #include "support/check.hpp"
+#include "support/durable_file.hpp"
 #include "support/rng.hpp"
 #include "support/snapshot.hpp"
 
@@ -358,6 +363,69 @@ TEST(SnapshotStore, ForeignFileWithBadMagicRestarts) {
   spit(store.path_for(0, 0), "not a snapshot at all");
   EXPECT_FALSE(store.try_load(0, 0, 11).has_value());
 }
+
+TEST(SnapshotStore, TwoStoresSavingOneSlotConcurrentlyNeverFail) {
+  // A lease stolen from a slow but live owner: both workers save the same
+  // slot into one shared directory.  Writer-unique temps let both succeed
+  // every time, and neither leaves a temp behind.
+  const std::string dir = test_dir("concurrent");
+  const exp::SnapshotStore first(dir, "tiny", 7);
+  const exp::SnapshotStore second(dir, "tiny", 7);
+  std::atomic<int> failures{0};
+  const auto saver = [&failures](const exp::SnapshotStore& store,
+                                 const std::string& payload) {
+    for (std::uint64_t i = 0; i < 100; ++i) {
+      try {
+        store.save(4, 2, 77, i, payload);
+      } catch (const IoError&) {
+        ++failures;
+      }
+    }
+  };
+  std::thread a([&] { saver(first, "from the first worker"); });
+  std::thread b([&] { saver(second, "from the second worker"); });
+  a.join();
+  b.join();
+  EXPECT_EQ(failures.load(), 0);
+  const auto loaded = first.try_load(4, 2, 77);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->ticks, 99u);
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename(), "snap-c4-r2.ggsnap");
+  }
+}
+
+#if !defined(GEOGOSSIP_OBS_DISABLE)
+TEST(SnapshotStore, OrphanAndStaleTempsAreCounted) {
+  obs::reset();
+  obs::set_enabled(true);
+  const std::string dir = test_dir("counters");
+  const exp::SnapshotStore store(dir, "tiny", 7);
+
+  // A writer died mid-save for slot (0, 0): try_load restarts the
+  // replicate and counts the orphan.
+  const std::string orphan = durable_temp_path(store.path_for(0, 0));
+  spit(orphan, "half a snapshot");
+  EXPECT_FALSE(store.try_load(0, 0, 11).has_value());
+  EXPECT_FALSE(store.try_load(0, 1, 12).has_value());  // no temp: no count
+
+  // A later store sweeps the old debris and keeps a fresh temp.
+  std::filesystem::last_write_time(
+      orphan,
+      std::filesystem::file_time_type::clock::now() - std::chrono::hours(1));
+  const std::string fresh = durable_temp_path(store.path_for(0, 1));
+  spit(fresh, "a live save");
+  const exp::SnapshotStore later(dir, "tiny", 7, 60.0);
+  EXPECT_FALSE(std::filesystem::exists(orphan));
+  EXPECT_TRUE(std::filesystem::exists(fresh));
+
+  const auto counters = obs::counter_totals();
+  obs::set_enabled(false);
+  obs::reset();
+  EXPECT_EQ(counters.at("snapshot.orphan_tmp"), 1u);
+  EXPECT_EQ(counters.at("snapshot.stale_tmp_swept"), 1u);
+}
+#endif  // !GEOGOSSIP_OBS_DISABLE
 
 // ------------------------------------------------------- JSONL schema ----
 
