@@ -57,13 +57,15 @@ int main(int argc, char** argv) {
   scenario.master_seed = static_cast<std::uint64_t>(master_seed);
 
   const auto add_row = [&](const std::string& label, ProtocolKind kind,
-                           const MultilevelConfig& config) {
+                           const MultilevelConfig& config)
+      -> gg::exp::Cell& {
     auto& cell = scenario.add(label, kind, nn);
     cell.radius_multiplier = radius_multiplier;
     cell.field = gg::exp::CellField::kGaussian;
     cell.options.eps = eps;
     cell.options.multilevel = config;
     cell.seed_stream = 0;  // paired draws across all ablation rows
+    return cell;
   };
 
   MultilevelConfig base;
@@ -72,15 +74,15 @@ int main(int argc, char** argv) {
 
   MultilevelConfig expected = base;
   expected.beta_mode = BetaMode::kExpected;
-  expected.max_top_rounds = 60000;  // divergence is a valid outcome
   add_row("multi | paper-literal beta=(2/5)E#",
-          ProtocolKind::kAffineMultilevel, expected);
+          ProtocolKind::kAffineMultilevel, expected)
+      .options.max_ticks = 60000;  // divergence is a valid outcome
 
   MultilevelConfig convex = base;
   convex.beta_mode = BetaMode::kConvexRep;
-  convex.max_top_rounds = 60000;
   add_row("multi | convex rep averaging (1/2)",
-          ProtocolKind::kAffineMultilevel, convex);
+          ProtocolKind::kAffineMultilevel, convex)
+      .options.max_ticks = 60000;
 
   add_row("one-level (§3) | grg-mixing leaves",
           ProtocolKind::kAffineOneLevel, base);

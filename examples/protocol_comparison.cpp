@@ -74,10 +74,13 @@ int main(int argc, char** argv) {
   // Error-vs-transmissions trace for the affine protocol.
   gg::core::MultilevelConfig config;
   config.eps = eps;
-  config.trace_every = 4;
   gg::Rng trace_rng(gg::derive_seed(static_cast<std::uint64_t>(seed), 99));
   gg::core::MultilevelAffineGossip protocol(graph, x0, trace_rng, config);
-  const auto result = protocol.run();
+  gg::sim::RunConfig run;
+  run.epsilon = eps;
+  run.max_ticks = protocol.step_cap(0);
+  run.trace_interval = 4;  // top rounds
+  const auto result = gg::sim::run_to_epsilon(protocol, trace_rng, run);
   if (result.trace.size() >= 3) {
     std::vector<double> txs;
     std::vector<double> errors;

@@ -10,6 +10,7 @@
 
 #include "core/multilevel.hpp"
 #include "graph/geometric_graph.hpp"
+#include "sim/engine.hpp"
 #include "sim/field.hpp"
 #include "support/cli.hpp"
 #include "support/string_util.hpp"
@@ -48,11 +49,16 @@ int main(int argc, char** argv) {
   gg::core::MultilevelAffineGossip protocol(graph, readings, rng, config);
   std::cout << protocol.hierarchy().summary() << "\n\n";
 
-  const auto result = protocol.run();
+  //    The engine drives one top-level round per step until the error
+  //    reaches eps (or the protocol's default round cap).
+  gg::sim::RunConfig run;
+  run.epsilon = eps;
+  run.max_ticks = protocol.step_cap(0);
+  const auto result = gg::sim::run_to_epsilon(protocol, rng, run);
 
   // 4. Inspect the outcome.
   std::cout << (result.converged ? "converged" : "DID NOT converge")
-            << " after " << gg::format_count(result.top_rounds)
+            << " after " << gg::format_count(result.ticks)
             << " top-level rounds\n"
             << "final relative error: "
             << gg::format_sci(result.final_error, 2) << '\n'

@@ -81,7 +81,11 @@ int main(int argc, char** argv) {
   gg::Rng affine_rng(gg::derive_seed(static_cast<std::uint64_t>(seed), 1));
   gg::core::MultilevelAffineGossip affine(graph, readings, affine_rng,
                                           config);
-  const auto affine_result = affine.run();
+  gg::sim::RunConfig affine_run;
+  affine_run.epsilon = eps;
+  affine_run.max_ticks = affine.step_cap(0);
+  const auto affine_result =
+      gg::sim::run_to_epsilon(affine, affine_rng, affine_run);
 
   // Boyd baseline on identical inputs.
   gg::Rng boyd_rng(gg::derive_seed(static_cast<std::uint64_t>(seed), 2));

@@ -69,7 +69,7 @@ std::uint64_t default_tick_cap(ProtocolKind kind, std::size_t n, double eps) {
           4096.0 * nn * log_eps * std::log(nn));
     case ProtocolKind::kAffineOneLevel:
     case ProtocolKind::kAffineMultilevel:
-      return 0;  // round-based protocols do not use the tick engine
+      return 0;  // MultilevelAffineGossip::step_cap supplies the default
   }
   return 0;
 }
@@ -150,13 +150,10 @@ TrialOutcome run_protocol_trial_impl(ProtocolKind kind,
       config.eps = options.eps;
       if (kind == ProtocolKind::kAffineOneLevel) config.max_depth = 1;
       MultilevelAffineGossip protocol(graph, x0, rng, config);
-      const auto result = protocol.run(checkpoints, resume);
-      TrialOutcome outcome;
-      outcome.converged = result.converged;
-      outcome.final_error = result.final_error;
-      outcome.transmissions = result.transmissions;
-      outcome.sum_drift = std::abs(protocol.value_sum() - sum_before);
-      return outcome;
+      run_config.max_ticks = protocol.step_cap(options.max_ticks);
+      const auto run =
+          sim::run_to_epsilon(protocol, rng, run_config, checkpoints, resume);
+      return from_run(run, sum_before, sum_of(protocol.values()));
     }
   }
   throw ArgumentError("run_protocol_trial: bad kind");

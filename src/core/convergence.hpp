@@ -37,8 +37,9 @@ ProtocolKind parse_protocol_kind(const std::string& name);
 
 struct TrialOptions {
   double eps = 1e-3;
-  /// Tick cap override for engine-driven protocols (0 = per-protocol
-  /// heuristic, generous enough for the expected convergence time).
+  /// Engine step cap: Poisson ticks, or top-level rounds for the round
+  /// kinds (0 = per-protocol heuristic, generous enough for the expected
+  /// convergence time; a degenerate round deployment is always one step).
   std::uint64_t max_ticks = 0;
   /// Round-accounting configuration for the affine protocols.
   MultilevelConfig multilevel;
@@ -73,8 +74,8 @@ TrialOutcome run_protocol_trial(ProtocolKind kind,
 /// mid-trial protocol + RNG + clock state (see sim::CheckpointPolicy); a
 /// non-empty `resume` payload restores a snapshotted trial of the SAME
 /// (kind, graph, x0, rng-seed) configuration and continues bit-identically.
-/// Round-based kinds snapshot between top rounds; tick kinds at tick
-/// cadence.  All kinds support the contract.
+/// Every kind runs on the engine and snapshots at its step cadence: top
+/// rounds for the round kinds, Poisson ticks for the rest.
 TrialOutcome run_protocol_trial(ProtocolKind kind,
                                 const graph::GeometricGraph& graph,
                                 const std::vector<double>& x0, Rng& rng,

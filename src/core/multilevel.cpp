@@ -1,11 +1,8 @@
 #include "core/multilevel.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "core/affine.hpp"
-#include "routing/greedy.hpp"
 #include "support/check.hpp"
 #include "support/snapshot.hpp"
 
@@ -14,53 +11,32 @@ namespace geogossip::core {
 using geometry::SquareInfo;
 using graph::NodeId;
 
-namespace {
-
-/// Leading tag of a multilevel snapshot payload; distinct from the tick
-/// engine's tag so a mixed-up payload fails at the first read.
-constexpr std::string_view kMultilevelPayloadTag = "geogossip-multilevel";
-
-geometry::HierarchyConfig hierarchy_config_from(
-    const MultilevelConfig& config) {
-  geometry::HierarchyConfig h;
-  h.threshold = geometry::HierarchyConfig::Threshold::kPractical;
-  h.leaf_occupancy = config.leaf_threshold;
-  h.max_depth = config.max_depth;
-  return h;
-}
-
-}  // namespace
-
 MultilevelAffineGossip::MultilevelAffineGossip(
     const graph::GeometricGraph& graph, std::vector<double> x0, Rng& rng,
     const MultilevelConfig& config)
-    : graph_(&graph),
+    : ValueProtocol(graph, std::move(x0), rng),
       config_(config),
-      hierarchy_(graph.points(), graph.region(), hierarchy_config_from(config)),
-      x_(std::move(x0)),
-      rng_(&rng) {
-  GG_CHECK_ARG(x_.size() == graph.node_count(),
-               "initial values must match node count");
+      hierarchy_(graph.points(), graph.region(),
+                 practical_hierarchy(config.leaf_threshold, config.max_depth)),
+      routes_(graph) {
   GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
   GG_CHECK_ARG(config.max_depth >= 1, "max_depth >= 1");
   GG_CHECK_ARG(config.eps_decay > 1.0, "eps_decay > 1");
   GG_CHECK_ARG(config.round_constant > 0.0, "round_constant > 0");
-  resync_tracking();
+  root_children_ = nonempty_children(hierarchy_.square(hierarchy_.root()));
 }
 
-double MultilevelAffineGossip::value_sum() const noexcept {
-  return tracker_.sum();
+bool MultilevelAffineGossip::degenerate() const noexcept {
+  // A leaf root has no children, so this also covers it.
+  return root_children_.size() < 2;
 }
 
-void MultilevelAffineGossip::set_value(std::uint32_t node, double value) {
-  tracker_.update(x_[node], value);
-  x_[node] = value;
-}
-
-void MultilevelAffineGossip::resync_tracking() { tracker_.reset(x_); }
-
-double MultilevelAffineGossip::deviation_norm_tracked() const {
-  return std::sqrt(tracker_.deviation_sq());
+std::uint64_t MultilevelAffineGossip::step_cap(std::uint64_t requested) const {
+  if (degenerate()) return 1;
+  if (requested != 0) return requested;
+  const double k = static_cast<double>(root_children_.size());
+  return static_cast<std::uint64_t>(
+      std::ceil(64.0 * k * std::log(k / config_.eps)));
 }
 
 double MultilevelAffineGossip::eps_at_depth(int depth) const {
@@ -87,26 +63,6 @@ std::uint32_t MultilevelAffineGossip::rounds_for(
       std::ceil(config_.round_constant * k * std::log(k / eps)));
 }
 
-std::uint32_t MultilevelAffineGossip::cached_route_hops(NodeId from,
-                                                        NodeId to) {
-  const auto key = std::minmax(from, to);
-  const auto it = route_cache_.find({key.first, key.second});
-  if (it != route_cache_.end()) return it->second;
-  const auto route = routing::route_to_node(*graph_, key.first, key.second);
-  // Greedy routing on a connected G(n, r) at the paper's radius delivers
-  // w.h.p.; if it fails here, fall back to the straight-line hop estimate
-  // so accounting stays defined (failure is tracked by routing tests).
-  std::uint32_t hops = route.hops;
-  if (!route.arrived()) {
-    const double dist = geometry::distance(graph_->position(key.first),
-                                           graph_->position(key.second));
-    hops = static_cast<std::uint32_t>(
-        std::ceil(dist / graph_->radius())) + route.hops;
-  }
-  route_cache_[{key.first, key.second}] = hops;
-  return hops;
-}
-
 void MultilevelAffineGossip::charge_activation(const SquareInfo& square) {
   if (!config_.charge_control) return;
   if (square.is_leaf()) {
@@ -121,7 +77,7 @@ void MultilevelAffineGossip::charge_activation(const SquareInfo& square) {
     const auto& child_info = hierarchy_.square(child);
     if (child_info.representative < 0) continue;
     const auto hops =
-        cached_route_hops(rep, static_cast<NodeId>(child_info.representative));
+        routes_.hops(rep, static_cast<NodeId>(child_info.representative));
     meter_.add(sim::TxCategory::kControl, 2ull * hops);
   }
 }
@@ -134,11 +90,11 @@ void MultilevelAffineGossip::measured_leaf_average(const SquareInfo& square,
   const std::size_t m = members.size();
 
   double mean = 0.0;
-  for (const auto node : members) mean += x_[node];
+  for (const auto node : members) mean += value(node);
   mean /= static_cast<double>(m);
   double dev_sq = 0.0;
   for (const auto node : members) {
-    dev_sq += (x_[node] - mean) * (x_[node] - mean);
+    dev_sq += (value(node) - mean) * (value(node) - mean);
   }
   if (dev_sq == 0.0) return;
   const double target_sq = dev_sq * eps * eps;
@@ -162,14 +118,13 @@ void MultilevelAffineGossip::measured_leaf_average(const SquareInfo& square,
       if (rng_->below(in_leaf) == 0) chosen = u;
     }
     if (in_leaf == 0 || chosen == node) continue;
-    const double avg = 0.5 * (x_[node] + x_[chosen]);
     // Update the in-square deviation incrementally.
-    const double di = x_[node] - mean;
-    const double dj = x_[chosen] - mean;
+    const double avg = 0.5 * (value(node) + value(chosen));
+    const double di = value(node) - mean;
+    const double dj = value(chosen) - mean;
     const double da = avg - mean;
     current_sq += 2.0 * da * da - di * di - dj * dj;
-    set_value(node, avg);
-    set_value(chosen, avg);
+    apply_pair_average(node, chosen);
     meter_.add(sim::TxCategory::kLocal, 2);
   }
 }
@@ -191,14 +146,13 @@ void MultilevelAffineGossip::leaf_average(const SquareInfo& square) {
              charged_leaf_cost(config_.leaf_cost, members.size(),
                                side_over_radius, eps, config_.leaf_constant));
 
-  double mean = 0.0;
-  for (const auto node : members) mean += x_[node];
-  mean /= static_cast<double>(members.size());
-
   if (config_.leaf_noise == 0.0) {
-    for (const auto node : members) set_value(node, mean);
+    apply_average(members);
     return;
   }
+  double mean = 0.0;
+  for (const auto node : members) mean += value(node);
+  mean /= static_cast<double>(members.size());
   std::vector<double> noise(members.size());
   double noise_mean = 0.0;
   for (double& nu : noise) {
@@ -213,9 +167,7 @@ void MultilevelAffineGossip::leaf_average(const SquareInfo& square) {
   }
 }
 
-void MultilevelAffineGossip::exchange(const SquareInfo& parent, int child_i,
-                                      int child_j) {
-  (void)parent;
+void MultilevelAffineGossip::exchange(int child_i, int child_j) {
   const auto& info_i = hierarchy_.square(child_i);
   const auto& info_j = hierarchy_.square(child_j);
   GG_CHECK(info_i.representative >= 0 && info_j.representative >= 0,
@@ -224,8 +176,8 @@ void MultilevelAffineGossip::exchange(const SquareInfo& parent, int child_i,
   const auto rep_j = static_cast<NodeId>(info_j.representative);
 
   // Two greedy-routed packets: value there, value back.
-  const std::uint32_t hops_there = cached_route_hops(rep_i, rep_j);
-  const std::uint32_t hops_back = cached_route_hops(rep_j, rep_i);
+  const std::uint32_t hops_there = routes_.hops(rep_i, rep_j);
+  const std::uint32_t hops_back = routes_.hops(rep_j, rep_i);
   meter_.add(sim::TxCategory::kLongRange, hops_there + hops_back);
 
   const double beta =
@@ -239,12 +191,15 @@ void MultilevelAffineGossip::exchange(const SquareInfo& parent, int child_i,
       (!alpha_in_paper_range(alpha_i) || !alpha_in_paper_range(alpha_j))) {
     ++alpha_out_of_range_;
   }
+  apply_affine_jump(rep_i, rep_j, beta);
+}
 
-  double xi = x_[rep_i];
-  double xj = x_[rep_j];
-  affine_jump_update(xi, xj, beta);
-  set_value(rep_i, xi);
-  set_value(rep_j, xj);
+void MultilevelAffineGossip::exchange_round(const std::vector<int>& children) {
+  const std::size_t i = rng_->below(children.size());
+  const std::size_t j = rng_->below_excluding(children.size(), i);
+  exchange(children[i], children[j]);
+  average_square(children[i]);
+  average_square(children[j]);
 }
 
 void MultilevelAffineGossip::average_square(int square_id) {
@@ -268,153 +223,28 @@ void MultilevelAffineGossip::average_square(int square_id) {
 
   const std::uint32_t rounds = rounds_for(square);
   for (std::uint32_t round = 0; round < rounds; ++round) {
-    const std::size_t i = rng_->below(children.size());
-    const std::size_t j = rng_->below_excluding(children.size(), i);
-    exchange(square, children[i], children[j]);
-    average_square(children[i]);
-    average_square(children[j]);
+    exchange_round(children);
   }
 }
 
-MultilevelResult MultilevelAffineGossip::run() {
-  return run(sim::CheckpointPolicy{}, std::string_view{});
+void MultilevelAffineGossip::on_tick(const sim::Tick& tick) {
+  if (degenerate()) {
+    average_square(hierarchy_.root());
+    return;
+  }
+  if (tick.index == 0) {
+    charge_activation(hierarchy_.square(hierarchy_.root()));
+    for (const int child : root_children_) average_square(child);
+  }
+  exchange_round(root_children_);
 }
 
-MultilevelResult MultilevelAffineGossip::run(
-    const sim::CheckpointPolicy& checkpoints, std::string_view resume) {
-  MultilevelResult result;
+void MultilevelAffineGossip::snapshot_scratch(SnapshotWriter& w) const {
+  w.u64(alpha_out_of_range_);
+}
 
-  const SquareInfo& root = hierarchy_.square(hierarchy_.root());
-  const auto children = nonempty_children(root);
-
-  double initial_dev = 0.0;
-  std::uint64_t start_round = 0;
-
-  if (!resume.empty()) {
-    // Snapshots are only taken inside the closed top loop, so a resume
-    // payload implies the non-degenerate path: skip the activation pass
-    // (its transmissions and RNG draws are part of the restored state).
-    SnapshotReader r(resume);
-    GG_CHECK_ARG(
-        r.str() == kMultilevelPayloadTag,
-        "MultilevelAffineGossip: resume payload is not a multilevel "
-        "snapshot");
-    const std::uint64_t snap_n = r.u64();
-    GG_CHECK_ARG(snap_n == x_.size(),
-                 "MultilevelAffineGossip: snapshot n mismatch");
-    start_round = r.u64();
-    result.top_rounds = r.u64();
-    initial_dev = r.f64();
-    alpha_out_of_range_ = r.u64();
-    sim::TxSnapshot tx;
-    for (auto& count : tx.by_category) count = r.u64();
-    meter_.restore(tx);
-    const std::uint64_t trace_count = r.u64();
-    result.trace.reserve(trace_count);
-    for (std::uint64_t k = 0; k < trace_count; ++k) {
-      const std::uint64_t tx_total = r.u64();
-      const double err = r.f64();
-      result.trace.emplace_back(tx_total, err);
-    }
-    r.f64_span_into(x_);
-    tracker_.restore(r);
-    rng_->restore(r);
-    r.finish();
-    GG_CHECK_ARG(!root.is_leaf() && children.size() >= 2,
-                 "MultilevelAffineGossip: snapshot from a non-degenerate "
-                 "run restored into a degenerate deployment");
-  } else {
-    initial_dev = deviation_norm_tracked();
-    if (initial_dev == 0.0) {
-      result.converged = true;
-      result.final_error = 0.0;
-      result.transmissions = meter_.snapshot();
-      return result;
-    }
-
-    // Degenerate deployments: a root that is itself a leaf just averages.
-    if (root.is_leaf() || children.size() < 2) {
-      average_square(hierarchy_.root());
-      result.converged =
-          deviation_norm_tracked() <= config_.eps * initial_dev;
-      result.final_error = deviation_norm_tracked() / initial_dev;
-      result.transmissions = meter_.snapshot();
-      return result;
-    }
-
-    charge_activation(root);
-    for (const int child : children) average_square(child);
-  }
-
-  std::uint64_t max_rounds = config_.max_top_rounds;
-  if (max_rounds == 0) {
-    const double k = static_cast<double>(children.size());
-    max_rounds = static_cast<std::uint64_t>(
-        std::ceil(64.0 * k * std::log(k / config_.eps)));
-  }
-
-  const bool snapshotting = checkpoints.enabled();
-  auto last_snapshot = std::chrono::steady_clock::now();
-  const auto take_snapshot = [&](std::uint64_t next_round) {
-    SnapshotWriter w;
-    w.str(kMultilevelPayloadTag);
-    w.u64(x_.size());
-    w.u64(next_round);
-    w.u64(result.top_rounds);
-    w.f64(initial_dev);
-    w.u64(alpha_out_of_range_);
-    for (const auto count : meter_.snapshot().by_category) w.u64(count);
-    w.u64(result.trace.size());
-    for (const auto& [tx_total, err] : result.trace) {
-      w.u64(tx_total);
-      w.f64(err);
-    }
-    w.f64_span(x_);
-    tracker_.save(w);
-    rng_->save(w);
-    checkpoints.persist(w.bytes(), next_round);
-  };
-
-  for (std::uint64_t round = start_round; round < max_rounds; ++round) {
-    const std::size_t i = rng_->below(children.size());
-    const std::size_t j = rng_->below_excluding(children.size(), i);
-    exchange(root, children[i], children[j]);
-    average_square(children[i]);
-    average_square(children[j]);
-    ++result.top_rounds;
-
-    if ((round & 0xFF) == 0xFF) resync_tracking();  // defeat FP drift
-    const double err = deviation_norm_tracked() / initial_dev;
-    if (config_.trace_every != 0 && round % config_.trace_every == 0) {
-      result.trace.emplace_back(meter_.total(), err);
-    }
-    if (err <= config_.eps) {
-      result.converged = true;
-      break;
-    }
-
-    if (!snapshotting) continue;
-    // Between-round snapshot: every_ticks counts top rounds here.  Pure
-    // reads — results with and without snapshotting stay bit-identical.
-    bool due = checkpoints.every_ticks > 0 &&
-               (round + 1) % checkpoints.every_ticks == 0;
-    if (!due && checkpoints.every_seconds > 0.0) {
-      const std::chrono::duration<double> since =
-          std::chrono::steady_clock::now() - last_snapshot;
-      due = since.count() >= checkpoints.every_seconds;
-    }
-    if (due) {
-      take_snapshot(round + 1);
-      last_snapshot = std::chrono::steady_clock::now();
-    }
-  }
-
-  resync_tracking();
-  result.final_error = deviation_norm_tracked() / initial_dev;
-  result.converged = result.final_error <= config_.eps;
-  result.transmissions = meter_.snapshot();
-  result.alpha_out_of_range = alpha_out_of_range_;
-  return result;
+void MultilevelAffineGossip::restore_scratch(SnapshotReader& r) {
+  alpha_out_of_range_ = r.u64();
 }
 
 }  // namespace geogossip::core

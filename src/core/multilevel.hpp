@@ -10,10 +10,14 @@
 //     deactivate);
 //   * leaves run (or charge) nearest-neighbour averaging.
 //
-// The TOP level is closed-loop: rounds repeat until the measured global
-// error reaches the target epsilon, which is what the transmissions-to-eps
-// benches report.  Inner levels are open-loop on the practical schedule,
-// mirroring the protocol's counter-driven budgets.
+// The TOP level is closed-loop: sim::run_to_epsilon drives one top-level
+// round per engine step until the measured global error reaches the
+// target epsilon, which is what the transmissions-to-eps benches report.
+// Step 0 first runs the activation pass (every root child averaged once).
+// Inner levels are open-loop on the practical schedule, mirroring the
+// protocol's counter-driven budgets.  A degenerate deployment (the root is
+// a leaf, or has fewer than two non-empty children) is one open-loop
+// averaging pass: a single step.
 //
 // With max_depth = 1 this degenerates to the paper's §3 one-level protocol;
 // with BetaMode::kConvexRep it becomes the convex ablation (representatives
@@ -23,18 +27,12 @@
 #define GEOGOSSIP_CORE_MULTILEVEL_HPP
 
 #include <cstdint>
-#include <map>
-#include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "core/round_protocol.hpp"
 #include "geometry/hierarchy.hpp"
+#include "gossip/base.hpp"
 #include "graph/geometric_graph.hpp"
-#include "sim/deviation_tracker.hpp"
-#include "sim/engine.hpp"
-#include "sim/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace geogossip::core {
@@ -66,81 +64,59 @@ struct MultilevelConfig {
   double leaf_noise = 0.0;
   /// Charge Activate/Deactivate control traffic.
   bool charge_control = true;
-  /// Hard cap on closed-loop top rounds (0 = automatic).
-  std::uint64_t max_top_rounds = 0;
-  /// Record an (transmissions, error) trace sample every k top rounds
-  /// (0 = no trace).
-  std::uint64_t trace_every = 0;
 };
 
-struct MultilevelResult {
-  bool converged = false;
-  std::uint64_t top_rounds = 0;
-  double final_error = 1.0;
-  sim::TxSnapshot transmissions;
-  std::vector<std::pair<std::uint64_t, double>> trace;
-  /// Number of inner exchanges whose effective alpha = beta / occupancy
-  /// fell outside the paper's (1/3, 1/2) window (occupancy fluctuation).
-  std::uint64_t alpha_out_of_range = 0;
-};
-
-class MultilevelAffineGossip {
+class MultilevelAffineGossip final : public gossip::ValueProtocol {
  public:
   MultilevelAffineGossip(const graph::GeometricGraph& graph,
                          std::vector<double> x0, Rng& rng,
                          const MultilevelConfig& config);
 
-  /// Runs the closed top-level loop to the epsilon target.
-  MultilevelResult run();
+  std::string_view name() const override { return "narayanan-multilevel"; }
+  /// One top-level round (step 0 also runs the activation pass), or the
+  /// whole open-loop pass of a degenerate deployment.
+  void on_tick(const sim::Tick& tick) override;
+  bool steps_are_rounds() const override { return true; }
 
-  /// Checkpoint-aware variant of the Snapshot/Restore contract for this
-  /// round-based (non-tick-engine) family.  Snapshots are taken between
-  /// top-level rounds — the natural commit point of the closed loop —
-  /// with CheckpointPolicy::every_ticks counting top rounds.  A non-empty
-  /// `resume` payload restores values, tracker, meter, RNG and the round
-  /// counter, and the completed run is bit-identical to an uninterrupted
-  /// one.  Degenerate deployments (leaf root, a single nonempty child)
-  /// finish in one open-loop pass and never snapshot.
-  MultilevelResult run(const sim::CheckpointPolicy& checkpoints,
-                       std::string_view resume);
+  /// The engine step cap for a run: `requested`, or the default
+  /// 64 k ln(k / eps) top rounds for the root's k non-empty children when
+  /// `requested` is 0.  A degenerate deployment is always one step.
+  std::uint64_t step_cap(std::uint64_t requested) const;
 
-  std::span<const double> values() const noexcept { return x_; }
   const geometry::PartitionHierarchy& hierarchy() const noexcept {
     return hierarchy_;
   }
-  const sim::TxMeter& meter() const noexcept { return meter_; }
-  double value_sum() const noexcept;
+  /// Number of inner exchanges whose effective alpha = beta / occupancy
+  /// fell outside the paper's (1/3, 1/2) window (occupancy fluctuation).
+  std::uint64_t alpha_out_of_range() const noexcept {
+    return alpha_out_of_range_;
+  }
+
+ protected:
+  /// Serialized: the alpha-range counter.  The hierarchy and the route
+  /// cache are deterministic products of the configuration.
+  void snapshot_scratch(SnapshotWriter& w) const override;
+  void restore_scratch(SnapshotReader& r) override;
 
  private:
+  bool degenerate() const noexcept;
+  /// Exchanges two uniform distinct `children`, then re-averages both.
+  void exchange_round(const std::vector<int>& children);
   /// Open-loop recursive averaging of one square at its schedule budget.
   void average_square(int square_id);
   void leaf_average(const geometry::SquareInfo& square);
   void measured_leaf_average(const geometry::SquareInfo& square, double eps);
-  /// One exchange between two child squares of `parent`; returns effective
-  /// alphas for range accounting.
-  void exchange(const geometry::SquareInfo& parent, int child_i, int child_j);
+  void exchange(int child_i, int child_j);
   void charge_activation(const geometry::SquareInfo& square);
-  std::uint32_t cached_route_hops(graph::NodeId from, graph::NodeId to);
   double eps_at_depth(int depth) const;
   std::uint32_t rounds_for(const geometry::SquareInfo& square) const;
   std::vector<int> nonempty_children(const geometry::SquareInfo& square) const;
 
-  void set_value(std::uint32_t node, double value);
-  double deviation_norm_tracked() const;
-  void resync_tracking();
-
-  const graph::GeometricGraph* graph_;
   MultilevelConfig config_;
   geometry::PartitionHierarchy hierarchy_;
-  std::vector<double> x_;
-  Rng* rng_;
-  sim::TxMeter meter_;
-  std::map<std::pair<graph::NodeId, graph::NodeId>, std::uint32_t>
-      route_cache_;
+  std::vector<int> root_children_;
+  RouteHopCache routes_;
   std::uint64_t alpha_out_of_range_ = 0;
-
-  // Incremental deviation tracking (shifted + Neumaier-compensated).
-  sim::DeviationTracker tracker_;
 };
 
 }  // namespace geogossip::core

@@ -22,7 +22,12 @@
 #define GEOGOSSIP_CORE_ROUND_PROTOCOL_HPP
 
 #include <cstdint>
+#include <map>
 #include <string_view>
+#include <utility>
+
+#include "geometry/hierarchy.hpp"
+#include "graph/geometric_graph.hpp"
 
 namespace geogossip::core {
 
@@ -51,6 +56,29 @@ double exchange_beta(BetaMode mode, double expected_occupancy,
 std::uint64_t charged_leaf_cost(LeafCostModel model, std::size_t m,
                                 double side_over_radius, double eps,
                                 double constant);
+
+/// The practical-threshold hierarchy both hierarchical protocols build:
+/// split while a square's expected occupancy exceeds `leaf_occupancy`.
+geometry::HierarchyConfig practical_hierarchy(double leaf_occupancy,
+                                              int max_depth);
+
+/// Memoized greedy-route hop counts between node pairs, keyed on the
+/// unordered pair.  A route that greedy routing does not deliver (rare on
+/// a connected G(n, r) at the paper's radius) is charged its hops so far
+/// plus the straight-line estimate ceil(distance / r), so the accounting
+/// stays defined.  Never serialized: greedy routes are deterministic, so a
+/// cold cache recomputes identical counts.
+class RouteHopCache {
+ public:
+  explicit RouteHopCache(const graph::GeometricGraph& graph)
+      : graph_(&graph) {}
+
+  std::uint32_t hops(graph::NodeId from, graph::NodeId to);
+
+ private:
+  const graph::GeometricGraph* graph_;
+  std::map<std::pair<graph::NodeId, graph::NodeId>, std::uint32_t> cache_;
+};
 
 }  // namespace geogossip::core
 

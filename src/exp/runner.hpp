@@ -159,8 +159,8 @@ struct RunnerOptions {
   /// cells (Cell::trial) run uncheckpointed: they are short, self-contained
   /// measurements with no engine state to persist.
   std::string snapshot_dir;
-  /// Snapshot every N engine ticks (round-based protocols: top rounds);
-  /// 0 = no tick cadence.
+  /// Snapshot every N engine steps (Poisson ticks; top-level rounds for
+  /// the round kinds, whose engine steps are rounds); 0 = no step cadence.
   std::uint64_t snapshot_every_ticks = 0;
   /// Snapshot every this many wall-clock seconds; 0 = no wall cadence.
   double snapshot_every_seconds = 0.0;

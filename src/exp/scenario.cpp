@@ -143,11 +143,12 @@ Scenario e10_quick() {
 
   const auto add_row = [&](const std::string& label,
                            core::ProtocolKind kind,
-                           const core::MultilevelConfig& config) {
+                           const core::MultilevelConfig& config) -> Cell& {
     Cell& cell = scenario.add(label, kind, n);
     cell.field = CellField::kGaussian;
     cell.options.multilevel = config;
     cell.seed_stream = 0;  // paired draws across the ablation rows
+    return cell;
   };
 
   core::MultilevelConfig base;
@@ -155,9 +156,9 @@ Scenario e10_quick() {
           base);
   core::MultilevelConfig expected = base;
   expected.beta_mode = core::BetaMode::kExpected;
-  expected.max_top_rounds = 60000;
   add_row("multi | paper-literal beta",
-          core::ProtocolKind::kAffineMultilevel, expected);
+          core::ProtocolKind::kAffineMultilevel, expected)
+      .options.max_ticks = 60000;
   add_row("one-level", core::ProtocolKind::kAffineOneLevel, base);
   return scenario;
 }

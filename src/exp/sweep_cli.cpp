@@ -122,9 +122,9 @@ bool parse_heartbeat_spec(const std::string& spec, std::string* path,
   return true;
 }
 
-/// Parses "--snapshot-every=N t|s": "20000t" = every 20000 engine ticks
-/// (top rounds for the round-based protocols), "30s" or a bare "30" =
-/// every 30 wall-clock seconds.
+/// Parses "--snapshot-every=N t|s": "20000t" = every 20000 engine steps
+/// (Poisson ticks; top-level rounds for the round kinds), "30s" or a bare
+/// "30" = every 30 wall-clock seconds.
 bool parse_snapshot_every(const std::string& spec, std::uint64_t* ticks,
                           double* seconds) {
   *ticks = 0;
@@ -244,10 +244,10 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
                    "flags restores each interrupted replicate and continues "
                    "it bit-identically");
   parser_.add_flag("snapshot-every", &snapshot_every_spec_,
-                   "snapshot cadence: Nt = every N engine ticks (top rounds "
-                   "for round-based protocols), Ns or bare N = every N "
-                   "wall-clock seconds (default 30s when --snapshot-dir is "
-                   "set)");
+                   "snapshot cadence: Nt = every N engine steps (Poisson "
+                   "ticks; top-level rounds for affine-1level/affine-multi), "
+                   "Ns or bare N = every N wall-clock seconds (default 30s "
+                   "when --snapshot-dir is set)");
   parser_.add_flag("fleet-dir", &fleet_dir_,
                    "join a fleet coordinated through this shared directory: "
                    "workers lease batches via atomic renames, renew a TTL "

@@ -124,6 +124,8 @@ void ValueProtocol::restore(SnapshotReader& r) {
   GG_CHECK_ARG(tracker_.size() == x_.size(),
                "ValueProtocol::restore: tracker size mismatch");
   refresh_interval_ = r.u64();
+  GG_CHECK_ARG(refresh_interval_ >= 1,
+               "ValueProtocol::restore: tracker refresh interval must be >= 1");
   updates_since_refresh_ = r.u64();
   refreshes_ = r.u64();
   sim::TxSnapshot tx;

@@ -28,6 +28,15 @@ class AsyncClock {
   /// Draws the next global tick (owner uniform, gap ~ Exp(n)).
   Tick next();
 
+  /// Counts one step of a round-driven protocol without drawing: the step
+  /// has no owner (node 0) and takes no model time.
+  Tick next_round() noexcept {
+    Tick tick;
+    tick.time = now_;
+    tick.index = ticks_++;
+    return tick;
+  }
+
   double now() const noexcept { return now_; }
   std::uint64_t ticks_elapsed() const noexcept { return ticks_; }
   std::uint32_t node_count() const noexcept { return n_; }

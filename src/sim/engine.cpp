@@ -93,11 +93,16 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     const std::uint64_t snap_n = r.u64();
     GG_CHECK_ARG(snap_n == n, "run_to_epsilon: snapshot n mismatch");
     const std::uint64_t ticks = r.u64();
+    GG_CHECK_ARG(ticks <= config.max_ticks,
+                 "run_to_epsilon: snapshot is past the run's step cap");
     const double now = r.f64();
     clock.restore(now, ticks);
     initial_dev_sq = r.f64();
+    GG_CHECK_ARG(initial_dev_sq > 0.0,
+                 "run_to_epsilon: snapshot has no initial deviation");
+    // No reserve from the stored count: every entry is read (and
+    // bounds-checked) before it is stored.
     const std::uint64_t trace_count = r.u64();
-    result.trace.reserve(trace_count);
     for (std::uint64_t i = 0; i < trace_count; ++i) {
       const std::uint64_t tx = r.u64();
       const double err = r.f64();
@@ -128,9 +133,12 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
   const double target_dev_sq =
       config.epsilon * config.epsilon * initial_dev_sq;
 
+  const bool rounds = protocol.steps_are_rounds();
   const bool snapshotting = checkpoints.enabled();
   const std::uint64_t wall_poll =
-      checkpoints.wall_poll_ticks > 0 ? checkpoints.wall_poll_ticks : 8192;
+      rounds ? 1
+             : (checkpoints.wall_poll_ticks > 0 ? checkpoints.wall_poll_ticks
+                                                : 8192);
   auto last_snapshot = std::chrono::steady_clock::now();
   const auto take_snapshot = [&] {
     SnapshotWriter w;
@@ -151,7 +159,7 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
   };
 
   while (clock.ticks_elapsed() < config.max_ticks) {
-    const Tick tick = clock.next();
+    const Tick tick = rounds ? clock.next_round() : clock.next();
     protocol.on_tick(tick);
 
     const bool checkpoint = (tick.index + 1) % check_every == 0;

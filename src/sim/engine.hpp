@@ -1,5 +1,7 @@
-// Asynchronous gossip engine: drives any protocol tick-by-tick until the
-// epsilon-averaging criterion (DESIGN.md §6) is met.
+// Gossip engine: drives any protocol step by step until the
+// epsilon-averaging criterion (DESIGN.md §6) is met.  A step is one
+// Poisson clock tick, or one synchronous round for a protocol whose steps
+// are rounds (GossipProtocol::steps_are_rounds).
 #ifndef GEOGOSSIP_SIM_ENGINE_HPP
 #define GEOGOSSIP_SIM_ENGINE_HPP
 
@@ -44,6 +46,13 @@ class GossipProtocol {
   virtual double deviation_sq() const;
   virtual bool tracks_deviation() const { return false; }
 
+  /// True when one engine step is one synchronous round of the whole
+  /// protocol rather than one node's Poisson tick (the paper's §3 round
+  /// protocol).  The engine then counts steps without drawing the clock,
+  /// so the protocol's RNG stream is its own, and polls the wall-clock
+  /// snapshot cadence every step.
+  virtual bool steps_are_rounds() const { return false; }
+
   /// Snapshot/Restore contract (mid-replicate durability).  snapshot()
   /// serializes every field that affects the remaining trajectory;
   /// restore() is called on a FRESHLY CONSTRUCTED protocol of the identical
@@ -65,14 +74,15 @@ class GossipProtocol {
 /// checkpoint that cannot be written is an environment failure, mirroring
 /// the sink's flush-check-throw policy).
 struct CheckpointPolicy {
-  /// Snapshot every N engine ticks (round-based protocols: every N top
-  /// rounds).  0 = no tick cadence.
+  /// Snapshot every N engine steps: Poisson ticks, or top-level rounds for
+  /// a protocol whose steps are rounds.  0 = no step cadence.
   std::uint64_t every_ticks = 0;
   /// Snapshot when this much wall time passed since the previous snapshot
   /// (or the run start).  0 = no wall cadence.
   double every_seconds = 0.0;
   /// The wall clock is polled only every `wall_poll_ticks` ticks so the
-  /// per-tick hot path stays free of clock syscalls.
+  /// per-tick hot path stays free of clock syscalls.  Round-driven
+  /// protocols are polled every round.
   std::uint64_t wall_poll_ticks = 8192;
   std::function<void(std::string_view payload, std::uint64_t ticks)> persist;
 
@@ -85,8 +95,9 @@ struct CheckpointPolicy {
 struct RunConfig {
   /// Convergence target: ||x(t) - mean|| <= epsilon * ||x(0) - mean||.
   double epsilon = 1e-3;
-  /// Hard tick budget (0 = 10^7 * n heuristic is NOT applied; treat 0 as
-  /// "caller must set" and checked).
+  /// Hard step budget: ticks, or rounds for a round-driven protocol (0 =
+  /// 10^7 * n heuristic is NOT applied; treat 0 as "caller must set" and
+  /// checked).
   std::uint64_t max_ticks = 0;
   /// Convergence is tested every `check_interval` ticks.  0 = automatic:
   /// every tick when the protocol tracks its deviation incrementally
@@ -119,7 +130,9 @@ double relative_error(std::span<const double> values, double initial_norm);
 double deviation_norm(std::span<const double> values);
 
 /// Runs `protocol` on a fresh AsyncClock(n, rng) until convergence or the
-/// tick budget.  Requires config.max_ticks > 0.
+/// step budget.  Requires config.max_ticks > 0.  A round-driven protocol
+/// never draws from the clock: `rng` then serves only the snapshots, and
+/// should be the protocol's own stream.
 RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
                          const RunConfig& config);
 
@@ -128,7 +141,8 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
 /// the engine restores the clock, the RNG and the protocol to the
 /// snapshotted tick and continues; the completed run is bit-identical to
 /// an uninterrupted one.  The payload self-identifies (protocol name, n)
-/// and restore fails loudly on any mismatch or truncation.
+/// and restore fails loudly on any mismatch, truncation or a step count
+/// past config.max_ticks.
 RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
                          const RunConfig& config,
                          const CheckpointPolicy& checkpoints,

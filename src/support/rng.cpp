@@ -180,6 +180,11 @@ void Rng::save(SnapshotWriter& w) const {
 
 void Rng::restore(SnapshotReader& r) {
   for (std::uint64_t& word : state_) word = r.u64();
+  // The all-zero state is xoshiro's fixed point (every draw 0, so below()
+  // would reject forever); no saved stream can be in it.
+  GG_CHECK_ARG(state_[0] != 0 || state_[1] != 0 || state_[2] != 0 ||
+                   state_[3] != 0,
+               "Rng::restore: all-zero generator state");
   spare_normal_ = r.f64();
   has_spare_normal_ = r.u8() != 0;
 }

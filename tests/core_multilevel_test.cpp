@@ -9,6 +9,7 @@
 #include "core/multilevel.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/geometric_graph.hpp"
+#include "sim/engine.hpp"
 #include "sim/field.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -29,6 +30,19 @@ std::vector<double> make_field(const GeometricGraph& g, Rng& rng) {
   return x0;
 }
 
+/// Drives `protocol` on the engine to config.eps; `max_rounds` = 0 keeps
+/// the protocol's default top-round cap.
+sim::RunResult run(MultilevelAffineGossip& protocol, Rng& rng,
+                   const MultilevelConfig& config,
+                   std::uint64_t max_rounds = 0,
+                   std::uint64_t trace_every = 0) {
+  sim::RunConfig run_config;
+  run_config.epsilon = config.eps;
+  run_config.max_ticks = protocol.step_cap(max_rounds);
+  run_config.trace_interval = trace_every;
+  return sim::run_to_epsilon(protocol, rng, run_config);
+}
+
 TEST(Multilevel, ConvergesOnModerateDeployment) {
   const auto g = make_graph(2048, 600);
   Rng rng(601);
@@ -37,11 +51,11 @@ TEST(Multilevel, ConvergesOnModerateDeployment) {
   MultilevelConfig config;
   config.eps = 1e-3;
   MultilevelAffineGossip protocol(g, x0, rng, config);
-  const auto result = protocol.run();
+  const auto result = run(protocol, rng, config);
 
   EXPECT_TRUE(result.converged);
   EXPECT_LE(result.final_error, 1e-3);
-  EXPECT_GT(result.top_rounds, 0u);
+  EXPECT_GT(result.ticks, 0u);
   EXPECT_GT(result.transmissions.total(), 0u);
 }
 
@@ -54,7 +68,7 @@ TEST(Multilevel, ConservesTheSum) {
   MultilevelConfig config;
   config.eps = 1e-3;
   MultilevelAffineGossip protocol(g, x0, rng, config);
-  (void)protocol.run();
+  ASSERT_TRUE(run(protocol, rng, config).converged);
   EXPECT_NEAR(protocol.value_sum(), sum0, 1e-7);
 }
 
@@ -69,7 +83,7 @@ TEST(Multilevel, AllValuesNearTheMeanAfterConvergence) {
   MultilevelConfig config;
   config.eps = 1e-4;
   MultilevelAffineGossip protocol(g, x0, rng, config);
-  const auto result = protocol.run();
+  const auto result = run(protocol, rng, config);
   ASSERT_TRUE(result.converged);
   for (const double v : protocol.values()) EXPECT_NEAR(v, mean0, 0.5);
 }
@@ -83,7 +97,7 @@ TEST(Multilevel, OneLevelModeUsesDepthOne) {
   config.max_depth = 1;
   MultilevelAffineGossip protocol(g, x0, rng, config);
   EXPECT_EQ(protocol.hierarchy().levels(), 2);  // root + one split
-  const auto result = protocol.run();
+  const auto result = run(protocol, rng, config);
   EXPECT_TRUE(result.converged);
 }
 
@@ -94,7 +108,7 @@ TEST(Multilevel, ChargesAllThreeCategories) {
   MultilevelConfig config;
   config.eps = 1e-2;
   MultilevelAffineGossip protocol(g, x0, rng, config);
-  const auto result = protocol.run();
+  const auto result = run(protocol, rng, config);
   ASSERT_TRUE(result.converged);
   EXPECT_GT(result.transmissions[sim::TxCategory::kLocal], 0u);
   EXPECT_GT(result.transmissions[sim::TxCategory::kLongRange], 0u);
@@ -109,7 +123,7 @@ TEST(Multilevel, ControlChargingCanBeDisabled) {
   config.eps = 1e-2;
   config.charge_control = false;
   MultilevelAffineGossip protocol(g, x0, rng, config);
-  const auto result = protocol.run();
+  const auto result = run(protocol, rng, config);
   ASSERT_TRUE(result.converged);
   EXPECT_EQ(result.transmissions[sim::TxCategory::kControl], 0u);
 }
@@ -127,18 +141,17 @@ TEST(Multilevel, ConvexRepModeIsFarSlowerThanAffine) {
   affine.eps = 3e-2;
   affine.max_depth = 1;
   MultilevelAffineGossip affine_protocol(g, x0, rng_a, affine);
-  const auto affine_result = affine_protocol.run();
+  const auto affine_result = run(affine_protocol, rng_a, affine);
 
   MultilevelConfig convex = affine;
   convex.beta_mode = BetaMode::kConvexRep;
   // Convex mode needs a far larger round cap to converge at all.
-  convex.max_top_rounds = 400'000;
   MultilevelAffineGossip convex_protocol(g, x0, rng_b, convex);
-  const auto convex_result = convex_protocol.run();
+  const auto convex_result = run(convex_protocol, rng_b, convex, 400'000);
 
   ASSERT_TRUE(affine_result.converged);
   if (convex_result.converged) {
-    EXPECT_GT(convex_result.top_rounds, 5 * affine_result.top_rounds);
+    EXPECT_GT(convex_result.ticks, 5 * affine_result.ticks);
   } else {
     // Not converging within a 50x-larger budget makes the point, too.
     EXPECT_GT(convex_result.final_error, affine_result.final_error);
@@ -153,11 +166,11 @@ TEST(Multilevel, HarmonicBetaModeAlsoConverges) {
   config.eps = 1e-2;
   config.beta_mode = BetaMode::kActualHarmonic;
   MultilevelAffineGossip protocol(g, x0, rng, config);
-  const auto result = protocol.run();
+  const auto result = run(protocol, rng, config);
   EXPECT_TRUE(result.converged);
   // Harmonic beta adapts to actual occupancy: fewer alpha-range violations
   // than the paper's fixed expected-occupancy gain would incur.
-  EXPECT_LT(result.alpha_out_of_range, result.top_rounds);
+  EXPECT_LT(protocol.alpha_out_of_range(), result.ticks);
 }
 
 TEST(Multilevel, QuadraticLeafModelChargesMore) {
@@ -172,13 +185,13 @@ TEST(Multilevel, QuadraticLeafModelChargesMore) {
   mixing.leaf_cost = LeafCostModel::kGrgMixing;
   Rng rng1(619);
   MultilevelAffineGossip p1(g, x0, rng1, mixing);
-  const auto r1 = p1.run();
+  const auto r1 = run(p1, rng1, mixing);
 
   MultilevelConfig quadratic = mixing;
   quadratic.leaf_cost = LeafCostModel::kQuadratic;
   Rng rng2(619);
   MultilevelAffineGossip p2(g, x0, rng2, quadratic);
-  const auto r2 = p2.run();
+  const auto r2 = run(p2, rng2, quadratic);
 
   ASSERT_TRUE(r1.converged);
   ASSERT_TRUE(r2.converged);
@@ -194,7 +207,7 @@ TEST(Multilevel, MeasuredLeafModeConvergesAndCostsRealExchanges) {
   config.eps = 1e-2;
   config.leaf_cost = LeafCostModel::kMeasured;
   MultilevelAffineGossip protocol(g, x0, rng, config);
-  const auto result = protocol.run();
+  const auto result = run(protocol, rng, config);
   EXPECT_TRUE(result.converged);
   EXPECT_GT(result.transmissions[sim::TxCategory::kLocal], 0u);
 }
@@ -209,7 +222,7 @@ TEST(Multilevel, LeafNoiseInjectionStillConverges) {
   config.eps = 3e-2;
   config.leaf_noise = 1e-6;
   MultilevelAffineGossip protocol(g, x0, rng, config);
-  const auto result = protocol.run();
+  const auto result = run(protocol, rng, config);
   EXPECT_TRUE(result.converged);
 }
 
@@ -220,10 +233,10 @@ TEST(Multilevel, LargeLeafNoiseFloorsTheError) {
   MultilevelConfig config;
   config.eps = 1e-6;  // unreachable under heavy noise
   config.leaf_noise = 1e-2;
-  config.max_top_rounds = 3000;
   MultilevelAffineGossip protocol(g, x0, rng, config);
-  const auto result = protocol.run();
+  const auto result = run(protocol, rng, config, 3000);
   EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.ticks, 3000u);
   EXPECT_GT(result.final_error, 1e-6);
 }
 
@@ -233,9 +246,8 @@ TEST(Multilevel, TraceIsRecordedWhenRequested) {
   auto x0 = make_field(g, rng);
   MultilevelConfig config;
   config.eps = 1e-2;
-  config.trace_every = 8;
   MultilevelAffineGossip protocol(g, x0, rng, config);
-  const auto result = protocol.run();
+  const auto result = run(protocol, rng, config, 0, 8);
   ASSERT_TRUE(result.converged);
   ASSERT_GT(result.trace.size(), 1u);
   for (std::size_t i = 1; i < result.trace.size(); ++i) {
@@ -249,9 +261,9 @@ TEST(Multilevel, ConstantFieldConvergesImmediately) {
   MultilevelConfig config;
   MultilevelAffineGossip protocol(
       g, std::vector<double>(g.node_count(), 7.0), rng, config);
-  const auto result = protocol.run();
+  const auto result = run(protocol, rng, config);
   EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.top_rounds, 0u);
+  EXPECT_EQ(result.ticks, 0u);
   EXPECT_EQ(result.transmissions.total(), 0u);
 }
 
@@ -263,9 +275,11 @@ TEST(Multilevel, TinyDeploymentDegeneratesToLeafAveraging) {
   config.eps = 1e-3;
   MultilevelAffineGossip protocol(g, x0, rng, config);
   EXPECT_EQ(protocol.hierarchy().levels(), 1);
-  const auto result = protocol.run();
+  // One open-loop pass is one engine step, whatever cap was asked for.
+  EXPECT_EQ(protocol.step_cap(1000), 1u);
+  const auto result = run(protocol, rng, config, 1000);
   EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.top_rounds, 0u);
+  EXPECT_EQ(result.ticks, 1u);
 }
 
 TEST(Multilevel, OneLevelLocalShareGrowsWithN) {
@@ -281,7 +295,7 @@ TEST(Multilevel, OneLevelLocalShareGrowsWithN) {
     config.eps = 1e-2;
     config.max_depth = 1;
     MultilevelAffineGossip protocol(g, x0, rng, config);
-    const auto result = protocol.run();
+    const auto result = run(protocol, rng, config);
     EXPECT_TRUE(result.converged);
     return static_cast<double>(
                result.transmissions[sim::TxCategory::kLocal]) /
@@ -306,13 +320,13 @@ TEST(Multilevel, RecursionOverheadAtSimulableScaleIsDocumented) {
   one_level.max_depth = 1;
   Rng rng2(635);
   MultilevelAffineGossip p1(g, x0, rng2, one_level);
-  const auto r1 = p1.run();
+  const auto r1 = run(p1, rng2, one_level);
 
   MultilevelConfig multi = one_level;
   multi.max_depth = 12;
   Rng rng3(635);
   MultilevelAffineGossip p2(g, x0, rng3, multi);
-  const auto r2 = p2.run();
+  const auto r2 = run(p2, rng3, multi);
 
   ASSERT_TRUE(r1.converged);
   ASSERT_TRUE(r2.converged);
@@ -331,6 +345,36 @@ TEST(Multilevel, Validation) {
   EXPECT_THROW(MultilevelAffineGossip(
                    g, std::vector<double>(g.node_count(), 0.0), rng, config),
                ArgumentError);
+}
+
+TEST(Multilevel, StepCapDefaultsToTheRootRoundBudget) {
+  const auto g = make_graph(1024, 637);
+  Rng rng(638);
+  auto x0 = make_field(g, rng);
+  MultilevelConfig config;
+  config.eps = 1e-2;
+  config.max_depth = 1;
+  MultilevelAffineGossip protocol(g, x0, rng, config);
+  const auto& root = protocol.hierarchy().square(protocol.hierarchy().root());
+  double k = 0.0;
+  for (const int child : root.children) {
+    if (!protocol.hierarchy().square(child).members.empty()) k += 1.0;
+  }
+  ASSERT_GE(k, 2.0);
+  EXPECT_EQ(protocol.step_cap(0), static_cast<std::uint64_t>(std::ceil(
+                                      64.0 * k * std::log(k / config.eps))));
+  EXPECT_EQ(protocol.step_cap(17), 17u);
+}
+
+TEST(RouteHopCache, UndeliveredRouteAddsTheStraightLineEstimate) {
+  // 0 -- 1 are neighbours; 2 is isolated in the far corner.  Greedy
+  // routing 0 -> 2 steps to 1 (closer to 2) and dead-ends there: one hop
+  // taken plus ceil(|p0 - p2| / r) = ceil(1.1314 / 0.15) = 8 charged.
+  const GeometricGraph g({{0.1, 0.1}, {0.2, 0.1}, {0.9, 0.9}}, 0.15);
+  RouteHopCache routes(g);
+  EXPECT_EQ(routes.hops(0, 2), 9u);
+  EXPECT_EQ(routes.hops(2, 0), 9u);  // keyed on the unordered pair
+  EXPECT_EQ(routes.hops(0, 1), 1u);  // a delivered route is its hops
 }
 
 }  // namespace

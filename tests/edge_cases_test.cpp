@@ -174,8 +174,10 @@ TEST(EdgeCases, HierarchyWithAllPointsInOneCorner) {
     core::MultilevelConfig mconfig;
     mconfig.eps = 1e-2;
     core::MultilevelAffineGossip protocol(g, x0, rng, mconfig);
-    const auto result = protocol.run();
-    EXPECT_TRUE(result.converged);
+    sim::RunConfig run;
+    run.epsilon = mconfig.eps;
+    run.max_ticks = protocol.step_cap(0);
+    EXPECT_TRUE(sim::run_to_epsilon(protocol, rng, run).converged);
   }
 }
 

@@ -154,8 +154,11 @@ TEST(Reproducibility, MultilevelIsDeterministicGivenSeed) {
     core::MultilevelConfig config;
     config.eps = 1e-2;
     core::MultilevelAffineGossip protocol(g, x0, rng, config);
-    const auto result = protocol.run();
-    return std::tuple{result.transmissions.total(), result.top_rounds,
+    sim::RunConfig run;
+    run.epsilon = config.eps;
+    run.max_ticks = protocol.step_cap(0);
+    const auto result = sim::run_to_epsilon(protocol, rng, run);
+    return std::tuple{result.transmissions.total(), result.ticks,
                       result.final_error};
   };
   EXPECT_EQ(run_once(), run_once());

@@ -7,17 +7,23 @@
 // crash/resume path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/convergence.hpp"
+#include "core/hierarchy_protocol.hpp"
+#include "core/multilevel.hpp"
 #include "exp/checkpoint.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
@@ -27,6 +33,7 @@
 #include "geometry/sampling.hpp"
 #include "graph/geometric_graph.hpp"
 #include "obs/telemetry.hpp"
+#include "sim/engine.hpp"
 #include "sim/field.hpp"
 #include "support/check.hpp"
 #include "support/durable_file.hpp"
@@ -54,6 +61,18 @@ TEST(RngSnapshot, RestoreContinuesTheStreamBitIdentically) {
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(other.next_u64(), expected[static_cast<std::size_t>(i)]);
   }
+}
+
+TEST(RngSnapshot, AllZeroStateIsRejected) {
+  // xoshiro's all-zero state is a fixed point: every draw is 0 and
+  // below(3) would reject forever.  No saved stream is in it.
+  SnapshotWriter w;
+  for (int word = 0; word < 4; ++word) w.u64(0);
+  w.f64(0.0);
+  w.u8(0);
+  Rng rng(1);
+  SnapshotReader r(w.bytes());
+  EXPECT_THROW(rng.restore(r), ArgumentError);
 }
 
 TEST(RngSnapshot, SpareNormalIsPartOfTheStreamPosition) {
@@ -531,39 +550,221 @@ TEST(RunnerSnapshots, CleanRunMatchesUncheckpointedAndLeavesNoFiles) {
   EXPECT_EQ(snapshot_files(dir), 0u);
 }
 
-TEST(RunnerSnapshots, CrashAfterPersistResumesBitIdentically) {
-  const auto scenario = snapshot_scenario();
-  exp::RunnerOptions plain;
-  plain.threads = 1;
-  const auto reference = exp::Runner(plain).run(scenario);
+/// Per-replicate results of a sweep, keyed on (cell index, replicate).
+using ReplicateRecords =
+    std::map<std::pair<std::size_t, std::uint32_t>, exp::ReplicateResult>;
 
-  // "Crash" mid-sweep: the progress sink throws on the first completed
-  // replicate.  Its snapshot is only removed AFTER progress succeeds, so
-  // the slot file survives for the re-run (the documented crash window).
-  const std::string dir = test_dir("runner_crash");
-  exp::RunnerOptions crashing = plain;
-  crashing.snapshot_dir = dir;
-  crashing.snapshot_every_ticks = 300;
-  bool threw = false;
-  crashing.progress = [&](const exp::Cell&, std::size_t, std::uint32_t,
-                          const exp::ReplicateResult&) {
-    if (!threw) {
-      threw = true;
-      throw IoError("simulated sink failure");
-    }
+decltype(exp::RunnerOptions::progress) record_into(ReplicateRecords& records) {
+  return [&records](const exp::Cell&, std::size_t cell_index,
+                    std::uint32_t replicate,
+                    const exp::ReplicateResult& result) {
+    records[{cell_index, replicate}] = result;
   };
-  EXPECT_THROW((void)exp::Runner(crashing).run(scenario), IoError);
-  ASSERT_GE(snapshot_files(dir), 1u)
-      << "the interrupted replicate left no snapshot to resume from";
+}
 
-  // Re-run with the same flags: the surviving slot restores mid-replicate
-  // and the aggregates come out bit-identical to the uninterrupted run.
-  exp::RunnerOptions resuming = plain;
-  resuming.snapshot_dir = dir;
-  resuming.snapshot_every_ticks = 300;
-  const auto resumed = exp::Runner(resuming).run(scenario);
-  EXPECT_TRUE(summaries_identical(reference, resumed));
-  EXPECT_EQ(snapshot_files(dir), 0u);
+bool records_identical(const ReplicateRecords& a, const ReplicateRecords& b) {
+  if (a.size() != b.size()) return false;
+  for (const auto& [key, x] : a) {
+    const auto it = b.find(key);
+    if (it == b.end()) return false;
+    const auto& y = it->second;
+    if (x.seed != y.seed || x.converged != y.converged ||
+        x.final_error != y.final_error || x.sum_drift != y.sum_drift ||
+        x.transmissions.by_category != y.transmissions.by_category) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(RunnerSnapshots, CrashAfterPersistResumesBitIdentically) {
+  // A tick kind at a tick cadence, and the paper's round protocol at a
+  // cadence of a few top rounds.
+  exp::Scenario rounds;
+  rounds.name = "snap-e2e-rounds";
+  rounds.replicates = 2;
+  rounds.master_seed = 13;
+  rounds.add(core::ProtocolKind::kAffineMultilevel, 256);
+  const struct {
+    const char* dir;
+    exp::Scenario scenario;
+    std::uint64_t every_ticks;
+  } cases[] = {{"runner_crash", snapshot_scenario(), 300},
+               {"runner_crash_rounds", rounds, 4}};
+
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.scenario.name);
+    ReplicateRecords reference_records;
+    exp::RunnerOptions plain;
+    plain.threads = 1;
+    plain.progress = record_into(reference_records);
+    const auto reference = exp::Runner(plain).run(c.scenario);
+
+    // "Crash" mid-sweep: the progress sink throws on the first completed
+    // replicate.  Its snapshot is only removed AFTER progress succeeds, so
+    // the slot file survives for the re-run (the documented crash window).
+    const std::string dir = test_dir(c.dir);
+    exp::RunnerOptions crashing = plain;
+    crashing.snapshot_dir = dir;
+    crashing.snapshot_every_ticks = c.every_ticks;
+    crashing.progress = [](const exp::Cell&, std::size_t, std::uint32_t,
+                           const exp::ReplicateResult&) {
+      throw IoError("simulated sink failure");
+    };
+    EXPECT_THROW((void)exp::Runner(crashing).run(c.scenario), IoError);
+    const std::size_t slots = snapshot_files(dir);
+    ASSERT_GE(slots, 1u)
+        << "the interrupted replicate left no snapshot to resume from";
+
+    // Re-run with the same flags: the surviving slot restores
+    // mid-replicate and every replicate comes out bit-identical to the
+    // uninterrupted run.
+    ReplicateRecords resumed_records;
+    exp::RunnerOptions resuming = plain;
+    resuming.snapshot_dir = dir;
+    resuming.snapshot_every_ticks = c.every_ticks;
+    resuming.progress = record_into(resumed_records);
+#if !defined(GEOGOSSIP_OBS_DISABLE)
+    obs::reset();
+    obs::set_enabled(true);
+#endif
+    const auto resumed = exp::Runner(resuming).run(c.scenario);
+#if !defined(GEOGOSSIP_OBS_DISABLE)
+    const auto counters = obs::counter_totals();
+    obs::set_enabled(false);
+    obs::reset();
+    const auto restored = counters.find("runner.snapshot_restored");
+    ASSERT_NE(restored, counters.end()) << "no slot was restored";
+    EXPECT_EQ(restored->second, slots);
+#endif
+    EXPECT_TRUE(summaries_identical(reference, resumed));
+    EXPECT_EQ(reference_records.size(),
+              c.scenario.cells.size() * c.scenario.replicates);
+    EXPECT_TRUE(records_identical(reference_records, resumed_records));
+    EXPECT_EQ(snapshot_files(dir), 0u);
+  }
+}
+
+// ------------------------------------------- corrupted resume payloads ----
+
+/// One run configuration resumed from arbitrary bytes, on a fresh protocol
+/// and RNG per attempt, as the runner restores a slot file.
+struct ResumeSubject {
+  std::string label;
+  std::function<std::unique_ptr<sim::GossipProtocol>(Rng&)> make;
+  sim::RunConfig config;
+  std::string payload;  ///< a genuine mid-run payload
+};
+
+constexpr std::uint64_t kSubjectSeed = 4302;
+
+std::string first_payload(const ResumeSubject& subject,
+                          std::uint64_t every_ticks) {
+  Rng rng(kSubjectSeed);
+  auto protocol = subject.make(rng);
+  sim::CheckpointPolicy policy;
+  policy.every_ticks = every_ticks;
+  std::string payload;
+  policy.persist = [&](std::string_view bytes, std::uint64_t) {
+    if (payload.empty()) payload.assign(bytes.data(), bytes.size());
+  };
+  (void)sim::run_to_epsilon(*protocol, rng, subject.config, policy, {});
+  return payload;
+}
+
+/// True when the run finished (within its step cap), false when the
+/// payload was rejected with a logic error or an IoError.  Anything else —
+/// a crash, a hang, another exception — fails the test.
+bool resumes(const ResumeSubject& subject, std::string_view bytes) {
+  Rng rng(kSubjectSeed);
+  auto protocol = subject.make(rng);
+  try {
+    const auto run = sim::run_to_epsilon(*protocol, rng, subject.config,
+                                         sim::CheckpointPolicy{}, bytes);
+    EXPECT_LE(run.ticks, subject.config.max_ticks) << subject.label;
+    return true;
+  } catch (const std::length_error& e) {
+    ADD_FAILURE() << subject.label
+                  << ": allocation sized by a corrupted length: " << e.what();
+  } catch (const std::logic_error&) {
+  } catch (const IoError&) {
+  }
+  return false;
+}
+
+TEST(SnapshotMutation, CorruptedPayloadsFinishOrThrow) {
+  Rng graph_rng(4300);
+  const auto g = GeometricGraph::sample(128, 2.0, graph_rng);
+  Rng field_rng(4301);
+  auto x0 = sim::gaussian_field(g.node_count(), field_rng);
+  sim::center_and_normalize(x0);
+
+  ResumeSubject ticks{"affine-async", {}, {}, {}};
+  ticks.make = [&](Rng& rng) {
+    core::HierarchyProtocolConfig config;
+    config.eps = 1e-2;
+    return std::make_unique<core::HierarchicalAffineProtocol>(g, x0, rng,
+                                                              config);
+  };
+  ticks.config.epsilon = 1e-2;
+  ticks.config.max_ticks = 100'000;
+  ticks.payload = first_payload(ticks, 512);
+
+  core::MultilevelConfig multi_config;
+  multi_config.eps = 1e-2;
+  ResumeSubject rounds{"affine-multi", {}, {}, {}};
+  rounds.make = [&](Rng& rng) {
+    return std::make_unique<core::MultilevelAffineGossip>(g, x0, rng,
+                                                          multi_config);
+  };
+  rounds.config.epsilon = 1e-2;
+  {
+    Rng rng(kSubjectSeed);
+    rounds.config.max_ticks =
+        core::MultilevelAffineGossip(g, x0, rng, multi_config).step_cap(0);
+  }
+  rounds.payload = first_payload(rounds, 2);
+
+  const ResumeSubject* subjects[] = {&ticks, &rounds};
+  for (const ResumeSubject* subject : subjects) {
+    SCOPED_TRACE(subject->label);
+    const std::string& payload = subject->payload;
+    ASSERT_FALSE(payload.empty()) << "the cadence never fired";
+    EXPECT_TRUE(resumes(*subject, payload));
+
+    // A cut anywhere leaves a section short: always rejected.  (Cut 0 is
+    // the empty payload, which means a fresh start.)
+    for (std::size_t cut = 1; cut < payload.size(); ++cut) {
+      EXPECT_FALSE(resumes(*subject, payload.substr(0, cut))) << "cut " << cut;
+    }
+
+    Rng mutation(4303);
+    int finished = 0;
+    int rejected = 0;
+    // Half the flips land in the first 128 bytes: the engine header (tag,
+    // protocol name, n, step count, initial deviation, trace count), which
+    // is a small share of the payload but holds most of its lengths and
+    // bounds.
+    for (int flip = 0; flip < 192; ++flip) {
+      std::string bytes = payload;
+      const std::size_t reach = flip % 2 == 0 ? bytes.size() : 128;
+      const std::size_t at = mutation.below(std::min(reach, bytes.size()));
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 << mutation.below(8)));
+      (resumes(*subject, bytes) ? finished : rejected) += 1;
+    }
+    // Splices: a prefix of this payload joined to a suffix of either one.
+    for (int splice = 0; splice < 64; ++splice) {
+      const std::string& donor = subjects[mutation.below(2)]->payload;
+      const std::size_t head = mutation.below(payload.size() + 1);
+      const std::size_t tail = mutation.below(donor.size() + 1);
+      (resumes(*subject, payload.substr(0, head) + donor.substr(tail))
+           ? finished
+           : rejected) += 1;
+    }
+    // Both outcomes occur, or the mutations are not reaching the reader.
+    EXPECT_GT(finished, 0);
+    EXPECT_GT(rejected, 0);
+  }
 }
 
 }  // namespace
