@@ -43,9 +43,10 @@
 //   # same command on every machine; first founds the plan, rest adopt
 //   parallel_sweep --scenario=e5-scaling-xl --fleet-dir=/shared/fleet
 //       --fleet-batches=32 --fleet-ttl=60 --snapshot-every=300s
-//   python3 tools/fleet_status.py /shared/fleet      # live board
+//   # board + invariant check; on a complete, clean fleet also the
+//   # final tables and the canonical record file (exit 1 otherwise)
 //   parallel_sweep --scenario=e5-scaling-xl --fleet-dir=/shared/fleet
-//       --fleet-merge --csv=xl.csv                   # final tables
+//       --fleet-merge --csv=xl.csv --json-replicates=xl.merged.jsonl
 //
 // The registry covers every experiment E1-E11: protocol sweeps (E5, E10,
 // E11) and measurement probes (E1-E4, E6-E9), each with a -quick preset

@@ -23,6 +23,8 @@
 #include <string>
 #include <string_view>
 
+#include "support/durable_file.hpp"
+
 namespace geogossip::exp {
 
 /// A snapshot read back from disk: the opaque engine payload plus the
@@ -44,7 +46,7 @@ class SnapshotStore {
   /// directories, tests).
   SnapshotStore(std::string dir, std::string scenario,
                 std::uint64_t master_seed,
-                double stale_tmp_age_seconds = 300.0);
+                double stale_tmp_age_seconds = kStaleTempAgeSeconds);
 
   /// Atomically and durably persists `payload` for the slot (see the
   /// file comment).  Throws IoError on any filesystem failure — a

@@ -15,6 +15,7 @@
 #include "exp/sink.hpp"
 #include "fleet/lease.hpp"
 #include "fleet/plan.hpp"
+#include "fleet/status.hpp"
 #include "fleet/worker.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/telemetry.hpp"
@@ -272,10 +273,12 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
                    "the fleet is complete) — for preemptible or "
                    "time-boxed workers");
   parser_.add_flag("fleet-merge", &fleet_merge_,
-                   "run nothing: fold every record file in --fleet-dir, "
-                   "require full coverage, and emit the merged summaries "
-                   "(--csv/--json) — byte-identical to an uninterrupted "
-                   "single-process sweep");
+                   "run nothing: print the --fleet-dir board and check "
+                   "its invariants; on a complete, clean fleet fold every "
+                   "record file, require full coverage, and emit the "
+                   "merged summaries (--csv/--json) and records "
+                   "(--json-replicates) — byte-identical to an "
+                   "uninterrupted single-process sweep");
 }
 
 std::optional<int> SweepCli::parse(int argc, char** argv) {
@@ -357,12 +360,14 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
     if (!shard_spec_.empty()) return conflict("--shard");
     if (!resume_spec_.empty()) return conflict("--resume");
     if (merge_only_) return conflict("--merge-only (use --fleet-merge)");
-    if (!json_replicates_path_.empty()) return conflict("--json-replicates");
     if (!snapshot_dir_.empty()) return conflict("--snapshot-dir");
     if (!heartbeat_spec_.empty()) return conflict("--heartbeat");
     if (!fleet_merge_) {
       // Worker mode streams records into the fleet directory; summaries
-      // come from --fleet-merge afterwards.
+      // and the merged record file come from --fleet-merge afterwards.
+      if (!json_replicates_path_.empty()) {
+        return conflict("--json-replicates (merge emits it)");
+      }
       if (!csv_path_.empty()) return conflict("--csv (merge emits it)");
       if (!json_path_.empty()) return conflict("--json (merge emits it)");
     }
@@ -575,20 +580,30 @@ int SweepCli::run_fleet_worker(const Scenario& scenario, std::ostream& out) {
 }
 
 int SweepCli::run_fleet_merge(const Scenario& scenario, std::ostream& out) {
-  const auto plan = fleet::try_load_plan(fleet_dir_);
-  if (!plan) {
-    std::cerr << "--fleet-merge: no plan.json in " << fleet_dir_
-              << " — is this a fleet directory?\n";
+  const fleet::FleetStatus status = fleet::inspect(fleet_dir_);
+  // batches = 0: adopt the plan's batch count, validate everything else.
+  fleet::validate_plan_match(status.plan, fleet::plan_for(scenario, 0));
+  fleet::print_status(out, status);
+  const std::vector<std::string> problems =
+      fleet::violations(status, fleet::LeaseStore::now_unix_ms());
+  for (const std::string& problem : problems) {
+    std::cerr << program_ << ": fleet: " << problem << "\n";
+  }
+  if (!problems.empty()) {
+    if (status.complete()) {
+      std::cerr << program_ << ": run one worker on " << fleet_dir_
+                << " to sweep the leases, tickets and snapshot temps a "
+                   "killed finisher left; delete any other temp debris by "
+                   "hand\n";
+    }
     return 1;
   }
-  // batches = 0: adopt the plan's batch count, validate everything else.
-  fleet::validate_plan_match(*plan, fleet::plan_for(scenario, 0));
-  const std::vector<std::string> files =
-      fleet::all_record_files(fleet_dir_);
-  out << "fleet merge: " << files.size() << " record file(s), "
-      << fleet::done_batches(fleet_dir_, plan->batches).size() << "/"
-      << plan->batches << " batches done\n";
-  return run_merge(scenario, files, out);
+  if (!status.complete()) {
+    std::cerr << program_ << ": --fleet-merge: the fleet is not complete "
+                 "(batches still to run); merge once every batch is done\n";
+    return 1;
+  }
+  return run_merge(scenario, fleet::all_record_files(fleet_dir_), out);
 }
 
 int SweepCli::run_merge(const Scenario& scenario,

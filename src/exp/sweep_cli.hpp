@@ -59,8 +59,8 @@ class SweepCli {
   /// the process exit code (0 on success); the aggregates stay available
   /// via summary().  Misuse found only here — a missing --resume file, an
   /// unwritable output path (checked before any work starts), a fleet
-  /// directory with neither a plan nor --fleet-batches — prints the
-  /// reason and returns 1.
+  /// directory with neither a plan nor --fleet-batches, --fleet-merge on
+  /// a directory with no plan — prints the reason and returns 1.
   int run(Scenario scenario, std::ostream& out);
 
   /// Aggregates of the last successful run().
@@ -82,6 +82,9 @@ class SweepCli {
  private:
   int run_checked(Scenario scenario, std::ostream& out);
   int run_fleet_worker(const Scenario& scenario, std::ostream& out);
+  /// Prints the fleet board (fleet/status.hpp) and lists every violated
+  /// fleet invariant on stderr; merges (run_merge) only a complete fleet
+  /// with no violation, and returns 1 otherwise.
   int run_fleet_merge(const Scenario& scenario, std::ostream& out);
   /// The one merge path behind --merge-only and --fleet-merge: folds the
   /// record `files`, requires them to cover exactly the scenario's (cell,

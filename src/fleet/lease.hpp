@@ -38,8 +38,9 @@ struct Lease {
   double ttl_seconds = 0.0;
   std::int64_t acquired_unix_ms = 0;
   std::int64_t expires_unix_ms = 0;
-  /// The owner's heartbeat file, fleet-dir-relative: a human (or
-  /// tools/fleet_status.py) follows it to see the owner's live progress.
+  /// The owner's heartbeat file, fleet-dir-relative: a human follows it
+  /// to see the owner's live progress (the `--fleet-merge` board shows
+  /// each heartbeat's last line).
   std::string heartbeat;
   /// Current lease file path on disk.
   std::string path;

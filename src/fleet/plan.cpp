@@ -62,37 +62,6 @@ std::string ticket_content(std::uint32_t batch) {
   return out;
 }
 
-/// Splits "batch-<id>.g<gen>.<owner>.jsonl"; false on anything else.
-bool parse_records_filename(const std::string& name, std::uint32_t* batch) {
-  constexpr std::string_view kPrefix = "batch-";
-  constexpr std::string_view kSuffix = ".jsonl";
-  if (name.size() <= kPrefix.size() + kSuffix.size()) return false;
-  if (name.compare(0, kPrefix.size(), kPrefix) != 0) return false;
-  if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-      0) {
-    return false;
-  }
-  std::uint32_t value = 0;
-  bool any = false;
-  for (std::size_t i = kPrefix.size(); i < name.size(); ++i) {
-    const char c = name[i];
-    if (c >= '0' && c <= '9') {
-      value = value * 10 + static_cast<std::uint32_t>(c - '0');
-      any = true;
-      continue;
-    }
-    // The id must be followed by the ".g<gen>" segment, not e.g. a stray
-    // ".jsonl" (which would make "batch-3.jsonl" parse as batch 3 while
-    // carrying no generation/owner identity).
-    if (any && c == '.' && i + 1 < name.size() && name[i + 1] == 'g') {
-      *batch = value;
-      return true;
-    }
-    return false;
-  }
-  return false;
-}
-
 }  // namespace
 
 std::string plan_path(const std::string& d) { return d + "/plan.json"; }
@@ -356,6 +325,55 @@ void write_done_marker(const std::string& fleet_dir, std::uint32_t batch,
 void requeue_batch(const std::string& fleet_dir, std::uint32_t batch) {
   atomic_write_file(queue_ticket_path(fleet_dir, batch),
                     ticket_content(batch));
+}
+
+bool parse_done_marker_filename(const std::string& name,
+                                std::uint32_t* batch) {
+  constexpr std::string_view kPrefix = "batch-";
+  constexpr std::string_view kSuffix = ".json";
+  if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) return false;
+  const std::string_view digits = std::string_view(name).substr(
+      kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
+  if (digits.empty() || digits.size() > 9 ||
+      digits.find_first_not_of("0123456789") != std::string_view::npos) {
+    return false;
+  }
+  std::uint32_t value = 0;
+  for (const char c : digits) {
+    value = value * 10 + static_cast<std::uint32_t>(c - '0');
+  }
+  *batch = value;
+  return true;
+}
+
+bool parse_records_filename(const std::string& name, std::uint32_t* batch) {
+  constexpr std::string_view kPrefix = "batch-";
+  constexpr std::string_view kSuffix = ".jsonl";
+  if (name.size() <= kPrefix.size() + kSuffix.size()) return false;
+  if (name.compare(0, kPrefix.size(), kPrefix) != 0) return false;
+  if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
+      0) {
+    return false;
+  }
+  std::uint32_t value = 0;
+  bool any = false;
+  for (std::size_t i = kPrefix.size(); i < name.size(); ++i) {
+    const char c = name[i];
+    if (c >= '0' && c <= '9') {
+      value = value * 10 + static_cast<std::uint32_t>(c - '0');
+      any = true;
+      continue;
+    }
+    // The id must be followed by the ".g<gen>" segment, not e.g. a stray
+    // ".jsonl" (which would make "batch-3.jsonl" parse as batch 3 while
+    // carrying no generation/owner identity).
+    if (any && c == '.' && i + 1 < name.size() && name[i + 1] == 'g') {
+      *batch = value;
+      return true;
+    }
+    return false;
+  }
+  return false;
 }
 
 std::vector<std::string> batch_record_files(const std::string& fleet_dir,

@@ -134,6 +134,15 @@ void write_done_marker(const std::string& fleet_dir, std::uint32_t batch,
 /// TTL.  Idempotent (tickets are deterministic).
 void requeue_batch(const std::string& fleet_dir, std::uint32_t batch);
 
+/// The batch id of a done-marker filename ("batch-<id>.json"); false on
+/// any other name.
+bool parse_done_marker_filename(const std::string& name,
+                                std::uint32_t* batch);
+
+/// The batch id of a record filename ("batch-<id>.g<gen>.<owner>.jsonl");
+/// false on any other name.
+bool parse_records_filename(const std::string& name, std::uint32_t* batch);
+
 /// Record files of one batch (every generation/owner), sorted — the
 /// resume set a new lease owner folds before running.
 std::vector<std::string> batch_record_files(const std::string& fleet_dir,

@@ -2,46 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 
 #include "obs/memory.hpp"
 #include "support/check.hpp"
 #include "support/durable_file.hpp"
+#include "support/json.hpp"
 #include "support/logging.hpp"
 #include "support/retry.hpp"
 
 namespace geogossip::obs {
 
 namespace {
-
-/// Heartbeat lines carry a few free-form strings (scenario, worker,
-/// lease); keep the escaping local rather than dragging in the sink's
-/// JSON helpers.
-std::string json_escape_min(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::int64_t unix_millis_now() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -146,7 +118,7 @@ void Heartbeat::loop() {
 
 std::string Heartbeat::compose_locked() {
   std::string line = "{\"record\":\"heartbeat\",\"scenario\":\"";
-  line += json_escape_min(options_.scenario);
+  line += json_escape(options_.scenario);
   line += "\",\"shard_index\":";
   line += std::to_string(options_.shard_index);
   line += ",\"shard_count\":";
@@ -165,7 +137,7 @@ std::string Heartbeat::compose_locked() {
   line += std::to_string(unix_millis_now());
   if (!options_.worker.empty()) {
     line += ",\"worker\":\"";
-    line += json_escape_min(options_.worker);
+    line += json_escape(options_.worker);
     line += "\"";
   }
   if (!leases_.empty()) {
@@ -173,7 +145,7 @@ std::string Heartbeat::compose_locked() {
     for (std::size_t i = 0; i < leases_.size(); ++i) {
       if (i != 0) line += ",";
       line += "\"";
-      line += json_escape_min(leases_[i]);
+      line += json_escape(leases_[i]);
       line += "\"";
     }
     line += "]";

@@ -47,6 +47,11 @@ std::string durable_temp_path(const std::string& target);
 /// the target it was meant to replace; empty for any other name.
 std::string_view durable_temp_target(std::string_view name) noexcept;
 
+/// The age from which a temp counts as a dead writer's debris: a live
+/// writer, on this host or another sharing the directory, renames its
+/// temp within milliseconds.
+constexpr double kStaleTempAgeSeconds = 300.0;
+
 /// Removes the write_durable_file temps in `dir` whose last write is at
 /// least `min_age_seconds` old (0 removes them all) — of the file named
 /// `target` only, when given.  A temp younger than the age may belong to

@@ -70,6 +70,11 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
+/// Escapes `text` for embedding inside a JSON string literal: quotes,
+/// backslashes and every control character (the short escapes where JSON
+/// has one, \u00XX otherwise).  The one escaper of every JSON writer.
+std::string json_escape(std::string_view text);
+
 /// Convenience: parse one complete JSON document.
 inline JsonValue parse_json(std::string_view text) {
   return JsonParser(text).parse();

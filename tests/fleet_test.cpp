@@ -6,8 +6,8 @@
 // path, a kill-at-every-phase battery over hand-built on-disk states,
 // torn-snapshot fallback, overlapping batches inside one worker (byte
 // identity at any batch and thread count, max_batches, a failure while
-// two batches are held), and merge bit-identity against an
-// uninterrupted single-process run.
+// two batches are held), merge bit-identity against an uninterrupted
+// single-process run, and --fleet-merge refusing a fleet with residue.
 #include <gtest/gtest.h>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_runner.hpp"
 #include "core/convergence.hpp"
 #include "exp/checkpoint.hpp"
 #include "exp/runner.hpp"
@@ -36,6 +37,7 @@
 #include "exp/sink.hpp"
 #include "fleet/lease.hpp"
 #include "fleet/plan.hpp"
+#include "fleet/status.hpp"
 #include "fleet/worker.hpp"
 #include "support/check.hpp"
 #include "support/durable_file.hpp"
@@ -143,18 +145,14 @@ exp::SweepSummary merge_fleet(const std::string& fleet_dir,
   return exp::Runner(options).run(scenario);
 }
 
-/// The complete-fleet cleanliness invariant: all batches done, no queue
-/// tickets, no lease files, no temp debris, no parked snapshots.
-void expect_fleet_clean(const std::string& fleet_dir, std::uint32_t batches) {
-  EXPECT_EQ(fleet::done_batches(fleet_dir, batches).size(), batches);
-  EXPECT_TRUE(fs::is_empty(fleet::queue_dir(fleet_dir)));
-  EXPECT_TRUE(fs::is_empty(fleet::leases_dir(fleet_dir)));
-  for (const auto& entry : fs::recursive_directory_iterator(fleet_dir)) {
-    const std::string name = entry.path().filename().string();
-    EXPECT_EQ(name.find(".tmp"), std::string::npos)
-        << "temp debris left behind: " << entry.path();
-    EXPECT_EQ(name.find(".ggsnap"), std::string::npos)
-        << "snapshot left parked after completion: " << entry.path();
+/// The complete-fleet cleanliness invariant: every batch done, and no
+/// violation — no ticket, lease, parked snapshot or temp debris left.
+void expect_fleet_clean(const std::string& fleet_dir) {
+  const fleet::FleetStatus status = fleet::inspect(fleet_dir);
+  EXPECT_TRUE(status.complete());
+  for (const std::string& problem :
+       fleet::violations(status, fleet::LeaseStore::now_unix_ms())) {
+    ADD_FAILURE() << problem;
   }
 }
 
@@ -165,12 +163,20 @@ void complete_and_verify(const std::string& fleet_dir,
                          const exp::Scenario& scenario, std::uint32_t batches,
                          const exp::SweepSummary& reference,
                          const std::string& worker) {
+  // A kill leaves no violation behind: the survivors only have work to do.
+  if (fleet::try_load_plan(fleet_dir)) {
+    const fleet::FleetStatus before = fleet::inspect(fleet_dir);
+    for (const std::string& problem :
+         fleet::violations(before, fleet::LeaseStore::now_unix_ms())) {
+      ADD_FAILURE() << "before the rescue worker: " << problem;
+    }
+  }
   std::ostringstream out;
   const fleet::WorkerReport report =
       fleet::run_worker(scenario, worker_options(fleet_dir, worker, batches),
                         out);
   EXPECT_TRUE(report.fleet_complete) << out.str();
-  expect_fleet_clean(fleet_dir, batches);
+  expect_fleet_clean(fleet_dir);
   const exp::SweepSummary merged = merge_fleet(fleet_dir, scenario);
   EXPECT_EQ(merged.executed_replicates, 0u)
       << "merge had to execute work — fleet records are incomplete";
@@ -435,7 +441,7 @@ TEST(FleetWorker, SoloWorkerCompletesTheFleetCleanly) {
   EXPECT_EQ(report.batches_claimed, 2u);
   EXPECT_EQ(report.batches_stolen, 0u);
   EXPECT_EQ(report.replicates_executed, 4u);
-  expect_fleet_clean(dir, 2);
+  expect_fleet_clean(dir);
 
   const exp::SweepSummary merged = merge_fleet(dir, scenario);
   EXPECT_EQ(merged.executed_replicates, 0u);
@@ -625,6 +631,105 @@ TEST(FleetWorker, TornSnapshotFallsBackToRestartFromScratch) {
   complete_and_verify(dir, scenario, 2, reference, "rescue");
 }
 
+// ------------------------------------------------------ --fleet-merge ----
+
+/// `--fleet-dir=<dir> --fleet-merge` plus an `output` flag, at the tests'
+/// thread count.
+CliOutcome fleet_merge(const std::string& dir, const exp::Scenario& scenario,
+                       const std::string& output = "") {
+  std::vector<std::string> args{"--fleet-dir=" + dir, "--fleet-merge",
+                                "--threads=2"};
+  if (!output.empty()) args.push_back(output);
+  return run_sweep_cli(args, scenario);
+}
+
+// The kill_before_sweep state once both batches are done: a complete
+// fleet whose finisher died between a done marker and the lease sweep.
+// The merge refuses it and names the residue; one more worker clears it.
+TEST(FleetMerge, ACompleteFleetWithResidueMergesOnlyAfterOneMoreWorker) {
+  const std::string dir = test_dir("residue");
+  const std::string files = test_dir("residue_files");
+  fs::create_directories(files);
+  const exp::Scenario scenario = fleet_scenario();
+  const std::string ref_csv = files + "/ref.csv";
+  ASSERT_EQ(run_sweep_cli({"--csv=" + ref_csv, "--threads=2"}, scenario)
+                .exit_code,
+            0);
+
+  std::ostringstream out;
+  ASSERT_TRUE(fleet::run_worker(scenario,
+                                worker_options(dir, "finisher", 2), out)
+                  .fleet_complete);
+  const std::string lingering = fleet::lease_filename(1, 1, "finisher");
+  spit(fleet::leases_dir(dir) + "/" + lingering,
+       "{\"record\":\"fleet_lease\"}");
+
+  const std::string csv = files + "/merged.csv";
+  const CliOutcome refused = fleet_merge(dir, scenario, "--csv=" + csv);
+  EXPECT_EQ(refused.exit_code, 1);
+  EXPECT_NE(refused.stderr_text.find(lingering), std::string::npos)
+      << refused.stderr_text;
+  EXPECT_NE(refused.stderr_text.find("run one worker"), std::string::npos)
+      << refused.stderr_text;
+  EXPECT_NE(refused.stdout_text.find("COMPLETE"), std::string::npos)
+      << refused.stdout_text;
+  EXPECT_FALSE(fs::exists(csv));
+
+  EXPECT_TRUE(fleet::run_worker(scenario, worker_options(dir, "rescue", 2),
+                                out)
+                  .fleet_complete);
+  const CliOutcome merged = fleet_merge(dir, scenario, "--csv=" + csv);
+  EXPECT_EQ(merged.exit_code, 0) << merged.stderr_text;
+  EXPECT_EQ(slurp(csv), slurp(ref_csv));
+}
+
+TEST(FleetMerge, AFleetInFlightIsNotMerged) {
+  const std::string dir = test_dir("in_flight_merge");
+  const exp::Scenario scenario = fleet_scenario();
+  fleet::ensure_plan(dir, scenario, 2, fast_plan_options());
+  const CliOutcome outcome = fleet_merge(dir, scenario);
+  EXPECT_EQ(outcome.exit_code, 1);
+  EXPECT_NE(outcome.stderr_text.find("not complete"), std::string::npos)
+      << outcome.stderr_text;
+  EXPECT_NE(outcome.stdout_text.find("batch 1: queued"), std::string::npos)
+      << outcome.stdout_text;
+}
+
+// --fleet-merge --json-replicates writes the same canonical record file
+// as --merge-only over a single-process run's records.
+TEST(FleetMerge, WritesTheCanonicalRecordsOfASingleProcessRun) {
+  const std::string dir = test_dir("merge_records");
+  const std::string files = test_dir("merge_records_files");
+  fs::create_directories(files);
+  const exp::Scenario scenario = fleet_scenario();
+  const std::string plain = files + "/plain.jsonl";
+  ASSERT_EQ(run_sweep_cli({"--json-replicates=" + plain, "--threads=2",
+                           "--csv=" + files + "/plain.csv"},
+                          scenario)
+                .exit_code,
+            0);
+  ASSERT_EQ(run_sweep_cli({"--merge-only", "--resume=" + plain,
+                           "--json-replicates=" + files + "/canonical.jsonl"},
+                          scenario)
+                .exit_code,
+            0);
+
+  ASSERT_EQ(run_sweep_cli({"--fleet-dir=" + dir, "--fleet-batches=4",
+                           "--fleet-worker=solo", "--threads=2"},
+                          scenario)
+                .exit_code,
+            0);
+  const CliOutcome merged =
+      fleet_merge(dir, scenario, "--json-replicates=" + files + "/fleet.jsonl");
+  ASSERT_EQ(merged.exit_code, 0) << merged.stderr_text;
+  EXPECT_EQ(slurp(files + "/fleet.jsonl"), slurp(files + "/canonical.jsonl"));
+  EXPECT_FALSE(slurp(files + "/fleet.jsonl").empty());
+  ASSERT_EQ(fleet_merge(dir, scenario, "--csv=" + files + "/fleet.csv")
+                .exit_code,
+            0);
+  EXPECT_EQ(slurp(files + "/fleet.csv"), slurp(files + "/plain.csv"));
+}
+
 // ------------------------------------------------- overlapping batches ----
 
 /// Sweep CSV bytes with the thread-count column pinned, so runs at
@@ -666,7 +771,7 @@ TEST(FleetWorker, OneWorkerAtFourBatchesMergesToTheBytesOfOneBatch) {
       EXPECT_TRUE(report.fleet_complete) << out.str();
       EXPECT_EQ(report.batches_completed, batches);
       EXPECT_EQ(report.replicates_executed, 12u);
-      expect_fleet_clean(dir, batches);
+      expect_fleet_clean(dir);
       EXPECT_EQ(csv_bytes(merge_fleet(dir, scenario)), reference);
     }
   }
@@ -777,7 +882,7 @@ TEST(FleetWorker, AFailureReleasesEveryHeldBatchAndASecondWorkerFinishes) {
   // Batch 0's replicate that finished beside the failure was kept.
   EXPECT_EQ(rescue.replicates_resumed, 1u);
   EXPECT_EQ(rescue.replicates_executed, 2u);
-  expect_fleet_clean(dir, 2);
+  expect_fleet_clean(dir);
   exp::RunnerOptions plain;
   plain.threads = 2;
   EXPECT_EQ(csv_bytes(merge_fleet(dir, scenario)),
@@ -827,7 +932,7 @@ TEST(FleetWorker, TwoProcessFleetMergesIdenticallyToASingleProcessRun) {
     EXPECT_EQ(WEXITSTATUS(status), 0);
   }
 
-  expect_fleet_clean(dir, 2);
+  expect_fleet_clean(dir);
   // Both workers wrote their protocol artifacts.
   EXPECT_TRUE(fs::exists(fleet::worker_stats_path(dir, "wa")));
   EXPECT_TRUE(fs::exists(fleet::worker_stats_path(dir, "wb")));

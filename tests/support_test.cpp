@@ -9,6 +9,7 @@
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
+#include "support/json.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
 #include "support/string_util.hpp"
@@ -277,6 +278,32 @@ TEST(Logging, LevelNames) {
 }
 
 // ------------------------------------------------------------------ csv ----
+
+TEST(Json, EscapeHandlesQuotesBackslashesAndControls) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
+  EXPECT_EQ(json_escape(std::string("a\x01") + "b"), "a\\u0001b");
+}
+
+/// `text` through json_escape and back through the parser.
+std::string round_trip(const std::string& text) {
+  std::string literal(1, '"');
+  literal += json_escape(text);
+  literal += '"';
+  return parse_json(literal).text;
+}
+
+TEST(Json, EscapeRoundTripsEveryAsciiByteThroughTheParser) {
+  std::string all;
+  for (int byte = 0x00; byte <= 0x7f; ++byte) {
+    const std::string one(1, static_cast<char>(byte));
+    EXPECT_EQ(round_trip(one), one) << "byte 0x" << std::hex << byte;
+    all += one;
+  }
+  EXPECT_EQ(round_trip(all), all);
+}
 
 TEST(Csv, EscapingRules) {
   EXPECT_EQ(csv_escape("plain"), "plain");

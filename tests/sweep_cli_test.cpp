@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli_runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/schema.hpp"
 #include "exp/sweep_cli.hpp"
@@ -44,34 +45,10 @@ exp::Scenario counting_scenario() {
   return scenario;
 }
 
-struct CliOutcome {
-  int exit_code = 0;
-  std::string stderr_text;
-};
-
-/// Runs the harness in-process on `args`, the way a driver's main does,
-/// capturing stderr.
+/// The harness on `args`; the counting scenario unless told otherwise.
 CliOutcome run_cli(const std::vector<std::string>& args,
                    const exp::Scenario& scenario = counting_scenario()) {
-  std::vector<std::string> storage{"sweep_cli_test"};
-  storage.insert(storage.end(), args.begin(), args.end());
-  std::vector<char*> argv;
-  for (std::string& arg : storage) argv.push_back(arg.data());
-
-  std::ostringstream captured;
-  std::streambuf* const saved = std::cerr.rdbuf(captured.rdbuf());
-  CliOutcome outcome;
-  exp::SweepCli cli("sweep_cli_test", "misuse test");
-  if (const auto exit = cli.parse(static_cast<int>(argv.size()),
-                                  argv.data())) {
-    outcome.exit_code = *exit;
-  } else {
-    std::ostringstream out;
-    outcome.exit_code = cli.run(scenario, out);
-  }
-  std::cerr.rdbuf(saved);
-  outcome.stderr_text = captured.str();
-  return outcome;
+  return run_sweep_cli(args, scenario);
 }
 
 struct MisuseCase {
@@ -108,6 +85,9 @@ TEST(SweepCliMisuse, ExitsOneWithAMessageBeforeAnyWork) {
       {"csv path is a directory",
        {"--csv=" + root.string()},
        "--csv="},
+      {"fleet merge without a plan",
+       {"--fleet-dir=" + root.string(), "--fleet-merge"},
+       "holds no plan.json"},
       {"merge-only with a heartbeat",
        {"--merge-only", "--resume=" + (root / "a.jsonl").string(),
         "--heartbeat=" + (root / "hb.jsonl").string()},
