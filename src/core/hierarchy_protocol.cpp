@@ -165,8 +165,8 @@ void HierarchicalAffineProtocol::far(NodeId node, int square_id) {
   const auto& sibling = hierarchy_.square(chosen);
   const auto peer = static_cast<NodeId>(sibling.representative);
 
-  meter_.add(sim::TxCategory::kLongRange, routes_.hops(node, peer));
-  meter_.add(sim::TxCategory::kLongRange, routes_.hops(peer, node));
+  // Value there and value back, over the one route per unordered pair.
+  meter_.add(sim::TxCategory::kLongRange, 2ull * routes_.hops(node, peer));
 
   const double beta =
       exchange_beta(config_.beta_mode, sq.expected_occupancy,

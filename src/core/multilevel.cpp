@@ -23,18 +23,34 @@ MultilevelAffineGossip::MultilevelAffineGossip(
   GG_CHECK_ARG(config.max_depth >= 1, "max_depth >= 1");
   GG_CHECK_ARG(config.eps_decay > 1.0, "eps_decay > 1");
   GG_CHECK_ARG(config.round_constant > 0.0, "round_constant > 0");
-  root_children_ = nonempty_children(hierarchy_.square(hierarchy_.root()));
+  const std::size_t squares = hierarchy_.square_count();
+  children_.resize(squares);
+  rounds_.resize(squares);
+  leaf_charge_.resize(squares);
+  for (std::size_t id = 0; id < squares; ++id) {
+    const SquareInfo& square = hierarchy_.square(static_cast<int>(id));
+    children_[id] = nonempty_children(square);
+    rounds_[id] = rounds_for(square);
+    if (square.is_leaf() && !square.members.empty() &&
+        config_.leaf_cost != LeafCostModel::kMeasured) {
+      leaf_charge_[id] = charged_leaf_cost(
+          config_.leaf_cost, square.members.size(),
+          square.rect.width() / graph_->radius(), eps_at_depth(square.depth),
+          config_.leaf_constant);
+    }
+  }
 }
 
 bool MultilevelAffineGossip::degenerate() const noexcept {
   // A leaf root has no children, so this also covers it.
-  return root_children_.size() < 2;
+  return children_[static_cast<std::size_t>(hierarchy_.root())].size() < 2;
 }
 
 std::uint64_t MultilevelAffineGossip::step_cap(std::uint64_t requested) const {
   if (degenerate()) return 1;
   if (requested != 0) return requested;
-  const double k = static_cast<double>(root_children_.size());
+  const double k = static_cast<double>(
+      children_[static_cast<std::size_t>(hierarchy_.root())].size());
   return static_cast<std::uint64_t>(
       std::ceil(64.0 * k * std::log(k / config_.eps)));
 }
@@ -129,22 +145,20 @@ void MultilevelAffineGossip::measured_leaf_average(const SquareInfo& square,
   }
 }
 
-void MultilevelAffineGossip::leaf_average(const SquareInfo& square) {
+void MultilevelAffineGossip::leaf_average(int square_id) {
+  const SquareInfo& square = hierarchy_.square(square_id);
   const auto& members = square.members;
   if (members.size() <= 1) return;
-  const double eps = eps_at_depth(square.depth);
 
   if (config_.leaf_cost == LeafCostModel::kMeasured) {
-    measured_leaf_average(square, eps);
+    measured_leaf_average(square, eps_at_depth(square.depth));
     return;
   }
 
   // Idealized averaging: charge the model cost, set members to the mean,
   // optionally perturb (Lemma 2's imperfect-averaging noise).
-  const double side_over_radius = square.rect.width() / graph_->radius();
   meter_.add(sim::TxCategory::kLocal,
-             charged_leaf_cost(config_.leaf_cost, members.size(),
-                               side_over_radius, eps, config_.leaf_constant));
+             leaf_charge_[static_cast<std::size_t>(square_id)]);
 
   if (config_.leaf_noise == 0.0) {
     apply_average(members);
@@ -175,10 +189,9 @@ void MultilevelAffineGossip::exchange(int child_i, int child_j) {
   const auto rep_i = static_cast<NodeId>(info_i.representative);
   const auto rep_j = static_cast<NodeId>(info_j.representative);
 
-  // Two greedy-routed packets: value there, value back.
-  const std::uint32_t hops_there = routes_.hops(rep_i, rep_j);
-  const std::uint32_t hops_back = routes_.hops(rep_j, rep_i);
-  meter_.add(sim::TxCategory::kLongRange, hops_there + hops_back);
+  // Two greedy-routed packets, value there and value back, over the one
+  // route the cache keeps per unordered pair.
+  meter_.add(sim::TxCategory::kLongRange, 2ull * routes_.hops(rep_i, rep_j));
 
   const double beta =
       exchange_beta(config_.beta_mode, info_i.expected_occupancy,
@@ -208,11 +221,12 @@ void MultilevelAffineGossip::average_square(int square_id) {
 
   charge_activation(square);
   if (square.is_leaf()) {
-    leaf_average(square);
+    leaf_average(square_id);
     return;
   }
 
-  const auto children = nonempty_children(square);
+  const auto id = static_cast<std::size_t>(square_id);
+  const std::vector<int>& children = children_[id];
   if (children.size() == 1) {
     average_square(children.front());
     return;
@@ -221,8 +235,7 @@ void MultilevelAffineGossip::average_square(int square_id) {
   // Activation: every child is averaged once before exchanges begin.
   for (const int child : children) average_square(child);
 
-  const std::uint32_t rounds = rounds_for(square);
-  for (std::uint32_t round = 0; round < rounds; ++round) {
+  for (std::uint32_t round = 0; round < rounds_[id]; ++round) {
     exchange_round(children);
   }
 }
@@ -232,11 +245,13 @@ void MultilevelAffineGossip::on_tick(const sim::Tick& tick) {
     average_square(hierarchy_.root());
     return;
   }
+  const std::vector<int>& root_children =
+      children_[static_cast<std::size_t>(hierarchy_.root())];
   if (tick.index == 0) {
     charge_activation(hierarchy_.square(hierarchy_.root()));
-    for (const int child : root_children_) average_square(child);
+    for (const int child : root_children) average_square(child);
   }
-  exchange_round(root_children_);
+  exchange_round(root_children);
 }
 
 void MultilevelAffineGossip::snapshot_scratch(SnapshotWriter& w) const {

@@ -104,7 +104,7 @@ class MultilevelAffineGossip final : public gossip::ValueProtocol {
   void exchange_round(const std::vector<int>& children);
   /// Open-loop recursive averaging of one square at its schedule budget.
   void average_square(int square_id);
-  void leaf_average(const geometry::SquareInfo& square);
+  void leaf_average(int square_id);
   void measured_leaf_average(const geometry::SquareInfo& square, double eps);
   void exchange(int child_i, int child_j);
   void charge_activation(const geometry::SquareInfo& square);
@@ -114,7 +114,12 @@ class MultilevelAffineGossip final : public gossip::ValueProtocol {
 
   MultilevelConfig config_;
   geometry::PartitionHierarchy hierarchy_;
-  std::vector<int> root_children_;
+  // Per-square schedule tables, indexed by square id and computed once by
+  // the constructor: the non-empty children, the inner-round budget and
+  // (analytic leaf models only) the charged leaf-averaging cost.
+  std::vector<std::vector<int>> children_;
+  std::vector<std::uint32_t> rounds_;
+  std::vector<std::uint64_t> leaf_charge_;
   RouteHopCache routes_;
   std::uint64_t alpha_out_of_range_ = 0;
 };

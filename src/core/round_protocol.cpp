@@ -1,6 +1,7 @@
 #include "core/round_protocol.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "core/affine.hpp"
@@ -88,19 +89,50 @@ geometry::HierarchyConfig practical_hierarchy(double leaf_occupancy,
   return h;
 }
 
-std::uint32_t RouteHopCache::hops(graph::NodeId from, graph::NodeId to) {
-  const auto key = std::minmax(from, to);
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-  const auto route = routing::route_to_node(*graph_, key.first, key.second);
+std::uint32_t RouteHopCache::route_hops(graph::NodeId a,
+                                         graph::NodeId b) const {
+  const auto route = routing::route_to_node(*graph_, a, b);
   std::uint32_t hops = route.hops;
   if (!route.arrived()) {
-    const double dist = geometry::distance(graph_->position(key.first),
-                                           graph_->position(key.second));
+    const double dist =
+        geometry::distance(graph_->position(a), graph_->position(b));
     hops += static_cast<std::uint32_t>(std::ceil(dist / graph_->radius()));
   }
-  cache_.emplace(key, hops);
   return hops;
+}
+
+RouteHopCache::Slot& RouteHopCache::find(std::uint64_t key) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t at =
+      static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  while (slots_[at].key != key && slots_[at].key != Slot::kEmpty) {
+    at = (at + 1) & mask;
+  }
+  return slots_[at];
+}
+
+void RouteHopCache::grow() {
+  std::vector<Slot> old(2 * slots_.size());
+  old.swap(slots_);
+  shift_ = 64 - std::countr_zero(slots_.size());
+  for (const Slot& slot : old) {
+    if (slot.key != Slot::kEmpty) find(slot.key) = slot;
+  }
+}
+
+std::uint32_t RouteHopCache::hops(graph::NodeId from, graph::NodeId to) {
+  const auto [a, b] = std::minmax(from, to);
+  const std::uint64_t key = (std::uint64_t{a} << 32) | b;
+  Slot* slot = &find(key);
+  if (slot->key == key) return slot->hops;
+  if (2 * (size_ + 1) > slots_.size()) {
+    grow();
+    slot = &find(key);
+  }
+  slot->key = key;
+  slot->hops = route_hops(a, b);
+  ++size_;
+  return slot->hops;
 }
 
 }  // namespace geogossip::core

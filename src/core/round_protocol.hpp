@@ -22,9 +22,8 @@
 #define GEOGOSSIP_CORE_ROUND_PROTOCOL_HPP
 
 #include <cstdint>
-#include <map>
 #include <string_view>
-#include <utility>
+#include <vector>
 
 #include "geometry/hierarchy.hpp"
 #include "graph/geometric_graph.hpp"
@@ -63,21 +62,39 @@ geometry::HierarchyConfig practical_hierarchy(double leaf_occupancy,
                                               int max_depth);
 
 /// Memoized greedy-route hop counts between node pairs, keyed on the
-/// unordered pair.  A route that greedy routing does not deliver (rare on
-/// a connected G(n, r) at the paper's radius) is charged its hops so far
-/// plus the straight-line estimate ceil(distance / r), so the accounting
-/// stays defined.  Never serialized: greedy routes are deterministic, so a
-/// cold cache recomputes identical counts.
+/// unordered pair packed as (min << 32) | max.  A route that greedy
+/// routing does not deliver (rare on a connected G(n, r) at the paper's
+/// radius) is charged its hops so far plus the straight-line estimate
+/// ceil(distance / r), so the accounting stays defined.  Each distinct
+/// pair is routed once, min to max, on its first lookup.  The memo is a
+/// flat open-addressed table (power-of-two capacity, linear probing,
+/// doubled at 50% load): the round protocols look up the same few pairs
+/// millions of times.  Never serialized: greedy routes are deterministic,
+/// so a cold cache recomputes identical counts.
 class RouteHopCache {
  public:
   explicit RouteHopCache(const graph::GeometricGraph& graph)
-      : graph_(&graph) {}
+      : graph_(&graph), slots_(64) {}
 
   std::uint32_t hops(graph::NodeId from, graph::NodeId to);
 
  private:
+  struct Slot {
+    /// No packed pair reaches it: both ids would be 2^32 - 1.
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+    std::uint64_t key = kEmpty;
+    std::uint32_t hops = 0;
+  };
+
+  std::uint32_t route_hops(graph::NodeId a, graph::NodeId b) const;
+  /// Slot holding `key`, or the empty slot where it belongs.
+  Slot& find(std::uint64_t key);
+  void grow();
+
   const graph::GeometricGraph* graph_;
-  std::map<std::pair<graph::NodeId, graph::NodeId>, std::uint32_t> cache_;
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  int shift_ = 64 - 6;  ///< 64 - log2(capacity): the Fibonacci-hash shift
 };
 
 }  // namespace geogossip::core

@@ -9,10 +9,11 @@ AsyncClock::AsyncClock(std::uint32_t n, Rng& rng) : n_(n), rng_(&rng) {
 }
 
 Tick AsyncClock::next() {
-  now_ += rng_->exponential(static_cast<double>(n_));
+  // The Exp(n) gap's uniform: drawn so the stream matches the full model,
+  // but its log is never taken (no result reports model time).
+  rng_->next_u64();
   Tick tick;
   tick.node = static_cast<std::uint32_t>(rng_->below(n_));
-  tick.time = now_;
   tick.index = ticks_++;
   return tick;
 }

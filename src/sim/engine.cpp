@@ -13,8 +13,11 @@ namespace geogossip::sim {
 namespace {
 
 /// Leading tag of every engine snapshot payload; restore rejects payloads
-/// from other producers (e.g. a round-protocol snapshot) up front.
-constexpr std::string_view kEnginePayloadTag = "geogossip-engine-run";
+/// from other producers (e.g. a round-protocol snapshot) up front.  The
+/// tag names the layout: "/2" dropped the model-time slot that followed
+/// the step count under the older tag.
+constexpr std::string_view kEnginePayloadTag = "geogossip-engine-run/2";
+constexpr std::string_view kModelTimePayloadTag = "geogossip-engine-run";
 
 }  // namespace
 
@@ -84,7 +87,14 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     // convergence target must be the one the interrupted run was chasing,
     // not one derived from the mid-flight values.
     SnapshotReader r(resume);
-    GG_CHECK_ARG(r.str() == kEnginePayloadTag,
+    const std::string tag = r.str();
+    GG_CHECK_ARG(tag != kModelTimePayloadTag,
+                 "run_to_epsilon: resume payload has the older '" +
+                     std::string(kModelTimePayloadTag) +
+                     "' layout; this build reads only '" +
+                     std::string(kEnginePayloadTag) +
+                     "' (delete the snapshot to re-run the replicate)");
+    GG_CHECK_ARG(tag == kEnginePayloadTag,
                  "run_to_epsilon: resume payload is not an engine snapshot");
     const std::string snap_name = r.str();
     GG_CHECK_ARG(snap_name == protocol.name(),
@@ -95,8 +105,7 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     const std::uint64_t ticks = r.u64();
     GG_CHECK_ARG(ticks <= config.max_ticks,
                  "run_to_epsilon: snapshot is past the run's step cap");
-    const double now = r.f64();
-    clock.restore(now, ticks);
+    clock.restore(ticks);
     initial_dev_sq = r.f64();
     GG_CHECK_ARG(initial_dev_sq > 0.0,
                  "run_to_epsilon: snapshot has no initial deviation");
@@ -146,7 +155,6 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     w.str(protocol.name());
     w.u64(n);
     w.u64(clock.ticks_elapsed());
-    w.f64(clock.now());
     w.f64(initial_dev_sq);
     w.u64(result.trace.size());
     for (const auto& [tx, err] : result.trace) {
@@ -175,7 +183,6 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
       if (checkpoint && dev_sq <= target_dev_sq) {
         result.converged = true;
         result.ticks = clock.ticks_elapsed();
-        result.model_time = clock.now();
         result.final_error = std::sqrt(dev_sq / initial_dev_sq);
         result.transmissions = protocol.meter().snapshot();
         return result;
@@ -202,7 +209,6 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
 
   result.converged = false;
   result.ticks = clock.ticks_elapsed();
-  result.model_time = clock.now();
   result.final_error =
       std::sqrt(protocol.deviation_sq() / initial_dev_sq);
   result.transmissions = protocol.meter().snapshot();

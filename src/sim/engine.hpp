@@ -110,10 +110,11 @@ struct RunConfig {
   std::uint64_t trace_interval = 0;
 };
 
+/// The outcome of one run, counted in engine steps and transmissions (the
+/// paper's cost measures); the Poisson model time is not tracked.
 struct RunResult {
   bool converged = false;
   std::uint64_t ticks = 0;
-  double model_time = 0.0;
   /// ||x(end) - mean|| / ||x(0) - mean||.
   double final_error = 1.0;
   TxSnapshot transmissions;

@@ -95,12 +95,6 @@ bool Rng::bernoulli(double p) noexcept {
   return next_double() < p;
 }
 
-double Rng::exponential(double rate) {
-  GG_CHECK_ARG(rate > 0.0, "exponential() requires rate > 0");
-  // -log(1 - U) avoids log(0) since next_double() < 1.
-  return -std::log1p(-next_double()) / rate;
-}
-
 double Rng::normal() noexcept {
   if (has_spare_normal_) {
     has_spare_normal_ = false;

@@ -56,9 +56,6 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
 
-  /// Exponential with the given rate (mean 1/rate).  Requires rate > 0.
-  double exponential(double rate);
-
   /// Standard normal via Marsaglia polar method (cached spare).
   double normal() noexcept;
 

@@ -3,12 +3,15 @@
 // ablations (E10).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
 #include "core/multilevel.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/geometric_graph.hpp"
+#include "obs/telemetry.hpp"
+#include "routing/greedy.hpp"
 #include "sim/engine.hpp"
 #include "sim/field.hpp"
 #include "support/check.hpp"
@@ -376,6 +379,79 @@ TEST(RouteHopCache, UndeliveredRouteAddsTheStraightLineEstimate) {
   EXPECT_EQ(routes.hops(2, 0), 9u);  // keyed on the unordered pair
   EXPECT_EQ(routes.hops(0, 1), 1u);  // a delivered route is its hops
 }
+
+/// The hop count RouteHopCache documents, from a fresh greedy route.
+std::uint32_t fresh_route_hops(const GeometricGraph& g, graph::NodeId a,
+                               graph::NodeId b) {
+  const auto route = routing::route_to_node(g, a, b);
+  if (route.arrived()) return route.hops;
+  const double dist = geometry::distance(g.position(a), g.position(b));
+  return route.hops + static_cast<std::uint32_t>(std::ceil(dist / g.radius()));
+}
+
+TEST(RouteHopCache, EveryPairMatchesAFreshRouteAcrossRehashes) {
+  // 96 nodes: 4560 unordered pairs grow the table from 64 slots to 16384,
+  // seven rehashes, each of which must carry every cached count along.
+  const auto g = make_graph(96, 4400);
+  const auto n = static_cast<graph::NodeId>(g.node_count());
+  RouteHopCache routes(g);
+  for (graph::NodeId a = 0; a < n; ++a) {
+    for (graph::NodeId b = a + 1; b < n; ++b) {
+      ASSERT_EQ(routes.hops(a, b), fresh_route_hops(g, a, b))
+          << a << " -> " << b;
+    }
+  }
+  for (graph::NodeId a = 0; a < n; ++a) {
+    for (graph::NodeId b = 0; b < n; ++b) {
+      if (a == b) continue;
+      ASSERT_EQ(routes.hops(b, a), fresh_route_hops(g, std::min(a, b),
+                                                    std::max(a, b)))
+          << b << " -> " << a << " after the rehashes";
+    }
+  }
+}
+
+TEST(RouteHopCache, ANodeIsZeroHopsFromItself) {
+  const auto g = make_graph(64, 4401);
+  RouteHopCache routes(g);
+  EXPECT_EQ(routes.hops(0, 0), 0u);
+  EXPECT_EQ(routes.hops(63, 63), 0u);
+  EXPECT_EQ(routes.hops(0, 0), 0u);  // now from the table
+}
+
+#if !defined(GEOGOSSIP_OBS_DISABLE)
+TEST(RouteHopCache, RoutesEachDistinctPairOnce) {
+  const auto g = make_graph(128, 4402);
+  const auto routed = [] {
+    const auto totals = obs::counter_totals();
+    const auto it = totals.find("routing.routes");
+    return it == totals.end() ? std::uint64_t{0} : it->second;
+  };
+  obs::reset();
+  obs::set_enabled(true);
+  RouteHopCache routes(g);
+  std::uint64_t distinct = 0;
+  for (graph::NodeId a = 0; a < 128; a += 3) {
+    for (graph::NodeId b = a + 1; b < 128; b += 5) {
+      (void)routes.hops(a, b);
+      ++distinct;
+    }
+  }
+  const std::uint64_t first_pass = routed();
+  for (graph::NodeId a = 0; a < 128; a += 3) {
+    for (graph::NodeId b = a + 1; b < 128; b += 5) {
+      (void)routes.hops(b, a);
+      (void)routes.hops(a, b);
+    }
+  }
+  const std::uint64_t repeats = routed() - first_pass;
+  obs::set_enabled(false);
+  obs::reset();
+  EXPECT_GT(distinct, 64u);  // enough to rehash
+  EXPECT_EQ(first_pass, distinct);
+  EXPECT_EQ(repeats, 0u);
+}
+#endif
 
 }  // namespace
 }  // namespace geogossip::core

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "geometry/sampling.hpp"
 #include "gossip/pairwise.hpp"
@@ -14,6 +16,7 @@
 #include "stats/summary.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "support/snapshot.hpp"
 
 namespace geogossip::sim {
 namespace {
@@ -30,33 +33,36 @@ TEST(AsyncClock, TickOwnersAreUniform) {
   EXPECT_EQ(clock.ticks_elapsed(), static_cast<std::uint64_t>(kTicks));
 }
 
-TEST(AsyncClock, InterArrivalIsExponentialWithRateN) {
-  Rng rng(71);
-  constexpr std::uint32_t kN = 50;
-  AsyncClock clock(kN, rng);
-  stats::RunningStat gaps;
-  double previous = 0.0;
-  for (int i = 0; i < 100000; ++i) {
-    const Tick tick = clock.next();
-    gaps.push(tick.time - previous);
-    previous = tick.time;
-  }
-  // Mean gap = 1/n; stddev of an exponential equals its mean.
-  EXPECT_NEAR(gaps.mean(), 1.0 / kN, 2e-4);
-  EXPECT_NEAR(gaps.stddev(), 1.0 / kN, 2e-4);
-}
-
 TEST(AsyncClock, TimeAndIndexAdvanceMonotonically) {
   Rng rng(72);
   AsyncClock clock(3, rng);
-  double last_time = 0.0;
   for (std::uint64_t i = 0; i < 100; ++i) {
-    const Tick tick = clock.next();
-    EXPECT_EQ(tick.index, i);
-    EXPECT_GT(tick.time, last_time);
-    last_time = tick.time;
+    EXPECT_EQ(clock.next().index, i);
+    EXPECT_EQ(clock.ticks_elapsed(), i + 1);
   }
   EXPECT_THROW(AsyncClock(0, rng), ArgumentError);
+}
+
+TEST(AsyncClock, DrawsTheGapUniformBeforeEachOwner) {
+  // Each tick still consumes the exponential gap's uniform, though no
+  // result reads model time: every pinned trajectory depends on it.  The
+  // owners and the next draw after them are those of the clock that took
+  // the gap's log (fingerprint: FNV-1a over the owners, one byte each).
+  Rng rng(71);
+  AsyncClock clock(50, rng);
+  const std::vector<std::uint32_t> first = {4,  42, 5,  35, 15, 27, 2, 9,
+                                            6,  25, 16, 0,  21, 5,  10, 16,
+                                            8,  1,  8,  33, 18, 17, 25, 25};
+  std::string owners;
+  for (int i = 0; i < 1000; ++i) {
+    const Tick tick = clock.next();
+    if (owners.size() < first.size()) {
+      EXPECT_EQ(tick.node, first[owners.size()]) << "tick " << i;
+    }
+    owners.push_back(static_cast<char>(tick.node));
+  }
+  EXPECT_EQ(fnv1a64(owners), 0xd13c6895aa5e184dULL);
+  EXPECT_EQ(rng.next_u64(), 0x473b1aede6a11a0bULL);
 }
 
 // -------------------------------------------------------------- Metrics ----

@@ -767,5 +767,65 @@ TEST(SnapshotMutation, CorruptedPayloadsFinishOrThrow) {
   }
 }
 
+TEST(SnapshotMutation, TheModelTimeLayoutIsRefusedByItsTag) {
+  // Builds that tracked Poisson model time tagged their payloads
+  // "geogossip-engine-run" and stored an f64 model time after the step
+  // count.  Such a payload, otherwise genuine, is refused by name: it is
+  // never read as the current layout eight bytes out of step.
+  Rng graph_rng(4300);
+  const auto g = GeometricGraph::sample(128, 2.0, graph_rng);
+  Rng field_rng(4301);
+  auto x0 = sim::gaussian_field(g.node_count(), field_rng);
+  sim::center_and_normalize(x0);
+  ResumeSubject ticks{"affine-async", {}, {}, {}};
+  ticks.make = [&](Rng& rng) {
+    core::HierarchyProtocolConfig config;
+    config.eps = 1e-2;
+    return std::make_unique<core::HierarchicalAffineProtocol>(g, x0, rng,
+                                                              config);
+  };
+  ticks.config.epsilon = 1e-2;
+  ticks.config.max_ticks = 100'000;
+  const std::string payload = first_payload(ticks, 512);
+  ASSERT_FALSE(payload.empty()) << "the cadence never fired";
+
+  SnapshotReader r(payload);
+  const std::string tag = r.str();
+  const std::string name = r.str();
+  const std::uint64_t n = r.u64();
+  const std::uint64_t steps = r.u64();
+  SnapshotWriter head;
+  head.str(tag);
+  head.str(name);
+  head.u64(n);
+  head.u64(steps);
+  ASSERT_EQ(payload.compare(0, head.bytes().size(), head.bytes()), 0);
+
+  const std::string old_tag = "geogossip-engine-run";
+  ASSERT_NE(tag, old_tag);
+  SnapshotWriter old_head;
+  old_head.str(old_tag);
+  old_head.str(name);
+  old_head.u64(n);
+  old_head.u64(steps);
+  old_head.f64(static_cast<double>(steps) / static_cast<double>(n));
+  const std::string old_payload =
+      old_head.bytes() + payload.substr(head.bytes().size());
+
+  Rng rng(kSubjectSeed);
+  auto protocol = ticks.make(rng);
+  try {
+    (void)sim::run_to_epsilon(*protocol, rng, ticks.config,
+                              sim::CheckpointPolicy{}, old_payload);
+    ADD_FAILURE() << "a model-time payload was resumed";
+  } catch (const ArgumentError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("'" + old_tag + "'"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("'" + tag + "'"), std::string::npos) << message;
+  }
+  EXPECT_TRUE(resumes(ticks, payload));
+}
+
 }  // namespace
 }  // namespace geogossip

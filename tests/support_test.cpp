@@ -135,15 +135,6 @@ TEST(Rng, BernoulliEdgeCasesAndRate) {
   EXPECT_NEAR(hits / 100000.0, 0.3, 0.01);
 }
 
-TEST(Rng, ExponentialMeanMatchesRate) {
-  Rng rng(9);
-  double total = 0.0;
-  constexpr int kDraws = 200000;
-  for (int i = 0; i < kDraws; ++i) total += rng.exponential(4.0);
-  EXPECT_NEAR(total / kDraws, 0.25, 0.005);
-  EXPECT_THROW(rng.exponential(0.0), ArgumentError);
-}
-
 TEST(Rng, NormalMoments) {
   Rng rng(10);
   double sum = 0.0;
