@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
          "square within ~10-20% of E#.  The measured max deviation shrinks\n"
          "as n grows (E# = sqrt(n) -> relative fluctuation n^-1/4), but at\n"
          "simulable n it exceeds 10% — exactly why the harmonic-beta mode\n"
-         "exists (DESIGN.md §2) and why the paper's constants demand\n"
-         "(log n)^8-sized leaves.\n";
+         "exists (README: Substitutions from the paper) and why the\n"
+         "paper's constants demand (log n)^8-sized leaves.\n";
   return 0;
 }

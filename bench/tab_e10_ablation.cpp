@@ -1,4 +1,5 @@
-// E10: ablations over the design choices DESIGN.md calls out.
+// E10: ablations over the design choices README's "Substitutions from the
+// paper" table lists.
 //
 //   (a) Affine gain: paper-literal beta = (2/5)E# vs harmonic-of-actual vs
 //       convex representative averaging (beta = 1/2).  Isolates the paper's
@@ -8,7 +9,8 @@
 //   (b) Hierarchy depth: one-level (§3) vs full recursion, under both leaf
 //       cost models (grg-mixing and the paper's conservative quadratic).
 //   (c) Control overhead: share of Activate/Deactivate traffic, on/off.
-//   (d) The literal paper schedule vs the practical schedule (reported).
+//   (d) The literal paper schedule (reported) next to the core::Schedule
+//       that replicate 0 of the default row actually runs.
 //
 // Every ablation row is one cell of a Scenario executed by the parallel
 // exp::Runner.  All rows pin seed_stream = 0, so replicate k samples the
@@ -22,6 +24,8 @@
 #include "core/schedule.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep_cli.hpp"
+#include "graph/geometric_graph.hpp"
+#include "support/rng.hpp"
 #include "support/string_util.hpp"
 
 namespace gg = geogossip;
@@ -117,16 +121,26 @@ int main(int argc, char** argv) {
 
   if (const int exit_code = cli.run(scenario, std::cout)) return exit_code;
 
+  // The deployment replicate 0 of every row samples (seed stream 0).
+  MultilevelConfig simulated = base;
+  simulated.eps = eps;
+  gg::Rng rng(gg::exp::replicate_seed(scenario.master_seed, 0, 0));
+  const auto graph =
+      gg::graph::GeometricGraph::sample(nn, radius_multiplier, rng);
+  const gg::core::Schedule schedule(graph.points(), graph.region(),
+                                    simulated);
+
   std::cout << "\n--- literal §4.1 schedule at this n (reported, never "
-               "simulated) ---\n";
-  const auto profile = gg::core::compute_level_profile(nn, 48.0);
-  const auto paper =
-      gg::core::make_paper_schedule(nn, eps, 1e-2, 1.0, profile);
-  std::cout << paper.to_string() << '\n';
-  const auto practical =
-      gg::core::make_practical_schedule(eps, 1.0, 10.0, profile);
-  std::cout << "\n--- practical schedule actually simulated ---\n"
-            << practical.to_string() << '\n';
+               "simulated; nominal occupancies) ---\n";
+  gg::geometry::HierarchyConfig nominal;
+  nominal.leaf_occupancy = simulated.leaf_threshold;
+  nominal.max_depth = simulated.max_depth;
+  std::cout << gg::core::make_paper_schedule(nn, eps, 1e-2, 1.0, nominal)
+                   .to_string()
+            << '\n';
+  std::cout << "\n--- schedule simulated by replicate 0 of the default row "
+               "(sampled deployment) ---\n"
+            << schedule.to_string() << '\n';
 
   std::cout << "\nReading guide: convex rep averaging (the pre-paper\n"
                "baseline update at representative level) either fails to\n"

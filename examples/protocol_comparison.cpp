@@ -99,6 +99,6 @@ int main(int argc, char** argv) {
 
   std::cout << "\nNote on scale: at laptop-size n the absolute winners are\n"
                "the cheap-constant protocols; the affine protocols win on\n"
-               "scaling exponent (bench/tab_e5_scaling, EXPERIMENTS.md E5).\n";
+               "scaling exponent (bench/tab_e5_scaling, experiment E5).\n";
   return 0;
 }

@@ -17,17 +17,16 @@ HierarchicalAffineProtocol::HierarchicalAffineProtocol(
     const HierarchyProtocolConfig& config)
     : ValueProtocol(graph, std::move(x0), rng),
       config_(config),
-      hierarchy_(graph.points(), graph.region(),
-                 practical_hierarchy(config.leaf_threshold, config.max_depth)),
+      schedule_(graph.points(), graph.region(), config),
       routes_(graph) {
-  GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
+  GG_CHECK_ARG(config.budget_constant > 0.0, "budget_constant > 0");
   GG_CHECK_ARG(config.latency_factor >= 1.0, "latency_factor >= 1");
 
   const std::size_t n = graph.node_count();
   local_on_.assign(n, 0);
   global_on_.assign(n, 0);
   counter_.assign(n, 0);
-  square_active_.assign(hierarchy_.square_count(), 0);
+  square_active_.assign(hierarchy().square_count(), 0);
 
   compute_budgets();
 
@@ -35,22 +34,22 @@ HierarchicalAffineProtocol::HierarchicalAffineProtocol(
   leaf_peer_start_.assign(n + 1, 0);
   leaf_peers_.reserve(2 * graph.adjacency().edge_count());
   for (std::uint32_t node = 0; node < n; ++node) {
-    const int leaf = hierarchy_.leaf_of(node);
+    const int leaf = hierarchy().leaf_of(node);
     for (const NodeId u : graph.neighbors(node)) {
-      if (hierarchy_.leaf_of(u) == leaf) leaf_peers_.push_back(u);
+      if (hierarchy().leaf_of(u) == leaf) leaf_peers_.push_back(u);
     }
     leaf_peer_start_[node + 1] = leaf_peers_.size();
   }
   leaf_peers_.shrink_to_fit();  // only the in-leaf subset is kept
 
   // Initialization (§4.2): only the root representative's global.state is on.
-  const auto& root = hierarchy_.square(hierarchy_.root());
+  const auto& root = hierarchy().square(hierarchy().root());
   GG_CHECK(root.representative >= 0, "root square has no representative");
   global_on_[static_cast<std::size_t>(root.representative)] = 1;
 }
 
 void HierarchicalAffineProtocol::compute_budgets() {
-  const std::size_t squares = hierarchy_.square_count();
+  const std::size_t squares = hierarchy().square_count();
   t_avg_.assign(squares, 1.0);
   p_far_.assign(squares, 0.0);
   budget_.assign(squares, 1);
@@ -58,9 +57,9 @@ void HierarchicalAffineProtocol::compute_budgets() {
   // Post-order (children have larger arena indices than parents by
   // construction, so a reverse sweep is a valid post-order).
   for (std::size_t id = squares; id-- > 0;) {
-    const SquareInfo& sq = hierarchy_.square(static_cast<int>(id));
-    const double eps_d =
-        config_.eps / std::pow(config_.eps_decay, sq.depth);
+    const int square_id = static_cast<int>(id);
+    const SquareInfo& sq = hierarchy().square(square_id);
+    const double eps_d = schedule_.eps(square_id);
     if (sq.is_leaf()) {
       const double side_over_radius = sq.rect.width() / graph_->radius();
       const double mixing =
@@ -69,15 +68,14 @@ void HierarchicalAffineProtocol::compute_budgets() {
       t_avg_[id] = config_.budget_constant * mixing *
                    2.0 * std::log(m / eps_d);
     } else {
+      const auto children = schedule_.children(square_id);
       double child_latency = 1.0;
-      std::size_t nonempty = 0;
-      for (const int child : sq.children) {
-        if (hierarchy_.square(child).members.empty()) continue;
-        ++nonempty;
+      for (const int child : children) {
         child_latency = std::max(
             child_latency, t_avg_[static_cast<std::size_t>(child)]);
       }
-      const double k = std::max<double>(2.0, static_cast<double>(nonempty));
+      const double k =
+          std::max<double>(2.0, static_cast<double>(children.size()));
       t_avg_[id] = config_.round_constant * std::log(k / eps_d) *
                    config_.latency_factor * child_latency;
     }
@@ -96,7 +94,7 @@ double HierarchicalAffineProtocol::averaging_time(int square_id) const {
 }
 
 void HierarchicalAffineProtocol::activate_square(int square_id) {
-  const SquareInfo& sq = hierarchy_.square(square_id);
+  const SquareInfo& sq = hierarchy().square(square_id);
   square_active_[static_cast<std::size_t>(square_id)] = 1;
   ++activations_;
   if (sq.is_leaf()) {
@@ -106,10 +104,9 @@ void HierarchicalAffineProtocol::activate_square(int square_id) {
     return;
   }
   const auto rep = static_cast<NodeId>(sq.representative);
-  for (const int child : sq.children) {
-    const auto& child_info = hierarchy_.square(child);
-    if (child_info.representative < 0) continue;
-    const auto child_rep = static_cast<NodeId>(child_info.representative);
+  for (const int child : schedule_.children(square_id)) {
+    const auto child_rep =
+        static_cast<NodeId>(hierarchy().square(child).representative);
     global_on_[child_rep] = 1;
     counter_[child_rep] = 0;
     meter_.add(sim::TxCategory::kControl, routes_.hops(rep, child_rep));
@@ -117,7 +114,7 @@ void HierarchicalAffineProtocol::activate_square(int square_id) {
 }
 
 void HierarchicalAffineProtocol::deactivate_square(int square_id) {
-  const SquareInfo& sq = hierarchy_.square(square_id);
+  const SquareInfo& sq = hierarchy().square(square_id);
   square_active_[static_cast<std::size_t>(square_id)] = 0;
   if (sq.is_leaf()) {
     for (const auto member : sq.members) local_on_[member] = 0;
@@ -125,10 +122,9 @@ void HierarchicalAffineProtocol::deactivate_square(int square_id) {
     return;
   }
   const auto rep = static_cast<NodeId>(sq.representative);
-  for (const int child : sq.children) {
-    const auto& child_info = hierarchy_.square(child);
-    if (child_info.representative < 0) continue;
-    const auto child_rep = static_cast<NodeId>(child_info.representative);
+  for (const int child : schedule_.children(square_id)) {
+    const auto child_rep =
+        static_cast<NodeId>(hierarchy().square(child).representative);
     global_on_[child_rep] = 0;
     meter_.add(sim::TxCategory::kControl, routes_.hops(rep, child_rep));
   }
@@ -146,23 +142,20 @@ void HierarchicalAffineProtocol::near(NodeId node) {
 }
 
 void HierarchicalAffineProtocol::far(NodeId node, int square_id) {
-  const SquareInfo& sq = hierarchy_.square(square_id);
+  const SquareInfo& sq = hierarchy().square(square_id);
   if (sq.parent < 0) return;  // the root has no siblings
-  const SquareInfo& parent = hierarchy_.square(sq.parent);
 
-  // Uniform sibling square with a representative.
+  // Uniform non-empty sibling square (non-empty: it has a representative).
   std::uint32_t candidates = 0;
   int chosen = -1;
-  for (const int sibling : parent.children) {
+  for (const int sibling : schedule_.children(sq.parent)) {
     if (sibling == square_id) continue;
-    const auto& info = hierarchy_.square(sibling);
-    if (info.representative < 0) continue;
     ++candidates;
     if (rng_->below(candidates) == 0) chosen = sibling;
   }
   if (chosen < 0) return;
 
-  const auto& sibling = hierarchy_.square(chosen);
+  const auto& sibling = hierarchy().square(chosen);
   const auto peer = static_cast<NodeId>(sibling.representative);
 
   // Value there and value back, over the one route per unordered pair.
@@ -193,14 +186,14 @@ void HierarchicalAffineProtocol::far(NodeId node, int square_id) {
 
 void HierarchicalAffineProtocol::on_tick(const sim::Tick& tick) {
   const NodeId node = tick.node;
-  const int level = hierarchy_.node_level(node);
+  const int level = hierarchy().node_level(node);
 
   if (level == 0) {
     if (local_on_[node] != 0) near(node);
     return;
   }
 
-  const int square_id = hierarchy_.represented_square(node);
+  const int square_id = hierarchy().represented_square(node);
   GG_CHECK(square_id >= 0, "levelled node without a represented square");
   const auto sid = static_cast<std::size_t>(square_id);
 
@@ -211,7 +204,7 @@ void HierarchicalAffineProtocol::on_tick(const sim::Tick& tick) {
     // Separation invariant (§6): no long-range exchange while the own
     // square is still averaging — enforced deterministically (see header).
     if (square_active_[sid] == 0 &&
-        hierarchy_.square(square_id).parent >= 0 &&
+        hierarchy().square(square_id).parent >= 0 &&
         rng_->bernoulli(p_far_[sid])) {
       far(node, square_id);
     }
@@ -219,7 +212,7 @@ void HierarchicalAffineProtocol::on_tick(const sim::Tick& tick) {
 
   if (local_on_[node] != 0) near(node);
 
-  const bool is_root = hierarchy_.square(square_id).parent < 0;
+  const bool is_root = hierarchy().square(square_id).parent < 0;
   if (global_on_[node] != 0 && !is_root) {
     if (counter_[node] >= budget_[sid]) {
       if (square_active_[sid] != 0) deactivate_square(square_id);

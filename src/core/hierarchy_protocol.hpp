@@ -16,10 +16,11 @@
 // Level i > 1 they send routed control packets to the child representatives
 // (global.state) — all charged as control transmissions.
 //
-// Substitutions vs. the literal paper (DESIGN.md §2): the Far rate
-// n^(-a)/time(...) and the counter budgets time(n, r, eps_r, delta_r) are
-// astronomically conservative; we compute budgets bottom-up from the same
-// structural recurrence with calibrated constants:
+// Substitutions vs. the literal paper (README "Substitutions from the
+// paper"): the Far rate n^(-a)/time(...) and the counter budgets
+// time(n, r, eps_r, delta_r) are astronomically conservative; we compute
+// budgets bottom-up from the same structural recurrence with calibrated
+// constants, on the core::Schedule's eps_d and non-empty children k:
 //   T_avg(leaf)     = budget_constant * max(1,(L/r)^2) * 2 ln(E#/eps_d)
 //   T_avg(internal) = round_constant * ln(k/eps_d) * latency_factor *
 //                     T_avg(child)
@@ -54,22 +55,18 @@
 #include <vector>
 
 #include "core/round_protocol.hpp"
+#include "core/schedule.hpp"
 #include "geometry/hierarchy.hpp"
 #include "gossip/base.hpp"
 #include "graph/geometric_graph.hpp"
 
 namespace geogossip::core {
 
-struct HierarchyProtocolConfig {
-  /// Top-level accuracy driving the per-depth eps_r = eps / decay^r.
-  double eps = 1e-3;
-  double eps_decay = 10.0;
-  /// Hierarchy construction (practical threshold).
-  double leaf_threshold = 48.0;
-  int max_depth = 12;
-  /// Budget calibration constants (see header comment).
+/// The schedule's five settings (ScheduleConfig) plus the state machine's
+/// own budget calibration (see header comment).
+struct HierarchyProtocolConfig : ScheduleConfig {
+  /// Scale of the leaf averaging latency (> 0).
   double budget_constant = 2.0;
-  double round_constant = 1.0;
   /// Stand-in for the paper's n^a control-separation factor (>= 1).
   double latency_factor = 4.0;
   /// Affine gain mode for Far (see header comment; paper-literal is
@@ -87,7 +84,7 @@ class HierarchicalAffineProtocol final : public gossip::ValueProtocol {
   void on_tick(const sim::Tick& tick) override;
 
   const geometry::PartitionHierarchy& hierarchy() const noexcept {
-    return hierarchy_;
+    return schedule_.hierarchy();
   }
 
   std::uint64_t far_exchanges() const noexcept { return far_exchanges_; }
@@ -100,7 +97,7 @@ class HierarchicalAffineProtocol final : public gossip::ValueProtocol {
  protected:
   /// Serialized: the paper's per-node state machine (local/global on,
   /// counters), per-square activity and the exchange counters.  NOT
-  /// serialized: the hierarchy, leaf-peer CSR, budgets and Far rates (all
+  /// serialized: the schedule, leaf-peer CSR, budgets and Far rates (all
   /// deterministic ctor products of the same configuration) and the route
   /// cache (a memoization of deterministic greedy routes — a cold cache
   /// recomputes identical hop counts).
@@ -115,7 +112,7 @@ class HierarchicalAffineProtocol final : public gossip::ValueProtocol {
   void compute_budgets();
 
   HierarchyProtocolConfig config_;
-  geometry::PartitionHierarchy hierarchy_;
+  Schedule schedule_;
 
   // Per-node protocol state (paper §4.2).
   std::vector<std::uint8_t> local_on_;

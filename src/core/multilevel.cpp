@@ -16,70 +16,38 @@ MultilevelAffineGossip::MultilevelAffineGossip(
     const MultilevelConfig& config)
     : ValueProtocol(graph, std::move(x0), rng),
       config_(config),
-      hierarchy_(graph.points(), graph.region(),
-                 practical_hierarchy(config.leaf_threshold, config.max_depth)),
+      schedule_(graph.points(), graph.region(), config),
       routes_(graph) {
-  GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
-  GG_CHECK_ARG(config.max_depth >= 1, "max_depth >= 1");
-  GG_CHECK_ARG(config.eps_decay > 1.0, "eps_decay > 1");
-  GG_CHECK_ARG(config.round_constant > 0.0, "round_constant > 0");
-  const std::size_t squares = hierarchy_.square_count();
-  children_.resize(squares);
-  rounds_.resize(squares);
-  leaf_charge_.resize(squares);
-  for (std::size_t id = 0; id < squares; ++id) {
-    const SquareInfo& square = hierarchy_.square(static_cast<int>(id));
-    children_[id] = nonempty_children(square);
-    rounds_[id] = rounds_for(square);
+  const auto& hierarchy = schedule_.hierarchy();
+  leaf_charge_.resize(hierarchy.square_count());
+  for (std::size_t id = 0; id < leaf_charge_.size(); ++id) {
+    const SquareInfo& square = hierarchy.square(static_cast<int>(id));
     if (square.is_leaf() && !square.members.empty() &&
         config_.leaf_cost != LeafCostModel::kMeasured) {
       leaf_charge_[id] = charged_leaf_cost(
           config_.leaf_cost, square.members.size(),
-          square.rect.width() / graph_->radius(), eps_at_depth(square.depth),
-          config_.leaf_constant);
+          square.rect.width() / graph_->radius(),
+          schedule_.eps(static_cast<int>(id)), config_.leaf_constant);
     }
   }
 }
 
 bool MultilevelAffineGossip::degenerate() const noexcept {
   // A leaf root has no children, so this also covers it.
-  return children_[static_cast<std::size_t>(hierarchy_.root())].size() < 2;
+  return schedule_.children(hierarchy().root()).size() < 2;
 }
 
 std::uint64_t MultilevelAffineGossip::step_cap(std::uint64_t requested) const {
   if (degenerate()) return 1;
   if (requested != 0) return requested;
-  const double k = static_cast<double>(
-      children_[static_cast<std::size_t>(hierarchy_.root())].size());
+  const double k =
+      static_cast<double>(schedule_.children(hierarchy().root()).size());
   return static_cast<std::uint64_t>(
       std::ceil(64.0 * k * std::log(k / config_.eps)));
 }
 
-double MultilevelAffineGossip::eps_at_depth(int depth) const {
-  return config_.eps / std::pow(config_.eps_decay, depth);
-}
-
-std::vector<int> MultilevelAffineGossip::nonempty_children(
-    const SquareInfo& square) const {
-  std::vector<int> out;
-  out.reserve(square.children.size());
-  for (const int child : square.children) {
-    if (!hierarchy_.square(child).members.empty()) out.push_back(child);
-  }
-  return out;
-}
-
-std::uint32_t MultilevelAffineGossip::rounds_for(
-    const SquareInfo& square) const {
-  const auto children = nonempty_children(square);
-  if (children.size() < 2) return 0;
-  const double k = static_cast<double>(children.size());
-  const double eps = eps_at_depth(square.depth);
-  return static_cast<std::uint32_t>(
-      std::ceil(config_.round_constant * k * std::log(k / eps)));
-}
-
-void MultilevelAffineGossip::charge_activation(const SquareInfo& square) {
+void MultilevelAffineGossip::charge_activation(int square_id,
+                                               const SquareInfo& square) {
   if (!config_.charge_control) return;
   if (square.is_leaf()) {
     // Level-1 activation + deactivation: flood the square twice.
@@ -89,11 +57,9 @@ void MultilevelAffineGossip::charge_activation(const SquareInfo& square) {
   // Higher level: one routed control packet per child representative,
   // on activation and deactivation.
   const NodeId rep = static_cast<NodeId>(square.representative);
-  for (const int child : square.children) {
-    const auto& child_info = hierarchy_.square(child);
-    if (child_info.representative < 0) continue;
-    const auto hops =
-        routes_.hops(rep, static_cast<NodeId>(child_info.representative));
+  for (const int child : schedule_.children(square_id)) {
+    const auto hops = routes_.hops(
+        rep, static_cast<NodeId>(hierarchy().square(child).representative));
     meter_.add(sim::TxCategory::kControl, 2ull * hops);
   }
 }
@@ -116,7 +82,7 @@ void MultilevelAffineGossip::measured_leaf_average(const SquareInfo& square,
   const double target_sq = dev_sq * eps * eps;
 
   // Membership test for neighbour filtering.
-  const int leaf_id = hierarchy_.leaf_of(members.front());
+  const int leaf_id = hierarchy().leaf_of(members.front());
   const std::uint64_t tick_cap =
       1000ull * m * static_cast<std::uint64_t>(
                         std::ceil(std::log(static_cast<double>(m) / eps)));
@@ -129,7 +95,7 @@ void MultilevelAffineGossip::measured_leaf_average(const SquareInfo& square,
     std::uint32_t in_leaf = 0;
     NodeId chosen = node;
     for (const NodeId u : graph_->neighbors(node)) {
-      if (hierarchy_.leaf_of(u) != leaf_id) continue;
+      if (hierarchy().leaf_of(u) != leaf_id) continue;
       ++in_leaf;
       if (rng_->below(in_leaf) == 0) chosen = u;
     }
@@ -146,12 +112,12 @@ void MultilevelAffineGossip::measured_leaf_average(const SquareInfo& square,
 }
 
 void MultilevelAffineGossip::leaf_average(int square_id) {
-  const SquareInfo& square = hierarchy_.square(square_id);
+  const SquareInfo& square = hierarchy().square(square_id);
   const auto& members = square.members;
   if (members.size() <= 1) return;
 
   if (config_.leaf_cost == LeafCostModel::kMeasured) {
-    measured_leaf_average(square, eps_at_depth(square.depth));
+    measured_leaf_average(square, schedule_.eps(square_id));
     return;
   }
 
@@ -182,8 +148,8 @@ void MultilevelAffineGossip::leaf_average(int square_id) {
 }
 
 void MultilevelAffineGossip::exchange(int child_i, int child_j) {
-  const auto& info_i = hierarchy_.square(child_i);
-  const auto& info_j = hierarchy_.square(child_j);
+  const auto& info_i = hierarchy().square(child_i);
+  const auto& info_j = hierarchy().square(child_j);
   GG_CHECK(info_i.representative >= 0 && info_j.representative >= 0,
            "exchange between squares without representatives");
   const auto rep_i = static_cast<NodeId>(info_i.representative);
@@ -207,7 +173,7 @@ void MultilevelAffineGossip::exchange(int child_i, int child_j) {
   apply_affine_jump(rep_i, rep_j, beta);
 }
 
-void MultilevelAffineGossip::exchange_round(const std::vector<int>& children) {
+void MultilevelAffineGossip::exchange_round(std::span<const int> children) {
   const std::size_t i = rng_->below(children.size());
   const std::size_t j = rng_->below_excluding(children.size(), i);
   exchange(children[i], children[j]);
@@ -216,17 +182,16 @@ void MultilevelAffineGossip::exchange_round(const std::vector<int>& children) {
 }
 
 void MultilevelAffineGossip::average_square(int square_id) {
-  const SquareInfo& square = hierarchy_.square(square_id);
+  const SquareInfo& square = hierarchy().square(square_id);
   if (square.members.empty()) return;
 
-  charge_activation(square);
+  charge_activation(square_id, square);
   if (square.is_leaf()) {
     leaf_average(square_id);
     return;
   }
 
-  const auto id = static_cast<std::size_t>(square_id);
-  const std::vector<int>& children = children_[id];
+  const std::span<const int> children = schedule_.children(square_id);
   if (children.size() == 1) {
     average_square(children.front());
     return;
@@ -235,20 +200,21 @@ void MultilevelAffineGossip::average_square(int square_id) {
   // Activation: every child is averaged once before exchanges begin.
   for (const int child : children) average_square(child);
 
-  for (std::uint32_t round = 0; round < rounds_[id]; ++round) {
+  const std::uint32_t rounds = schedule_.rounds(square_id);
+  for (std::uint32_t round = 0; round < rounds; ++round) {
     exchange_round(children);
   }
 }
 
 void MultilevelAffineGossip::on_tick(const sim::Tick& tick) {
+  const int root = hierarchy().root();
   if (degenerate()) {
-    average_square(hierarchy_.root());
+    average_square(root);
     return;
   }
-  const std::vector<int>& root_children =
-      children_[static_cast<std::size_t>(hierarchy_.root())];
+  const std::span<const int> root_children = schedule_.children(root);
   if (tick.index == 0) {
-    charge_activation(hierarchy_.square(hierarchy_.root()));
+    charge_activation(root, hierarchy().square(root));
     for (const int child : root_children) average_square(child);
   }
   exchange_round(root_children);

@@ -1,5 +1,5 @@
 // The paper's hierarchical affine gossip, as a round-based simulator with
-// faithful transmission accounting (DESIGN.md: "idealized substrate" mode).
+// faithful transmission accounting.
 //
 // Structure follows §3 exactly, applied recursively per §4:
 //   * the deployment square is partitioned per the hierarchy rule;
@@ -14,10 +14,10 @@
 // round per engine step until the measured global error reaches the
 // target epsilon, which is what the transmissions-to-eps benches report.
 // Step 0 first runs the activation pass (every root child averaged once).
-// Inner levels are open-loop on the practical schedule, mirroring the
-// protocol's counter-driven budgets.  A degenerate deployment (the root is
-// a leaf, or has fewer than two non-empty children) is one open-loop
-// averaging pass: a single step.
+// Inner levels are open-loop on the core::Schedule's inner-round budgets,
+// mirroring the protocol's counter-driven budgets.  A degenerate deployment
+// (the root is a leaf, or has fewer than two non-empty children) is one
+// open-loop averaging pass: a single step.
 //
 // With max_depth = 1 this degenerates to the paper's §3 one-level protocol;
 // with BetaMode::kConvexRep it becomes the convex ablation (representatives
@@ -27,9 +27,11 @@
 #define GEOGOSSIP_CORE_MULTILEVEL_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/round_protocol.hpp"
+#include "core/schedule.hpp"
 #include "geometry/hierarchy.hpp"
 #include "gossip/base.hpp"
 #include "graph/geometric_graph.hpp"
@@ -37,13 +39,10 @@
 
 namespace geogossip::core {
 
-struct MultilevelConfig {
-  /// Top-level accuracy target (closed loop).
-  double eps = 1e-3;
-  /// Practical hierarchy leaf threshold (expected occupancy).
-  double leaf_threshold = 48.0;
-  /// Depth cap; 1 reproduces the §3 one-level protocol.
-  int max_depth = 12;
+/// The schedule's five settings (ScheduleConfig: eps is the closed-loop
+/// top-level target; max_depth = 1 reproduces the §3 one-level protocol)
+/// plus the round protocol's own.
+struct MultilevelConfig : ScheduleConfig {
   LeafCostModel leaf_cost = LeafCostModel::kGrgMixing;
   /// Affine gain.  Default: harmonic-of-actual-occupancies, which keeps the
   /// effective alphas in (0, 0.8) for every occupancy pair.  The paper's
@@ -53,10 +52,6 @@ struct MultilevelConfig {
   /// alpha = beta/m exceed 1 and the update amplifies; kExpected remains
   /// available for ablation E10 and the instability tests.
   BetaMode beta_mode = BetaMode::kActualHarmonic;
-  /// c in the inner-round budget ceil(c * k * ln(k / eps_r)).
-  double round_constant = 1.0;
-  /// eps_r = eps / eps_decay^r.
-  double eps_decay = 10.0;
   /// Constant of the charged leaf-averaging models.
   double leaf_constant = 1.0;
   /// Absolute bound of the noise injected after each idealized leaf
@@ -84,7 +79,7 @@ class MultilevelAffineGossip final : public gossip::ValueProtocol {
   std::uint64_t step_cap(std::uint64_t requested) const;
 
   const geometry::PartitionHierarchy& hierarchy() const noexcept {
-    return hierarchy_;
+    return schedule_.hierarchy();
   }
   /// Number of inner exchanges whose effective alpha = beta / occupancy
   /// fell outside the paper's (1/3, 1/2) window (occupancy fluctuation).
@@ -93,7 +88,7 @@ class MultilevelAffineGossip final : public gossip::ValueProtocol {
   }
 
  protected:
-  /// Serialized: the alpha-range counter.  The hierarchy and the route
+  /// Serialized: the alpha-range counter.  The schedule and the route
   /// cache are deterministic products of the configuration.
   void snapshot_scratch(SnapshotWriter& w) const override;
   void restore_scratch(SnapshotReader& r) override;
@@ -101,24 +96,19 @@ class MultilevelAffineGossip final : public gossip::ValueProtocol {
  private:
   bool degenerate() const noexcept;
   /// Exchanges two uniform distinct `children`, then re-averages both.
-  void exchange_round(const std::vector<int>& children);
+  void exchange_round(std::span<const int> children);
   /// Open-loop recursive averaging of one square at its schedule budget.
   void average_square(int square_id);
   void leaf_average(int square_id);
   void measured_leaf_average(const geometry::SquareInfo& square, double eps);
   void exchange(int child_i, int child_j);
-  void charge_activation(const geometry::SquareInfo& square);
-  double eps_at_depth(int depth) const;
-  std::uint32_t rounds_for(const geometry::SquareInfo& square) const;
-  std::vector<int> nonempty_children(const geometry::SquareInfo& square) const;
+  /// `square` is hierarchy().square(square_id).
+  void charge_activation(int square_id, const geometry::SquareInfo& square);
 
   MultilevelConfig config_;
-  geometry::PartitionHierarchy hierarchy_;
-  // Per-square schedule tables, indexed by square id and computed once by
-  // the constructor: the non-empty children, the inner-round budget and
-  // (analytic leaf models only) the charged leaf-averaging cost.
-  std::vector<std::vector<int>> children_;
-  std::vector<std::uint32_t> rounds_;
+  Schedule schedule_;
+  /// Per square (analytic leaf models only): the charged leaf-averaging
+  /// cost, computed once by the constructor.
   std::vector<std::uint64_t> leaf_charge_;
   RouteHopCache routes_;
   std::uint64_t alpha_out_of_range_ = 0;

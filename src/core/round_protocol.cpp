@@ -80,15 +80,6 @@ std::uint64_t charged_leaf_cost(LeafCostModel model, std::size_t m,
   return static_cast<std::uint64_t>(std::llround(2.0 * exchanges));
 }
 
-geometry::HierarchyConfig practical_hierarchy(double leaf_occupancy,
-                                              int max_depth) {
-  geometry::HierarchyConfig h;
-  h.threshold = geometry::HierarchyConfig::Threshold::kPractical;
-  h.leaf_occupancy = leaf_occupancy;
-  h.max_depth = max_depth;
-  return h;
-}
-
 std::uint32_t RouteHopCache::route_hops(graph::NodeId a,
                                          graph::NodeId b) const {
   const auto route = routing::route_to_node(*graph_, a, b);

@@ -1,7 +1,8 @@
 // Accounting primitives for the round-based simulators (§3's protocol and
 // its recursive generalization).
 //
-// The paper's cost model (DESIGN.md §5) charges:
+// The paper's cost model charges (leaf models: README "Substitutions from
+// the paper"):
 //   * a long-range exchange: measured greedy-route hops, there and back;
 //   * local averaging inside a square ("protocol A" at the leaves): the
 //     epsilon-averaging cost of nearest-neighbour gossip on the induced
@@ -25,7 +26,6 @@
 #include <string_view>
 #include <vector>
 
-#include "geometry/hierarchy.hpp"
 #include "graph/geometric_graph.hpp"
 
 namespace geogossip::core {
@@ -55,11 +55,6 @@ double exchange_beta(BetaMode mode, double expected_occupancy,
 std::uint64_t charged_leaf_cost(LeafCostModel model, std::size_t m,
                                 double side_over_radius, double eps,
                                 double constant);
-
-/// The practical-threshold hierarchy both hierarchical protocols build:
-/// split while a square's expected occupancy exceeds `leaf_occupancy`.
-geometry::HierarchyConfig practical_hierarchy(double leaf_occupancy,
-                                              int max_depth);
 
 /// Memoized greedy-route hop counts between node pairs, keyed on the
 /// unordered pair packed as (min << 32) | max.  A route that greedy

@@ -1,54 +1,110 @@
 #include "core/schedule.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <sstream>
 
-#include "geometry/grid.hpp"
 #include "support/check.hpp"
 #include "support/string_util.hpp"
 
 namespace geogossip::core {
 
-std::vector<LevelProfile> compute_level_profile(std::size_t n,
-                                                double leaf_threshold,
-                                                int max_depth) {
-  GG_CHECK_ARG(n >= 2, "compute_level_profile: n >= 2");
-  GG_CHECK_ARG(leaf_threshold >= 1.0, "leaf threshold >= 1");
+namespace {
 
-  std::vector<LevelProfile> profile;
-  double expected = static_cast<double>(n);
-  int depth = 0;
-  while (true) {
-    LevelProfile level;
-    level.depth = depth;
-    level.expected_occupancy = expected;
-    if (expected <= leaf_threshold || depth >= max_depth) {
-      level.fan_out = 0;
-      profile.push_back(level);
-      return profile;
+/// The practical-threshold hierarchy of a validated `config`.
+geometry::HierarchyConfig checked_hierarchy(const ScheduleConfig& config) {
+  GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
+  GG_CHECK_ARG(config.eps_decay > 1.0, "eps_decay > 1");
+  GG_CHECK_ARG(config.round_constant > 0.0, "round_constant > 0");
+  GG_CHECK_ARG(config.leaf_threshold >= 1.0, "leaf_threshold >= 1");
+  GG_CHECK_ARG(config.max_depth >= 1, "max_depth >= 1");
+  geometry::HierarchyConfig hierarchy;
+  hierarchy.threshold = geometry::HierarchyConfig::Threshold::kPractical;
+  hierarchy.leaf_occupancy = config.leaf_threshold;
+  hierarchy.max_depth = config.max_depth;
+  return hierarchy;
+}
+
+}  // namespace
+
+Schedule::Schedule(const std::vector<geometry::Vec2>& points,
+                   const geometry::Rect& region, const ScheduleConfig& config)
+    : config_(config), hierarchy_(points, region, checked_hierarchy(config)) {
+  const std::size_t squares = hierarchy_.square_count();
+  eps_.resize(squares);
+  child_start_.assign(squares + 1, 0);
+  rounds_.assign(squares, 0);
+  for (std::size_t id = 0; id < squares; ++id) {
+    const auto& square = hierarchy_.square(static_cast<int>(id));
+    const double eps = config.eps / std::pow(config.eps_decay, square.depth);
+    eps_[id] = eps;
+    for (const int child : square.children) {
+      if (!hierarchy_.square(child).members.empty()) {
+        children_.push_back(child);
+      }
     }
-    const auto fan_out = geometry::paper_subsquare_count(expected);
-    level.fan_out = static_cast<int>(fan_out);
-    profile.push_back(level);
-    expected /= static_cast<double>(fan_out);
-    ++depth;
+    child_start_[id + 1] = children_.size();
+    const std::size_t nonempty = child_start_[id + 1] - child_start_[id];
+    if (nonempty >= 2) {
+      const double k = static_cast<double>(nonempty);
+      rounds_[id] = static_cast<std::uint32_t>(
+          std::ceil(config.round_constant * k * std::log(k / eps)));
+    }
   }
+}
+
+std::string Schedule::to_string() const {
+  const auto range = [](std::size_t lo, std::size_t hi) {
+    return lo == hi ? std::to_string(lo)
+                    : std::to_string(lo) + ".." + std::to_string(hi);
+  };
+  const auto k = [this](int id) { return children(id).size(); };
+  const auto budget = [this](int id) { return rounds(id); };
+  std::ostringstream os;
+  os << "schedule (c=" << config_.round_constant
+     << ", decay=" << config_.eps_decay
+     << ", leaf threshold=" << config_.leaf_threshold << "): "
+     << hierarchy_.square_count() << " squares, " << hierarchy_.levels()
+     << " levels";
+  for (int depth = 0; depth < hierarchy_.levels(); ++depth) {
+    const auto ids = hierarchy_.squares_at_depth(depth);
+    os << "\n  depth " << depth << ": eps=" << format_sci(eps(ids.front()), 2)
+       << " squares=" << ids.size();
+    if (hierarchy_.square(ids.front()).is_leaf()) {
+      os << " (leaves)";
+      continue;
+    }
+    const auto [k_lo, k_hi] = std::ranges::minmax(ids, {}, k);
+    const auto [r_lo, r_hi] = std::ranges::minmax(ids, {}, budget);
+    os << " k=" << range(k(k_lo), k(k_hi))
+       << " rounds=" << range(budget(r_lo), budget(r_hi));
+  }
+  return os.str();
 }
 
 PaperSchedule make_paper_schedule(std::size_t n, double eps0, double delta0,
                                   double a,
-                                  const std::vector<LevelProfile>& profile) {
+                                  const geometry::HierarchyConfig& hierarchy) {
+  GG_CHECK_ARG(n >= 2, "make_paper_schedule: n >= 2");
   GG_CHECK_ARG(eps0 > 0.0 && eps0 < 1.0, "eps0 in (0,1)");
   GG_CHECK_ARG(delta0 > 0.0 && delta0 < 1.0, "delta0 in (0,1)");
   GG_CHECK_ARG(a > 0.0, "a > 0");
-  GG_CHECK_ARG(!profile.empty(), "empty level profile");
+  const double threshold = hierarchy.threshold_value(n);
+  GG_CHECK_ARG(threshold >= 1.0, "leaf threshold >= 1");
 
   const double nn = static_cast<double>(n);
-  const std::size_t depths = profile.size();
-
   PaperSchedule schedule;
   schedule.a = a;
+  // The nominal hierarchy: split each depth at its expected occupancy.
+  double expected = nn;
+  for (int depth = 0;; ++depth) {
+    schedule.fan_out.push_back(geometry::split_fan_out(
+        expected, depth, threshold, hierarchy.max_depth));
+    if (schedule.fan_out.back() == 0) break;
+    expected /= static_cast<double>(schedule.fan_out.back());
+  }
+  const std::size_t depths = schedule.fan_out.size();
   schedule.eps.resize(depths);
   schedule.delta.resize(depths);
   schedule.log10_time.assign(depths, 0.0);
@@ -88,7 +144,7 @@ PaperSchedule make_paper_schedule(std::size_t n, double eps0, double delta0,
     // time(r-1) = time(r) * n^a * ((log(n_r / eps_r)) log(1/delta_r))^16,
     // n_r = fan-out at depth r-1 (the subsquare count of that split).
     const double fan =
-        std::max(4.0, static_cast<double>(profile[r - 1].fan_out));
+        std::max(4.0, static_cast<double>(schedule.fan_out[r - 1]));
     schedule.log10_time[r - 1] =
         schedule.log10_time[r] + a * std::log10(nn) + log10_block(r, fan);
   }
@@ -99,48 +155,10 @@ std::string PaperSchedule::to_string() const {
   std::ostringstream os;
   os << "paper schedule (a=" << a << "):";
   for (std::size_t r = 0; r < eps.size(); ++r) {
-    os << "\n  depth " << r << ": eps=" << format_sci(eps[r], 2)
+    os << "\n  depth " << r << ": k=" << fan_out[r]
+       << " eps=" << format_sci(eps[r], 2)
        << " delta=" << format_sci(delta[r], 2)
        << " time=10^" << format_fixed(log10_time[r], 1) << " ticks";
-  }
-  return os.str();
-}
-
-PracticalSchedule make_practical_schedule(
-    double eps0, double round_constant, double eps_decay,
-    const std::vector<LevelProfile>& profile) {
-  GG_CHECK_ARG(eps0 > 0.0 && eps0 < 1.0, "eps0 in (0,1)");
-  GG_CHECK_ARG(round_constant > 0.0, "round_constant > 0");
-  GG_CHECK_ARG(eps_decay > 1.0, "eps_decay > 1");
-  GG_CHECK_ARG(!profile.empty(), "empty level profile");
-
-  PracticalSchedule schedule;
-  schedule.round_constant = round_constant;
-  schedule.eps_decay = eps_decay;
-  schedule.eps.resize(profile.size());
-  schedule.rounds.assign(profile.size(), 0);
-
-  double eps = eps0;
-  for (std::size_t r = 0; r < profile.size(); ++r) {
-    schedule.eps[r] = eps;
-    if (profile[r].fan_out > 0) {
-      // Observation 1: Theta(k log(k / eps_r)) sibling exchanges per round.
-      const double k = static_cast<double>(profile[r].fan_out);
-      schedule.rounds[r] = static_cast<std::uint32_t>(std::ceil(
-          round_constant * k * std::log(k / eps)));
-    }
-    eps /= eps_decay;
-  }
-  return schedule;
-}
-
-std::string PracticalSchedule::to_string() const {
-  std::ostringstream os;
-  os << "practical schedule (c=" << round_constant
-     << ", decay=" << eps_decay << "):";
-  for (std::size_t r = 0; r < eps.size(); ++r) {
-    os << "\n  depth " << r << ": eps=" << format_sci(eps[r], 2)
-       << " rounds=" << rounds[r];
   }
   return os.str();
 }

@@ -22,6 +22,12 @@ double HierarchyConfig::threshold_value(std::size_t n) const {
   return leaf_occupancy;
 }
 
+std::int64_t split_fan_out(double expected, int depth, double threshold,
+                           int max_depth) {
+  if (expected <= threshold || depth >= max_depth) return 0;
+  return paper_subsquare_count(expected);
+}
+
 PartitionHierarchy::PartitionHierarchy(const std::vector<Vec2>& points,
                                        const Rect& region,
                                        const HierarchyConfig& config)
@@ -79,9 +85,9 @@ void PartitionHierarchy::build(const Rect& region,
 
     const double expected = squares_[static_cast<std::size_t>(id)].expected_occupancy;
     const int depth = squares_[static_cast<std::size_t>(id)].depth;
-    if (expected <= threshold || depth >= config.max_depth) continue;
-
-    const std::int64_t subsquares = paper_subsquare_count(expected);
+    const std::int64_t subsquares =
+        split_fan_out(expected, depth, threshold, config.max_depth);
+    if (subsquares == 0) continue;
     const int side = static_cast<int>(std::llround(
         std::sqrt(static_cast<double>(subsquares))));
     GG_CHECK(static_cast<std::int64_t>(side) * side == subsquares,

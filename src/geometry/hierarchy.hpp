@@ -6,7 +6,8 @@
 // The paper's literal threshold is (log n)^8, which exceeds n for every
 // simulable n (the constants are asymptotic); HierarchyConfig therefore also
 // offers a practical threshold that preserves the structure (depth ~
-// log log n, fan-out ~ sqrt(occupancy)).  See DESIGN.md §2.
+// log log n, fan-out ~ sqrt(occupancy)); README "Substitutions from the
+// paper" lists it.  split_fan_out() is the one statement of the split rule.
 //
 // Every square records its representative s(square) — the member sensor
 // nearest the square's centre — and each sensor gets the paper's Level:
@@ -41,6 +42,13 @@ struct HierarchyConfig {
   /// The value of the splitting threshold for a deployment of n sensors.
   double threshold_value(std::size_t n) const;
 };
+
+/// The §4.1 split rule: a square of expected occupancy `expected` at
+/// `depth` splits into nearest_even_square(sqrt(expected)) subsquares,
+/// unless it is a leaf (expected <= threshold or depth >= max_depth), in
+/// which case the fan-out is 0.
+std::int64_t split_fan_out(double expected, int depth, double threshold,
+                           int max_depth);
 
 /// One square of the hierarchy.  Squares form an arena-indexed tree; index 0
 /// is the root (the whole deployment region).

@@ -1,7 +1,7 @@
 // Gossip engine: drives any protocol step by step until the
-// epsilon-averaging criterion (DESIGN.md §6) is met.  A step is one
-// Poisson clock tick, or one synchronous round for a protocol whose steps
-// are rounds (GossipProtocol::steps_are_rounds).
+// epsilon-averaging criterion ||x - mean|| <= eps ||x(0) - mean|| is met.
+// A step is one Poisson clock tick, or one synchronous round for a
+// protocol whose steps are rounds (GossipProtocol::steps_are_rounds).
 #ifndef GEOGOSSIP_SIM_ENGINE_HPP
 #define GEOGOSSIP_SIM_ENGINE_HPP
 

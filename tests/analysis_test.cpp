@@ -56,7 +56,7 @@ TEST(Bounds, PredictionSeriesOrdering) {
   // Boyd dominates Dimakis already at n = 10^4; the paper's
   // (log n/eps)^(log log n) factor keeps its curve above Dimakis' until
   // n ~ 10^9..10^10 at unit constants — the asymptotic win is real but the
-  // crossover is far out (EXPERIMENTS.md E5 discussion).
+  // crossover is far out (experiment E5).
   const std::vector<double> ns{1e4, 1e6, 1e8};
   const auto boyd = boyd_series(ns, 1e-3, 1.0);
   const auto dimakis = dimakis_series(ns, 1e-3, 1.0);

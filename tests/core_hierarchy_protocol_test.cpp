@@ -171,20 +171,5 @@ TEST(AsyncProtocol, GrowsSubquadraticallyInN) {
   EXPECT_GT(large, small);         // and it is not free either
 }
 
-TEST(AsyncProtocol, Validation) {
-  const auto g = make_graph(64, 717);
-  Rng rng(718);
-  HierarchyProtocolConfig config;
-  config.eps = 0.0;
-  EXPECT_THROW(HierarchicalAffineProtocol(
-                   g, std::vector<double>(g.node_count(), 0.0), rng, config),
-               ArgumentError);
-  config.eps = 1e-2;
-  config.latency_factor = 0.5;
-  EXPECT_THROW(HierarchicalAffineProtocol(
-                   g, std::vector<double>(g.node_count(), 0.0), rng, config),
-               ArgumentError);
-}
-
 }  // namespace
 }  // namespace geogossip::core

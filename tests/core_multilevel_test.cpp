@@ -311,9 +311,8 @@ TEST(Multilevel, RecursionOverheadAtSimulableScaleIsDocumented) {
   // At simulable n the fan-out of depth >= 1 splits is SMALL (k ~ 4..16),
   // so the per-level round multiplier 2 c ln(k / eps_r) exceeds the k-fold
   // leaf shrinkage and full recursion costs MORE than one level — the
-  // asymptotic regime needs k >> log(k/eps), i.e. n >> 10^6 (DESIGN.md §2,
-  // EXPERIMENTS.md E10).  Pin that fact so a regression in either direction
-  // is caught.
+  // asymptotic regime needs k >> log(k/eps), i.e. n >> 10^6 (experiment
+  // E10).  Pin that fact so a regression in either direction is caught.
   const auto g = make_graph(2048, 632);
   Rng rng1(634);
   auto x0 = make_field(g, rng1);
@@ -335,19 +334,6 @@ TEST(Multilevel, RecursionOverheadAtSimulableScaleIsDocumented) {
   ASSERT_TRUE(r2.converged);
   EXPECT_GT(p2.hierarchy().levels(), p1.hierarchy().levels());
   EXPECT_GT(r2.transmissions.total(), r1.transmissions.total());
-}
-
-TEST(Multilevel, Validation) {
-  const auto g = make_graph(64, 635);
-  Rng rng(636);
-  MultilevelConfig config;
-  EXPECT_THROW(
-      MultilevelAffineGossip(g, std::vector<double>(3, 0.0), rng, config),
-      ArgumentError);
-  config.eps = 0.0;
-  EXPECT_THROW(MultilevelAffineGossip(
-                   g, std::vector<double>(g.node_count(), 0.0), rng, config),
-               ArgumentError);
 }
 
 TEST(Multilevel, StepCapDefaultsToTheRootRoundBudget) {

@@ -74,7 +74,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Integration, ScalingExponentOrderingMatchesTheory) {
   // The paper's headline is about scaling SHAPE, and absolute crossovers at
-  // unit constants sit beyond simulable n (EXPERIMENTS.md E5).  What must
+  // unit constants sit beyond simulable n (experiment E5).  What must
   // hold at test scale: the affine one-level protocol's fitted exponent is
   // far below Dimakis' ~1.5-1.65, and Boyd's is the largest of the three.
   TrialOptions options;

@@ -1,5 +1,5 @@
 // Cross-module property suites: invariants that must hold across sweeps of
-// deployments, seeds and configurations (TEST_P-style, per DESIGN.md §7).
+// deployments, seeds and configurations (TEST_P-style).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -267,13 +267,21 @@ TEST(ErrorMetric, ScalesLinearly) {
 // ------------------------------------------------------- schedule sanity ----
 
 TEST(ScheduleSanity, PracticalRoundsGrowWithAccuracy) {
-  const auto profile = core::compute_level_profile(65536, 48.0);
-  const auto loose = core::make_practical_schedule(1e-2, 1.0, 10.0, profile);
-  const auto tight = core::make_practical_schedule(1e-5, 1.0, 10.0, profile);
-  for (std::size_t r = 0; r < profile.size(); ++r) {
-    if (profile[r].fan_out == 0) continue;
-    EXPECT_GT(tight.rounds[r], loose.rounds[r]);
+  Rng rng(65536);
+  const auto points = geometry::sample_unit_square(65536, rng);
+  core::ScheduleConfig config;
+  config.eps = 1e-2;
+  const core::Schedule loose(points, geometry::Rect::unit_square(), config);
+  config.eps = 1e-5;
+  const core::Schedule tight(points, geometry::Rect::unit_square(), config);
+  int split = 0;
+  for (std::size_t id = 0; id < loose.hierarchy().square_count(); ++id) {
+    const int square = static_cast<int>(id);
+    if (loose.children(square).size() < 2) continue;
+    ++split;
+    EXPECT_GT(tight.rounds(square), loose.rounds(square)) << "square " << id;
   }
+  EXPECT_GT(split, 1);  // the root and the depth-1 squares
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 // (sim::run_to_epsilon), so they hold any refactor to the same RNG stream
 // and the same accounting.  A changed value means a changed trajectory,
 // not a tolerance question.
+//
+// The depth-3 pins (n = 256, leaf threshold 12: 3 levels, 81 squares) also
+// cover the §4.2 state machine; their values were recorded before both
+// protocols read one core::Schedule, which must not move a single ULP.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,10 +16,13 @@
 #include <vector>
 
 #include "core/convergence.hpp"
+#include "core/hierarchy_protocol.hpp"
+#include "core/multilevel.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "geometry/sampling.hpp"
 #include "graph/geometric_graph.hpp"
+#include "sim/engine.hpp"
 #include "sim/field.hpp"
 #include "support/rng.hpp"
 
@@ -118,6 +125,78 @@ TEST(TrajectoryPin, DegenerateDeploymentIsOneOpenLoopPass) {
       ProtocolKind::kAffineMultilevel, g, x0, rng, options);
   expect_pinned(outcome.converged, outcome.transmissions,
                 {true, 914u, 0u, 48u}, "degenerate n = 24");
+}
+
+
+// ------------------------------------------------------------ depth 3 ----
+// No preset or benchmark workload reaches depth 3 at quick scale; a leaf
+// threshold of 12 does at n = 256.
+
+graph::GeometricGraph depth3_graph() {
+  Rng rng(256012);
+  return graph::GeometricGraph::sample(256, 1.5, rng);
+}
+
+TEST(TrajectoryPin, Depth3AsyncAveragingTimes) {
+  const auto g = depth3_graph();
+  Rng rng(256013);
+  core::HierarchyProtocolConfig config;
+  config.leaf_threshold = 12.0;
+  const core::HierarchicalAffineProtocol protocol(
+      g, centred_gaussian(g.node_count(), rng), rng, config);
+  const auto& hierarchy = protocol.hierarchy();
+  ASSERT_EQ(hierarchy.levels(), 3);
+  ASSERT_EQ(hierarchy.square_count(), 81u);
+  // Square 1 has a single empty child, so its k is 3, not 4.
+  std::vector<double> expected(81, 51.596879304360478);  // depth-2 leaves
+  expected[0] = 84684.157866930866;
+  expected[1] = 2127.6391447425176;
+  for (std::size_t id = 2; id <= 16; ++id) expected[id] = 2187.0131334238085;
+  for (std::size_t id = 0; id < expected.size(); ++id) {
+    EXPECT_EQ(protocol.averaging_time(static_cast<int>(id)), expected[id])
+        << "square " << id;
+  }
+}
+
+TEST(TrajectoryPin, Depth3MultiRunsToEps) {
+  const auto g = depth3_graph();
+  Rng rng(256014);
+  const auto x0 = centred_gaussian(g.node_count(), rng);
+  core::MultilevelConfig config;
+  config.leaf_threshold = 12.0;
+  core::MultilevelAffineGossip protocol(g, x0, rng, config);
+  ASSERT_EQ(protocol.hierarchy().levels(), 3);
+  sim::RunConfig run;
+  run.epsilon = config.eps;
+  run.max_ticks = protocol.step_cap(0);
+  const auto result = sim::run_to_epsilon(protocol, rng, run);
+  EXPECT_EQ(result.ticks, 174u);
+  EXPECT_EQ(result.final_error, 0.00096462646573339315);
+  expect_pinned(result.converged, result.transmissions,
+                {true, 3360304u, 33062u, 264906u}, "affine-multi depth 3");
+  EXPECT_EQ(protocol.alpha_out_of_range(), 10108u);
+}
+
+TEST(TrajectoryPin, Depth3AsyncUnderATickCap) {
+  // Uncapped, this run reaches eps after 41,943,828 ticks (about 1.7 s in
+  // Release); the first 4M keep the pin cheap.
+  const auto g = depth3_graph();
+  Rng rng(256013);
+  const auto x0 = centred_gaussian(g.node_count(), rng);
+  core::HierarchyProtocolConfig config;
+  config.leaf_threshold = 12.0;
+  core::HierarchicalAffineProtocol protocol(g, x0, rng, config);
+  sim::RunConfig run;
+  run.epsilon = config.eps;
+  run.max_ticks = 4'000'000;
+  const auto result = sim::run_to_epsilon(protocol, rng, run);
+  EXPECT_EQ(result.ticks, 4'000'000u);
+  EXPECT_EQ(result.final_error, 0.13663157838461715);
+  expect_pinned(result.converged, result.transmissions,
+                {false, 2994818u, 2934u, 19171u}, "affine-async depth 3");
+  EXPECT_EQ(protocol.far_exchanges(), 1391u);
+  EXPECT_EQ(protocol.near_exchanges(), 1497409u);
+  EXPECT_EQ(protocol.activations(), 2467u);
 }
 
 }  // namespace
