@@ -1,5 +1,6 @@
 #include "exp/sink.hpp"
 
+#include <array>
 #include <cmath>
 #include <iomanip>
 #include <sstream>
@@ -43,6 +44,16 @@ std::string format_double(double value) {
   return os.str();
 }
 
+/// A cell's transmission quantiles and category shares, in column order.
+/// They are averages over the converged replicates, so a cell with none
+/// has no value for them: its CSV fields are empty and its JSON values
+/// null, as the console table prints "-".
+std::array<double, 6> converged_costs(const CellSummary& cs) {
+  return {cs.median_tx,         cs.q25_tx,
+          cs.q75_tx,            cs.mean_local_share,
+          cs.mean_long_range_share, cs.mean_control_share};
+}
+
 /// Probe cells identify themselves by probe name, protocol cells by kind.
 std::string procedure_name(const Cell& cell) {
   return cell.probe.empty()
@@ -81,14 +92,15 @@ void CsvSink::write(const SweepSummary& summary) {
         .field(std::string(cell_field_name(cs.cell.field)))
         .field(static_cast<std::uint64_t>(cs.replicates))
         .field(static_cast<std::uint64_t>(cs.converged))
-        .field(cs.converged_fraction)
-        .field(cs.median_tx)
-        .field(cs.q25_tx)
-        .field(cs.q75_tx)
-        .field(cs.mean_local_share)
-        .field(cs.mean_long_range_share)
-        .field(cs.mean_control_share)
-        .field(cs.mean_far_near_ratio)
+        .field(cs.converged_fraction);
+    for (const double cost : converged_costs(cs)) {
+      if (cs.converged > 0) {
+        writer_.field(cost);
+      } else {
+        writer_.field(std::string());
+      }
+    }
+    writer_.field(cs.mean_far_near_ratio)
         .field(summary.master_seed)
         .field(static_cast<std::uint64_t>(summary.threads));
     for (const auto& key : param_keys_) {
@@ -154,15 +166,16 @@ void JsonLinesSink::write(const SweepSummary& summary) {
         << ",\"replicates\":" << cs.replicates
         << ",\"converged\":" << cs.converged
         << ",\"converged_fraction\":"
-        << format_double(cs.converged_fraction)
-        << ",\"median_tx\":" << format_double(cs.median_tx)
-        << ",\"q25_tx\":" << format_double(cs.q25_tx)
-        << ",\"q75_tx\":" << format_double(cs.q75_tx)
-        << ",\"local_share\":" << format_double(cs.mean_local_share)
-        << ",\"long_range_share\":"
-        << format_double(cs.mean_long_range_share)
-        << ",\"control_share\":" << format_double(cs.mean_control_share)
-        << ",\"far_near_ratio\":" << format_double(cs.mean_far_near_ratio)
+        << format_double(cs.converged_fraction);
+    const char* const cost_keys[] = {"median_tx",        "q25_tx",
+                                     "q75_tx",           "local_share",
+                                     "long_range_share", "control_share"};
+    const auto costs = converged_costs(cs);
+    for (std::size_t i = 0; i < costs.size(); ++i) {
+      out << ",\"" << cost_keys[i] << "\":"
+          << (cs.converged > 0 ? format_double(costs[i]) : "null");
+    }
+    out << ",\"far_near_ratio\":" << format_double(cs.mean_far_near_ratio)
         << ",\"master_seed\":" << summary.master_seed
         << ",\"threads\":" << summary.threads;
     if (!cs.cell.params.empty()) {

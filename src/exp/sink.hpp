@@ -31,14 +31,15 @@ class Sink {
 /// Column order: scenario, cell, protocol, n, radius_mult, field,
 /// replicates, converged, converged_fraction, median_tx, q25_tx, q75_tx,
 /// local_share, long_range_share, control_share, far_near_ratio,
-/// master_seed, threads — then one param_<key> column per cell parameter
-/// and five columns (<key>_mean, _median, _q95, _min, _max) per per-trial
-/// metric key, both in sorted key order, so sweep coordinates and order
-/// statistics survive without label parsing.  Probe cells put the probe
-/// name in the protocol column.  The param/metric column sets are fixed by
-/// the FIRST summary written; later summaries fill only those columns
-/// (absent keys emit empty fields, novel keys are dropped) so appended
-/// output stays rectangular.
+/// master_seed, threads (median_tx through control_share are empty for a
+/// cell with no converged replicate) — then one param_<key> column per
+/// cell parameter and five columns (<key>_mean, _median, _q95, _min,
+/// _max) per per-trial metric key, both in sorted key order, so sweep
+/// coordinates and order statistics survive without label parsing.
+/// Probe cells put the probe name in the protocol column.  The
+/// param/metric column sets are fixed by the FIRST summary written; later
+/// summaries fill only those columns (absent keys emit empty fields, novel
+/// keys are dropped) so appended output stays rectangular.
 class CsvSink final : public Sink {
  public:
   explicit CsvSink(const std::string& path);
@@ -53,11 +54,12 @@ class CsvSink final : public Sink {
   std::vector<std::string> metric_keys_;
 };
 
-/// One JSON object per line per cell (JSON Lines / ndjson).  Also speaks a
-/// replicate-level record (write_replicate) that is flushed after EVERY
-/// line, so a sweep killed mid-flight — an XL cell can run for hours —
-/// keeps everything finished so far on disk.  Replicate records carry
-/// (scenario, master_seed, cell_index, replicate) — the identity
+/// One JSON object per line per cell (JSON Lines / ndjson); a cell with
+/// no converged replicate has null median_tx through control_share.  Also
+/// speaks a replicate-level record (write_replicate) that is flushed after
+/// EVERY line, so a sweep killed mid-flight — an XL cell can run for
+/// hours — keeps everything finished so far on disk.  Replicate records
+/// carry (scenario, master_seed, cell_index, replicate) — the identity
 /// exp::Checkpoint keys on — plus the full ReplicateResult payload
 /// (per-category transmissions, exchange counts, metrics), so a resumed
 /// run re-ingests them bit-identically instead of re-running.

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <system_error>
 
+#include "obs/heartbeat.hpp"
 #include "support/check.hpp"
 #include "support/durable_file.hpp"
 #include "support/json.hpp"
@@ -25,12 +26,6 @@ std::string read_text(const fs::path& path) {
           std::istreambuf_iterator<char>()};
 }
 
-std::uint64_t json_count(const JsonValue& doc, std::string_view key) {
-  const JsonValue* v = doc.get(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return 0;
-  return v->is_uint ? v->uint_value : static_cast<std::uint64_t>(v->number);
-}
-
 /// The owner a done marker names; "?" when it does not parse.
 std::string done_marker_owner(const fs::path& path) {
   try {
@@ -41,26 +36,18 @@ std::string done_marker_owner(const fs::path& path) {
   return "?";
 }
 
-/// A worker as its heartbeat file's last line reports it.  Heartbeats
-/// list every lease held ("leases"); older workers wrote one "lease".
+/// A worker as its heartbeat file's last line reports it.
 WorkerStatus read_heartbeat(const fs::path& path) {
   WorkerStatus worker;
   worker.worker = path.stem().string();
   std::string text = read_text(path);
   while (!text.empty() && text.back() == '\n') text.pop_back();
-  try {
-    const JsonValue beat = parse_json(text.substr(text.rfind('\n') + 1));
-    worker.completed = json_count(beat, "completed");
-    worker.total = json_count(beat, "total");
-    if (const JsonValue* leases = beat.get("leases")) {
-      for (const JsonValue& lease : leases->elements) {
-        worker.leases.push_back(lease.text);
-      }
-    } else if (const JsonValue* lease = beat.get("lease")) {
-      worker.leases.push_back(lease->text);
-    }
-    worker.readable = beat.kind == JsonValue::Kind::kObject;
-  } catch (const JsonParseError&) {
+  if (auto beat = obs::parse_heartbeat_line(
+          std::string_view(text).substr(text.rfind('\n') + 1))) {
+    worker.readable = true;
+    worker.completed = beat->completed;
+    worker.total = beat->total;
+    worker.leases = std::move(beat->leases);
   }
   return worker;
 }

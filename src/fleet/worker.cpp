@@ -495,11 +495,24 @@ class Worker {
     for (const std::uint32_t batch : done) {
       fs::remove(queue_ticket_path(options_.fleet_dir, batch), ec);
     }
-    // Snapshot temp debris of workers killed mid-save outlives the
-    // SnapshotStore's age-gated sweep when the fleet finishes fast; with
-    // every batch done there is no in-flight writer left to protect, so
-    // sweep it all.
-    sweep_durable_temps(snaps_dir(options_.fleet_dir), 0.0);
+    // Temp debris of workers killed mid-commit (a snapshot, a done marker,
+    // a lease) outlives the age-gated sweeps when the fleet finishes fast.
+    // With every batch done no such writer is left to protect, so sweep
+    // every directory fleet::violations() inspects — except hb/, where
+    // live workers, this one included, still commit heartbeats and stats.
+    const fs::path hb =
+        fs::path(hb_dir(options_.fleet_dir)).lexically_normal();
+    std::vector<fs::path> dirs{options_.fleet_dir};
+    for (const auto& entry :
+         fs::recursive_directory_iterator(options_.fleet_dir, ec)) {
+      std::error_code entry_ec;
+      if (entry.is_directory(entry_ec)) dirs.push_back(entry.path());
+    }
+    for (const fs::path& dir : dirs) {
+      sweep_durable_temps(
+          dir.string(),
+          dir.lexically_normal() == hb ? kStaleTempAgeSeconds : 0.0);
+    }
   }
 
   void fail_locked(std::exception_ptr error) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <iterator>
 
 #include "obs/memory.hpp"
 #include "support/check.hpp"
@@ -21,7 +22,74 @@ std::int64_t unix_millis_now() {
       .count();
 }
 
+/// `text` as a JSON string literal.  (Appended, not concatenated with
+/// operator+: gcc 12's -Wrestrict misfires on that, GCC bug 105651.)
+std::string json_string(std::string_view text) {
+  std::string out(1, '"');
+  out += json_escape(text);
+  out += '"';
+  return out;
+}
+
+/// `value` as a count: a digits-only token that fits 64 bits.
+std::optional<std::uint64_t> as_count(const JsonValue* value) {
+  if (value == nullptr || value->kind != JsonValue::Kind::kNumber ||
+      !value->is_uint) {
+    return std::nullopt;
+  }
+  return value->uint_value;
+}
+
 }  // namespace
+
+std::optional<HeartbeatLine> parse_heartbeat_line(std::string_view line) {
+  JsonValue beat;
+  try {
+    beat = parse_json(line);
+  } catch (const JsonParseError&) {
+    return std::nullopt;
+  }
+  if (beat.kind != JsonValue::Kind::kObject) return std::nullopt;
+
+  HeartbeatLine parsed;
+  const std::pair<const char*, std::uint64_t*> counts[] = {
+      {"completed", &parsed.completed},
+      {"total", &parsed.total},
+      {"seq", &parsed.seq}};
+  std::string non_count;
+  for (const auto& [key, target] : counts) {
+    if (const auto count = as_count(beat.get(key))) {
+      *target = *count;
+    } else if (non_count.empty() && beat.get(key) != nullptr) {
+      non_count = key;
+    }
+  }
+  if (const JsonValue* leases = beat.get("leases")) {
+    for (const JsonValue& lease : leases->elements) {
+      parsed.leases.push_back(lease.text);
+    }
+  } else if (const JsonValue* lease = beat.get("lease")) {
+    parsed.leases.push_back(lease->text);
+  }
+
+  const JsonValue* record = beat.get("record");
+  std::string missing;
+  for (const std::string_view key : kHeartbeatKeys) {
+    if (beat.get(key) == nullptr) {
+      missing += missing.empty() ? "" : ", ";
+      missing += key;
+    }
+  }
+  if (record == nullptr || record->kind != JsonValue::Kind::kString ||
+      record->text != "heartbeat") {
+    parsed.schema_problem = "record != heartbeat";
+  } else if (!missing.empty()) {
+    parsed.schema_problem = "missing keys: " + missing;
+  } else if (!non_count.empty()) {
+    parsed.schema_problem = non_count + " is not a count";
+  }
+  return parsed;
+}
 
 Heartbeat::Heartbeat(Options options)
     : options_(std::move(options)), total_(options_.total_replicates) {
@@ -117,41 +185,40 @@ void Heartbeat::loop() {
 }
 
 std::string Heartbeat::compose_locked() {
-  std::string line = "{\"record\":\"heartbeat\",\"scenario\":\"";
-  line += json_escape(options_.scenario);
-  line += "\",\"shard_index\":";
-  line += std::to_string(options_.shard_index);
-  line += ",\"shard_count\":";
-  line += std::to_string(options_.shard_count);
-  line += ",\"completed\":";
-  line += std::to_string(completed_);
-  line += ",\"total\":";
-  line += std::to_string(total_);
-  line += ",\"cell\":";
-  line += std::to_string(current_cell_);
-  line += ",\"replicate\":";
-  line += std::to_string(current_replicate_);
-  line += ",\"rss_kb\":";
-  line += std::to_string(max_rss_kb());
-  line += ",\"flush_unix_ms\":";
-  line += std::to_string(unix_millis_now());
-  if (!options_.worker.empty()) {
-    line += ",\"worker\":\"";
-    line += json_escape(options_.worker);
-    line += "\"";
-  }
-  if (!leases_.empty()) {
-    line += ",\"leases\":[";
-    for (std::size_t i = 0; i < leases_.size(); ++i) {
-      if (i != 0) line += ",";
-      line += "\"";
-      line += json_escape(leases_[i]);
-      line += "\"";
+  const std::string values[] = {json_string("heartbeat"),
+                                json_string(options_.scenario),
+                                std::to_string(options_.shard_index),
+                                std::to_string(options_.shard_count),
+                                std::to_string(completed_),
+                                std::to_string(total_),
+                                std::to_string(current_cell_),
+                                std::to_string(current_replicate_),
+                                std::to_string(max_rss_kb()),
+                                std::to_string(unix_millis_now()),
+                                std::to_string(seq_)};
+  static_assert(std::size(values) == kHeartbeatKeys.size());
+  std::string line;
+  for (std::size_t i = 0; i < kHeartbeatKeys.size(); ++i) {
+    if (kHeartbeatKeys[i] == "seq") {
+      // The optional keys sit before "seq".
+      if (!options_.worker.empty()) {
+        line += ",\"worker\":";
+        line += json_string(options_.worker);
+      }
+      if (!leases_.empty()) {
+        line += ",\"leases\":[";
+        for (std::size_t j = 0; j < leases_.size(); ++j) {
+          if (j != 0) line += ",";
+          line += json_string(leases_[j]);
+        }
+        line += "]";
+      }
     }
-    line += "]";
+    line += i == 0 ? "{\"" : ",\"";
+    line += kHeartbeatKeys[i];
+    line += "\":";
+    line += values[i];
   }
-  line += ",\"seq\":";
-  line += std::to_string(seq_);
   line += "}\n";
   lines_ += line;
   ++seq_;

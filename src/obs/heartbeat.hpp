@@ -16,27 +16,52 @@
 // or retrying filesystem never blocks note_start/note_done callers on
 // the simulation's hot path.
 //
-// Schema (one object per line; see README "Observability"):
-//   {"record":"heartbeat","scenario":S,"shard_index":i,"shard_count":k,
-//    "completed":c,"total":t,"cell":ci,"replicate":r,"rss_kb":m,
-//    "flush_unix_ms":w,"seq":q}
-// Fleet workers add two optional keys: "worker" (the stable worker id)
-// and "leases" (every lease currently held, in claim order, e.g.
+// Schema: one object per line carrying the keys of kHeartbeatKeys, in
+// that order (README "Observability" shows a line).  Fleet workers add
+// two optional keys before "seq": "worker" (the stable worker id) and
+// "leases" (every lease currently held, in claim order, e.g.
 // ["batch-3.g2","batch-4.g0"] while one batch drains and the next has
 // started; absent while none is held).  `cell`/`replicate` are -1 until
 // the first replicate starts; `seq` increases by 1 per line, so a stuck
-// `seq` means a dead writer.
+// `seq` means a dead writer.  parse_heartbeat_line is the one reader of
+// a line (the fleet board and obs/trace_check).
 #ifndef GEOGOSSIP_OBS_HEARTBEAT_HPP
 #define GEOGOSSIP_OBS_HEARTBEAT_HPP
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace geogossip::obs {
+
+/// The keys every heartbeat line carries, in the order they are written.
+inline constexpr std::array<std::string_view, 11> kHeartbeatKeys = {
+    "record", "scenario", "shard_index",   "shard_count", "completed",
+    "total",  "cell",     "replicate",     "rss_kb",      "flush_unix_ms",
+    "seq"};
+
+/// One heartbeat line as read back.  Counts a line does not carry as a
+/// non-negative integer read as 0.
+struct HeartbeatLine {
+  /// Empty for a line that keeps the schema; otherwise the first breach:
+  /// "record != heartbeat", "missing keys: a, b" or "<key> is not a count".
+  std::string schema_problem;
+  std::uint64_t completed = 0;
+  std::uint64_t total = 0;
+  std::uint64_t seq = 0;
+  /// "leases", or the single "lease" older workers wrote.
+  std::vector<std::string> leases;
+};
+
+/// Reads one line of a heartbeat file; nullopt when it is not one JSON
+/// object.
+std::optional<HeartbeatLine> parse_heartbeat_line(std::string_view line);
 
 class Heartbeat {
  public:

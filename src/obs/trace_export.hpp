@@ -7,7 +7,8 @@
 // replicate spans naturally contain their graph-build / routing-mirror /
 // protocol-run phases.  Synthetic envelope spans (obs::kSyntheticTid) get
 // their own named lane.  Counter totals and the dropped-event count ride
-// along under "otherData" so tools/trace_summary.py can report them.
+// along under "otherData".  obs/trace_check.hpp reads the file back (the
+// trace_summary tool).
 #ifndef GEOGOSSIP_OBS_TRACE_EXPORT_HPP
 #define GEOGOSSIP_OBS_TRACE_EXPORT_HPP
 

@@ -542,6 +542,53 @@ TEST(Sinks, JsonLinesSinkEmitsOneObjectPerCell) {
   EXPECT_NE(text.find("\"protocol\":\"dimakis\""), std::string::npos);
 }
 
+TEST(Sinks, ACellWithNoConvergedReplicateHasNoCost) {
+  Scenario scenario;
+  scenario.name = "capped";
+  scenario.replicates = 2;
+  scenario.master_seed = 7;
+  scenario.add("reached", core::ProtocolKind::kBoydPairwise, 64)
+      .options.eps = 1e-2;
+  auto& unreachable =
+      scenario.add("unreachable", core::ProtocolKind::kBoydPairwise, 64);
+  unreachable.options.eps = 1e-12;
+  unreachable.options.max_ticks = 10;
+  RunnerOptions options;
+  options.threads = 2;
+  const auto summary = Runner(options).run(scenario);
+  ASSERT_EQ(summary.cells[0].converged, 2u);
+  ASSERT_EQ(summary.cells[1].converged, 0u);
+
+  // Columns 9-14 (median_tx .. control_share) are empty for the cell
+  // that never reached eps; its fraction and far/near ratio are still 0.
+  std::ostringstream csv;
+  CsvSink(csv).write(summary);
+  std::istringstream rows(csv.str());
+  std::string header;
+  std::string reached;
+  std::string capped;
+  std::getline(rows, header);
+  std::getline(rows, reached);
+  std::getline(rows, capped);
+  EXPECT_EQ(capped.find("capped,unreachable,boyd,64,"), 0u) << capped;
+  EXPECT_NE(capped.find(",2,0,0,,,,,,,0,7,2"), std::string::npos) << capped;
+  EXPECT_EQ(reached.find(",,"), std::string::npos) << reached;
+
+  std::ostringstream json;
+  JsonLinesSink(json).write(summary);
+  const std::string text = json.str();
+  const std::string capped_json = text.substr(text.find('\n') + 1);
+  EXPECT_NE(capped_json.find(
+                "\"converged\":0,\"converged_fraction\":0,"
+                "\"median_tx\":null,\"q25_tx\":null,\"q75_tx\":null,"
+                "\"local_share\":null,\"long_range_share\":null,"
+                "\"control_share\":null,\"far_near_ratio\":0,"),
+            std::string::npos)
+      << capped_json;
+  EXPECT_EQ(text.substr(0, text.find('\n')).find("null"), std::string::npos)
+      << text;
+}
+
 TEST(Sinks, CsvSinkAppendsMetricColumnsInSortedKeyOrder) {
   RunnerOptions options;
   options.threads = 2;

@@ -683,6 +683,39 @@ TEST(FleetMerge, ACompleteFleetWithResidueMergesOnlyAfterOneMoreWorker) {
   EXPECT_EQ(slurp(csv), slurp(ref_csv));
 }
 
+// Debris of commits into done/ and hb/ (a finisher killed while writing
+// its done marker, a worker killed mid-beat) on a fleet that then
+// completes: the finishing worker sweeps it, so the merge goes through
+// without anyone deleting files by hand.  A young hb/ temp may be a live
+// worker's beat in flight, and stays.
+TEST(FleetMerge, TheFinishingWorkerSweepsAgedTempsInEveryDirectory) {
+  const std::string dir = test_dir("aged_temps");
+  const exp::Scenario scenario = fleet_scenario();
+  fleet::ensure_plan(dir, scenario, 2, fast_plan_options());
+  const auto plant = [](const std::string& target, int age_seconds) {
+    const std::string temp = durable_temp_path(target);
+    spit(temp, "half a commit");
+    fs::last_write_time(temp, fs::file_time_type::clock::now() -
+                                  std::chrono::seconds(age_seconds));
+    return temp;
+  };
+  const std::string done_temp = plant(fleet::done_marker_path(dir, 0), 400);
+  const std::string dead_beat = plant(fleet::heartbeat_path(dir, "gone"), 400);
+  const std::string live_beat = plant(fleet::heartbeat_path(dir, "alive"), 0);
+
+  std::ostringstream out;
+  ASSERT_TRUE(fleet::run_worker(scenario,
+                                worker_options(dir, "finisher", 2), out)
+                  .fleet_complete);
+  EXPECT_FALSE(fs::exists(done_temp));
+  EXPECT_FALSE(fs::exists(dead_beat));
+  EXPECT_TRUE(fs::exists(live_beat));
+
+  fs::remove(live_beat);  // the live writer renames it
+  const CliOutcome merged = fleet_merge(dir, scenario, "");
+  EXPECT_EQ(merged.exit_code, 0) << merged.stderr_text;
+}
+
 TEST(FleetMerge, AFleetInFlightIsNotMerged) {
   const std::string dir = test_dir("in_flight_merge");
   const exp::Scenario scenario = fleet_scenario();

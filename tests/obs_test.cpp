@@ -4,8 +4,8 @@
 // never changes results (byte-identical sink output), a full event buffer
 // drops instead of blocking or growing, counter totals are bit-identical
 // at any thread count, heartbeat files always parse whole, and the spans
-// the Runner/graph record nest the way the trace exporter and
-// tools/trace_summary.py expect.
+// the Runner/graph record, exported and read back, keep the span rules of
+// obs/trace_check.hpp (the reader's own tests are trace_check_test.cpp).
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -24,6 +24,7 @@
 #include "obs/heartbeat.hpp"
 #include "obs/memory.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace_check.hpp"
 #include "obs/trace_export.hpp"
 #include "support/check.hpp"
 #include "support/durable_file.hpp"
@@ -206,56 +207,23 @@ TEST(Telemetry, RunnerSpansNestForTheTraceExporter) {
   gg::obs::set_enabled(false);
   const auto snap = gg::obs::snapshot();
 
-  const gg::obs::Event* replicate = nullptr;
+  // Cell envelopes live on the synthetic lane.
   for (const auto& event : snap.events) {
-    if (std::string_view(event.name) == "replicate") {
-      replicate = &event;
-      break;
+    if (std::string_view(event.name) == "cell") {
+      EXPECT_EQ(event.tid, gg::obs::kSyntheticTid);
     }
   }
-  ASSERT_NE(replicate, nullptr);
-  ASSERT_STREQ(replicate->key_a, "cell");
 
-  // graph_build and routing_mirror must appear nested inside SOME
-  // replicate span on the same lane — the structure trace_summary.py
-  // --validate asserts on real sweeps.
-  for (const char* phase : {"graph_build", "routing_mirror"}) {
-    bool nested = false;
-    for (const auto& event : snap.events) {
-      if (std::string_view(event.name) != phase) continue;
-      for (const auto& parent : snap.events) {
-        if (std::string_view(parent.name) != "replicate") continue;
-        if (parent.tid == event.tid &&
-            parent.start_ns <= event.start_ns &&
-            event.end_ns <= parent.end_ns) {
-          nested = true;
-          break;
-        }
-      }
-      if (nested) break;
-    }
-    EXPECT_TRUE(nested) << phase << " span not nested in a replicate span";
-  }
-
-  // Cell envelopes live on the synthetic lane and enclose their
-  // replicates' spans.
-  bool cell_encloses = false;
-  for (const auto& event : snap.events) {
-    if (std::string_view(event.name) != "cell") continue;
-    EXPECT_EQ(event.tid, gg::obs::kSyntheticTid);
-    if (event.key_a != nullptr && event.arg_a == replicate->arg_a &&
-        event.start_ns <= replicate->start_ns &&
-        replicate->end_ns <= event.end_ns) {
-      cell_encloses = true;
-    }
-  }
-  EXPECT_TRUE(cell_encloses);
-
-  // The exporter renders a snapshot of this shape without throwing.
+  // Exported and read back, the trace keeps every span rule: replicate
+  // spans carry their args and sit in their cell envelope, and
+  // graph_build / routing_mirror nest in a replicate on the same lane.
   std::ostringstream trace;
   gg::obs::write_chrome_trace(trace, snap, "obs_test");
-  EXPECT_NE(trace.str().find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(trace.str().find("\"replicate\""), std::string::npos);
+  const gg::obs::Trace read = gg::obs::parse_trace(trace.str());
+  EXPECT_FALSE(read.spans.empty());
+  for (const std::string& problem : gg::obs::trace_violations(read)) {
+    ADD_FAILURE() << problem;
+  }
 }
 
 TEST(Telemetry, DisabledRecordsNothing) {
