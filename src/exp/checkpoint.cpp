@@ -1,9 +1,7 @@
 #include "exp/checkpoint.hpp"
 
 #include <cmath>
-#include <fstream>
-#include <istream>
-#include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 
@@ -11,6 +9,7 @@
 #include "sim/metrics.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
+#include "support/read_file.hpp"
 
 namespace geogossip::exp {
 
@@ -124,9 +123,7 @@ const ReplicateResult* Checkpoint::find(std::size_t cell_index,
   return it == records_.end() ? nullptr : &it->second;
 }
 
-void Checkpoint::load(std::istream& in) {
-  const std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
+void Checkpoint::load(std::string_view text) {
   std::size_t pos = 0;
   while (pos < text.size()) {
     const std::size_t newline = text.find('\n', pos);
@@ -223,9 +220,9 @@ void Checkpoint::load(std::istream& in) {
 }
 
 void Checkpoint::load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  GG_CHECK_ARG(in.is_open(), "Checkpoint: cannot open '" + path + "'");
-  load(in);
+  const std::optional<std::string> text = read_file(path);
+  GG_CHECK_ARG(text.has_value(), "Checkpoint: cannot read '" + path + "'");
+  load(*text);
 }
 
 namespace {

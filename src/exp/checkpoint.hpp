@@ -28,9 +28,9 @@
 #define GEOGOSSIP_EXP_CHECKPOINT_HPP
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "exp/scenario.hpp"
@@ -56,11 +56,12 @@ class Checkpoint {
 
   Checkpoint(std::string scenario, std::uint64_t master_seed);
 
-  /// Parses one JSON-lines stream into the set (see the tolerance policy
+  /// Parses one JSON-lines text into the set (see the tolerance policy
   /// above).  May be called repeatedly to fold shard files together;
   /// throws ArgumentError on conflicting payloads for the same key.
-  void load(std::istream& in);
-  /// Opens and loads `path`; throws ArgumentError if it cannot be opened.
+  void load(std::string_view text);
+  /// Reads and loads `path`; throws ArgumentError if it cannot be read (a
+  /// directory included).
   void load_file(const std::string& path);
 
   const std::string& scenario() const noexcept { return scenario_; }

@@ -1,8 +1,6 @@
 #include "exp/snapshot_store.hpp"
 
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <utility>
 
 #include "exp/schema.hpp"
@@ -10,6 +8,7 @@
 #include "support/check.hpp"
 #include "support/durable_file.hpp"
 #include "support/logging.hpp"
+#include "support/read_file.hpp"
 #include "support/snapshot.hpp"
 
 namespace geogossip::exp {
@@ -82,11 +81,12 @@ std::optional<LoadedSnapshot> SnapshotStore::try_load(
     std::size_t cell_index, std::uint32_t replicate,
     std::uint64_t seed) const {
   const std::string path = path_for(cell_index, replicate);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    // No committed snapshot — but an orphaned temp here means a writer
-    // died mid-save for this very slot; count it so fleets can tell "no
-    // snapshot cadence fired yet" apart from "the save itself was torn".
+  const std::optional<std::string> bytes = read_file(path);
+  if (!bytes) {
+    // No committed snapshot (or an unreadable one, e.g. a directory) —
+    // but an orphaned temp here means a writer died mid-save for this
+    // very slot; count it so fleets can tell "no snapshot cadence fired
+    // yet" apart from "the save itself was torn".
     const std::string name = std::filesystem::path(path).filename().string();
     std::error_code ec;
     for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
@@ -104,16 +104,14 @@ std::optional<LoadedSnapshot> SnapshotStore::try_load(
   obs::Span span("snapshot_restore", "cell",
                  static_cast<std::int64_t>(cell_index), "replicate",
                  replicate);
-  const std::string bytes{std::istreambuf_iterator<char>(in),
-                          std::istreambuf_iterator<char>()};
-  if (bytes.size() < kMagic.size() ||
-      std::string_view(bytes).substr(0, kMagic.size()) != kMagic) {
+  if (bytes->size() < kMagic.size() ||
+      std::string_view(*bytes).substr(0, kMagic.size()) != kMagic) {
     log_warn("snapshot '", path,
              "': bad magic (torn or foreign file) — replicate restarts");
     return std::nullopt;
   }
   try {
-    SnapshotReader r(std::string_view(bytes).substr(kMagic.size()));
+    SnapshotReader r(std::string_view(*bytes).substr(kMagic.size()));
     const std::uint32_t schema = r.u32();
     if (schema != kSchemaVersion) {
       throw ArgumentError(

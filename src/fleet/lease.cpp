@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
+#include <optional>
 #include <system_error>
 #include <utility>
 
@@ -14,6 +13,7 @@
 #include "support/durable_file.hpp"
 #include "support/json.hpp"
 #include "support/logging.hpp"
+#include "support/read_file.hpp"
 
 namespace geogossip::fleet {
 
@@ -51,12 +51,10 @@ void read_lease_content(Lease* lease) {
   lease->acquired_unix_ms = 0;
   lease->expires_unix_ms = 0;
   lease->heartbeat.clear();
-  std::ifstream in(lease->path, std::ios::binary);
-  if (!in.is_open()) return;
-  const std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
+  const std::optional<std::string> text = read_file(lease->path);
+  if (!text) return;
   try {
-    const JsonValue doc = parse_json(text);
+    const JsonValue doc = parse_json(*text);
     const JsonValue* record = doc.get("record");
     if (record == nullptr || record->text != "fleet_lease") return;
     if (const JsonValue* v = doc.get("ttl_seconds")) {

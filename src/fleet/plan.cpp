@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
+#include <optional>
 #include <string_view>
 #include <system_error>
 #include <thread>
@@ -14,6 +13,7 @@
 #include "support/durable_file.hpp"
 #include "support/json.hpp"
 #include "support/logging.hpp"
+#include "support/read_file.hpp"
 #include "support/retry.hpp"
 
 namespace geogossip::fleet {
@@ -118,12 +118,12 @@ FleetPlan plan_for(const exp::Scenario& scenario, std::uint32_t batches) {
 
 std::optional<FleetPlan> try_load_plan(const std::string& fleet_dir) {
   const std::string path = plan_path(fleet_dir);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return std::nullopt;
-  const std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) return std::nullopt;
+  const std::optional<std::string> text = read_file(path);
+  if (!text) throw ArgumentError("fleet plan '" + path + "': unreadable");
   try {
-    const JsonValue doc = parse_json(text);
+    const JsonValue doc = parse_json(*text);
     const JsonValue* record = doc.get("record");
     if (record == nullptr || record->text != "fleet_plan") {
       throw ArgumentError("fleet plan '" + path +

@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
-#include <iterator>
+#include <optional>
 #include <sstream>
 #include <system_error>
 
 #include "obs/heartbeat.hpp"
 #include "support/check.hpp"
 #include "support/durable_file.hpp"
+#include "support/read_file.hpp"
 #include "support/json.hpp"
 
 namespace geogossip::fleet {
@@ -20,16 +20,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string read_text(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
-/// The owner a done marker names; "?" when it does not parse.
+/// The owner a done marker names; "?" when it cannot be read or parsed.
 std::string done_marker_owner(const fs::path& path) {
+  const std::optional<std::string> text = read_file(path.string());
+  if (!text) return "?";
   try {
-    const JsonValue doc = parse_json(read_text(path));
+    const JsonValue doc = parse_json(*text);
     if (const JsonValue* owner = doc.get("owner")) return owner->text;
   } catch (const JsonParseError&) {
   }
@@ -40,7 +36,7 @@ std::string done_marker_owner(const fs::path& path) {
 WorkerStatus read_heartbeat(const fs::path& path) {
   WorkerStatus worker;
   worker.worker = path.stem().string();
-  std::string text = read_text(path);
+  std::string text = read_file(path.string()).value_or("");
   while (!text.empty() && text.back() == '\n') text.pop_back();
   if (auto beat = obs::parse_heartbeat_line(
           std::string_view(text).substr(text.rfind('\n') + 1))) {

@@ -48,21 +48,13 @@ void BucketGrid::for_each_within(
 
 std::vector<std::uint32_t> BucketGrid::within(Vec2 p, double radius) const {
   std::vector<std::uint32_t> out;
-  // Upper bound on candidates: each scanned row's buckets are contiguous
-  // in the CSR, so the occupancy of the whole scan window is a handful of
-  // subtractions — one exact reserve instead of push_back growth doublings.
-  const int reach = static_cast<int>(std::ceil(radius / cell_size_));
-  const int pcol = col_of(p);
-  const int prow = row_of(p);
-  const int col_lo = std::max(0, pcol - reach);
-  const int col_hi = std::min(side_ - 1, pcol + reach);
+  // Upper bound on candidates: the scan window's runs, summed — one exact
+  // reserve instead of push_back growth doublings.
   std::size_t candidates = 0;
-  for (int row = std::max(0, prow - reach);
-       row <= std::min(side_ - 1, prow + reach); ++row) {
-    const auto lo = static_cast<std::size_t>(row * side_ + col_lo);
-    const auto hi = static_cast<std::size_t>(row * side_ + col_hi);
-    candidates += bucket_start_[hi + 1] - bucket_start_[lo];
-  }
+  for_each_window_run(p, radius, [&candidates](
+                                     std::span<const std::uint32_t> run) {
+    candidates += run.size();
+  });
   out.reserve(candidates);
   for_each_within(p, radius, [&out](std::uint32_t idx) { out.push_back(idx); });
   return out;

@@ -36,30 +36,43 @@ class BucketGrid {
   std::size_t size() const noexcept { return points_->size(); }
   const std::vector<Vec2>& points() const noexcept { return *points_; }
 
+  /// Invokes fn(run) once per bucket row of the window a range query of
+  /// `radius` around p scans, in row-major order.  Each row's buckets are
+  /// adjacent in the bucket CSR, so `run` is one contiguous slice of point
+  /// indices (no copy); together the runs hold every candidate the query
+  /// tests, in the order it tests them.  Hot loops that keep or count
+  /// candidates scan the runs themselves, branch-free.
+  template <typename Fn>
+  void for_each_window_run(Vec2 p, double radius, Fn&& fn) const {
+    GG_CHECK_ARG(radius >= 0.0, "range query: radius must be >= 0");
+    const int reach = static_cast<int>(std::ceil(radius / cell_size_));
+    const int pcol = col_of(p);
+    const int prow = row_of(p);
+    const int col_lo = std::max(0, pcol - reach);
+    const int col_hi = std::min(side_ - 1, pcol + reach);
+    for (int row = std::max(0, prow - reach);
+         row <= std::min(side_ - 1, prow + reach); ++row) {
+      const auto lo = static_cast<std::size_t>(row * side_ + col_lo);
+      const auto hi = static_cast<std::size_t>(row * side_ + col_hi);
+      fn(std::span<const std::uint32_t>(entries_.data() + bucket_start_[lo],
+                                        entries_.data() +
+                                            bucket_start_[hi + 1]));
+    }
+  }
+
   /// Invokes fn(index) for every point with distance(p, point) <= radius.
   /// The query point itself is reported too if it is in the set.  The
   /// visitor call inlines; use the std::function overload only when type
   /// erasure is required.
   template <typename Visitor>
   void for_each_within(Vec2 p, double radius, Visitor&& fn) const {
-    GG_CHECK_ARG(radius >= 0.0, "for_each_within: radius must be >= 0");
     const double r_sq = radius * radius;
-    const int reach = static_cast<int>(std::ceil(radius / cell_size_));
-    const int pcol = col_of(p);
-    const int prow = row_of(p);
     const Vec2* const points = points_->data();
-    for (int row = std::max(0, prow - reach);
-         row <= std::min(side_ - 1, prow + reach); ++row) {
-      for (int col = std::max(0, pcol - reach);
-           col <= std::min(side_ - 1, pcol + reach); ++col) {
-        const auto b = static_cast<std::size_t>(row * side_ + col);
-        for (std::uint32_t e = bucket_start_[b]; e < bucket_start_[b + 1];
-             ++e) {
-          const std::uint32_t idx = entries_[e];
-          if (distance_sq(points[idx], p) <= r_sq) fn(idx);
-        }
+    for_each_window_run(p, radius, [&](std::span<const std::uint32_t> run) {
+      for (const std::uint32_t idx : run) {
+        if (distance_sq(points[idx], p) <= r_sq) fn(idx);
       }
-    }
+    });
   }
 
   /// Type-erased overload (ABI-stable; prefer the template in hot paths).
@@ -68,10 +81,17 @@ class BucketGrid {
 
   /// Number of points with distance(p, point) <= radius (the query point
   /// itself included when indexed) — pass 1 of the two-pass CSR build is
-  /// exactly one of these per node.
+  /// exactly one of these per node.  Branch-free: about a third of the
+  /// candidates pass, so a kept/dropped branch mispredicts constantly.
   std::size_t count_within(Vec2 p, double radius) const {
+    const double r_sq = radius * radius;
+    const Vec2* const points = points_->data();
     std::size_t count = 0;
-    for_each_within(p, radius, [&](std::uint32_t) { ++count; });
+    for_each_window_run(p, radius, [&](std::span<const std::uint32_t> run) {
+      for (const std::uint32_t idx : run) {
+        count += static_cast<std::size_t>(distance_sq(points[idx], p) <= r_sq);
+      }
+    });
     return count;
   }
 

@@ -48,22 +48,40 @@ GeometricGraph::GeometricGraph(std::vector<geometry::Vec2> points, double r,
   // Exclusive prefix-sum: offsets[v] becomes the start of node v's row.
   for (std::size_t v = 1; v <= n; ++v) offsets[v] += offsets[v - 1];
 
-  // Pass 2: fill each row in place.  The grid visits candidates in bucket
-  // row-major order, which for spatially renumbered samples is already
-  // ascending id order — the per-row sort then degenerates to the
+  // Pass 2: fill each row.  Every candidate of the scan window is written
+  // to a per-range scratch row and the cursor advances only past the kept
+  // ones — branch-free, since about a third of the candidates pass and a
+  // kept/dropped branch mispredicts constantly.  The row then moves into
+  // its CSR slice (scratch, because the one slot written past a row's end
+  // may belong to another range's row).  The grid visits candidates in
+  // bucket row-major order, which for spatially renumbered samples is
+  // already ascending id order — the per-row sort then degenerates to the
   // is_sorted check; arbitrary point sets pay an O(deg log deg) sort.
   std::vector<NodeId> targets(offsets.back());
+  const double r_sq = r_ * r_;
   parallel_ranges(pool_, n, [&](std::size_t begin, std::size_t end) {
+    std::vector<NodeId> row;  // per-range scratch, grown to the widest window
     for (std::size_t i = begin; i < end; ++i) {
-      std::uint64_t cursor = offsets[i];
-      grid.for_each_within(points_[i], r_, [&](std::uint32_t j) {
-        if (j != i) targets[cursor++] = static_cast<NodeId>(j);
+      const geometry::Vec2 p = points_[i];
+      std::size_t kept = 0;
+      grid.for_each_window_run(p, r_, [&](std::span<const std::uint32_t> run) {
+        if (row.size() < kept + run.size()) row.resize(kept + run.size());
+        NodeId* const out = row.data();
+        for (const std::uint32_t j : run) {
+          out[kept] = j;
+          kept += static_cast<std::size_t>(
+                      geometry::distance_sq(points_[j], p) <= r_sq) &
+                  static_cast<std::size_t>(j != i);
+        }
       });
-      const auto row_begin =
-          targets.begin() + static_cast<std::ptrdiff_t>(offsets[i]);
-      const auto row_end =
-          targets.begin() + static_cast<std::ptrdiff_t>(cursor);
-      if (!std::is_sorted(row_begin, row_end)) std::sort(row_begin, row_end);
+      GG_CHECK(kept == offsets[i + 1] - offsets[i],
+               "GeometricGraph: pass 2 disagrees with pass 1's degree");
+      const auto row_end = row.begin() + static_cast<std::ptrdiff_t>(kept);
+      if (!std::is_sorted(row.begin(), row_end)) {
+        std::sort(row.begin(), row_end);
+      }
+      std::copy(row.begin(), row_end,
+                targets.begin() + static_cast<std::ptrdiff_t>(offsets[i]));
     }
   });
   csr_ = CsrGraph::from_parts(std::move(offsets), std::move(targets));
@@ -100,6 +118,10 @@ void GeometricGraph::build_routing_mirror() const {
       bound_up[a] = up;
     }
   }
+  // A neighbour at distance d lies in annulus K - 1 - floor(d * K / r) up
+  // to rounding at the edges; min() clamps d = r (and any d > r) into
+  // [0, K - 1].
+  const double annuli_per_unit = kAnnuli / r_;
 
   const auto offsets = csr_.offsets();
   // offsets.back() == total arc count; exact even for a (contract-
@@ -107,6 +129,8 @@ void GeometricGraph::build_routing_mirror() const {
   // an odd arc count down and the fill loop would overrun by one.
   mirror_->ids.resize(offsets.back());
   mirror_->radii.resize(offsets.back());
+  NodeId* const ids = mirror_->ids.data();
+  float* const radii = mirror_->radii.data();
   parallel_ranges(pool_, points_.size(), [&](std::size_t begin,
                                              std::size_t end) {
     std::vector<std::uint8_t> annulus_of;  // per-range scratch, reused
@@ -118,20 +142,17 @@ void GeometricGraph::build_routing_mirror() const {
       for (std::size_t k = 0; k < neighbors.size(); ++k) {
         const double d_sq =
             geometry::distance_sq(points_[v], points_[neighbors[k]]);
-        // Largest annulus index with d_sq <= its outer edge (binary
-        // search: a linear walk is O(K) per edge and shows in the build).
-        int lo = 0;
-        int hi = kAnnuli - 1;
-        while (lo < hi) {
-          const int mid = (lo + hi + 1) / 2;
-          if (d_sq <= edge_sq[mid]) {
-            lo = mid;
-          } else {
-            hi = mid - 1;
-          }
-        }
-        annulus_of[k] = static_cast<std::uint8_t>(lo);
-        ++cursor[lo];
+        // The annulus is the largest a with d_sq <= edge_sq[a] (0 when
+        // none): guess it from the distance, then settle it with those
+        // exact comparisons.  The guess is right or one off, so each
+        // correction loop almost always exits at once and predictably.
+        int a = kAnnuli - 1 -
+                static_cast<int>(std::min(static_cast<double>(kAnnuli - 1),
+                                          std::sqrt(d_sq) * annuli_per_unit));
+        while (a < kAnnuli - 1 && d_sq <= edge_sq[a + 1]) ++a;
+        while (a > 0 && !(d_sq <= edge_sq[a])) --a;
+        annulus_of[k] = static_cast<std::uint8_t>(a);
+        ++cursor[a];
       }
       // Prefix-sum the per-annulus counts into slice cursors, then place.
       std::uint32_t start = 0;
@@ -143,8 +164,8 @@ void GeometricGraph::build_routing_mirror() const {
       for (std::size_t k = 0; k < neighbors.size(); ++k) {
         const int a = annulus_of[k];
         const std::size_t slot = base + cursor[a]++;
-        mirror_->ids[slot] = neighbors[k];
-        mirror_->radii[slot] = bound_up[a];
+        ids[slot] = neighbors[k];
+        radii[slot] = bound_up[a];
       }
     }
   });

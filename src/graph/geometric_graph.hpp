@@ -6,18 +6,24 @@
 //
 // Construction is a two-pass CSR build straight from the bucket grid: pass 1
 // counts each node's degree, an exclusive prefix-sum lays out the offsets,
-// pass 2 fills each node's (sorted) neighbour slice in place.  No edge-list
-// intermediate, no global sort — and both passes split the node range across
-// a work-stealing ThreadPool when BuildOptions supplies one, with output
-// bit-identical to the serial path at any thread count (each node's slice is
-// a pure function of the point set).
+// pass 2 fills each node's (sorted) neighbour slice.  Both passes walk the
+// scan window as contiguous bucket runs and keep or count candidates
+// without a branch (about a third pass the distance test, so a branch
+// would mispredict constantly).  No edge-list intermediate, no global sort
+// — and both passes split the node range across a work-stealing ThreadPool
+// when BuildOptions supplies one, with output bit-identical to the serial
+// path at any thread count (each node's slice is a pure function of the
+// point set).
 //
 // The routing-ordered adjacency mirror that greedy routing scans is LAZY:
 // it is built (in parallel, when a pool is attached) on the first
 // ensure_routing_mirror() call — which the greedy routers issue on entry —
 // so workloads that never route (spectral probes, connectivity sweeps,
 // nearest-neighbour gossip) never pay its build time or its 8 bytes/arc.
-// Pass BuildOptions::eager_routing_mirror to front-load it instead.
+// Each neighbour's annulus is guessed from its distance and settled by
+// exact comparisons with the annulus edges, then a counting sort groups
+// the row.  Pass BuildOptions::eager_routing_mirror to front-load it
+// instead.
 #ifndef GEOGOSSIP_GRAPH_GEOMETRIC_GRAPH_HPP
 #define GEOGOSSIP_GRAPH_GEOMETRIC_GRAPH_HPP
 

@@ -3,26 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <iterator>
 
 #include "obs/heartbeat.hpp"
 #include "support/json.hpp"
+#include "support/read_file.hpp"
 
 namespace geogossip::obs {
 
 namespace {
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return std::nullopt;
-  try {
-    return std::string{std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>()};
-  } catch (const std::ios_base::failure&) {
-    return std::nullopt;  // a directory, or a failed read
-  }
-}
 
 /// printf into a std::string (the summary's fixed-width columns).
 template <typename... Args>

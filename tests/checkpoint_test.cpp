@@ -57,8 +57,7 @@ std::string record_lines(
 Checkpoint load_text(const std::string& text,
                      const std::string& scenario = "tiny") {
   Checkpoint checkpoint(scenario, kSeed);
-  std::istringstream in(text);
-  checkpoint.load(in);
+  checkpoint.load(text);
   return checkpoint;
 }
 
@@ -211,8 +210,7 @@ TEST(Checkpoint, ConflictingRecordsForOneKeyThrow) {
       record_lines({{{1, 2}, full_result(11)}}) +
       record_lines({{{1, 2}, conflicting}});
   Checkpoint checkpoint("tiny", kSeed);
-  std::istringstream in(text);
-  EXPECT_THROW(checkpoint.load(in), ArgumentError);
+  EXPECT_THROW(checkpoint.load(text), ArgumentError);
 }
 
 TEST(Checkpoint, WrongScenarioOrMasterSeedRecordsAreForeign) {
@@ -255,12 +253,23 @@ TEST(Checkpoint, LoadFileThrowsOnMissingPath) {
                ArgumentError);
 }
 
+TEST(Checkpoint, LoadFileOnADirectoryIsAnArgumentError) {
+  Checkpoint checkpoint("tiny", kSeed);
+  try {
+    checkpoint.load_file(testing::TempDir());
+    ADD_FAILURE() << "a directory loaded as a checkpoint";
+  } catch (const ArgumentError& error) {
+    EXPECT_NE(std::string(error.what()).find("cannot read"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(checkpoint.size(), 0u);
+}
+
 TEST(Checkpoint, LoadAccumulatesAcrossShardFiles) {
   Checkpoint checkpoint("tiny", kSeed);
-  std::istringstream shard0(record_lines({{{0, 0}, full_result(11)}}));
-  std::istringstream shard1(record_lines({{{0, 1}, full_result(12)}}));
-  checkpoint.load(shard0);
-  checkpoint.load(shard1);
+  checkpoint.load(record_lines({{{0, 0}, full_result(11)}}));
+  checkpoint.load(record_lines({{{0, 1}, full_result(12)}}));
   EXPECT_EQ(checkpoint.size(), 2u);
   EXPECT_EQ(checkpoint.records().begin()->first,
             (Checkpoint::Key{0, 0}));

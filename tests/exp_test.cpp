@@ -699,8 +699,7 @@ std::shared_ptr<Checkpoint> checkpoint_from(const Scenario& scenario,
                                             const std::string& text) {
   auto checkpoint =
       std::make_shared<Checkpoint>(scenario.name, scenario.master_seed);
-  std::istringstream in(text);
-  checkpoint->load(in);
+  checkpoint->load(text);
   return checkpoint;
 }
 
@@ -894,8 +893,7 @@ TEST(Sharding, MergedShardFilesReproduceTheUnshardedRunBitIdentically) {
             run_streaming(scenario, threads, shard, k);
         EXPECT_EQ(summary.shard_index, shard);
         EXPECT_EQ(summary.shard_count, k);
-        std::istringstream in(records);
-        merged->load(in);
+        merged->load(records);
       }
       ASSERT_EQ(merged->size(),
                 scenario.cells.size() * scenario.replicates);

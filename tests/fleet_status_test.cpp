@@ -160,6 +160,15 @@ TEST(FleetStatus, AnUnreadableLeaseReadsAsNeverRenewed) {
       << board(dir);
 }
 
+TEST(FleetStatus, DirectoriesAtHeartbeatAndDoneMarkerPathsReadAsUnreadable) {
+  const std::string dir = fresh_fleet("directories", 1);
+  fs::create_directories(fs::path(fleet::hb_dir(dir)) / "w.jsonl");
+  fs::create_directories(fleet::done_marker_path(dir, 0));
+  const std::string text = board(dir);
+  EXPECT_TRUE(contains(text, "worker w: heartbeat unreadable")) << text;
+  EXPECT_TRUE(contains(text, "batch 0: done (by ?)")) << text;
+}
+
 TEST(FleetStatus, ACompleteCleanFleetPassesAndRendersComplete) {
   const std::string dir = complete_fleet("complete");
   EXPECT_TRUE(problems(dir).empty());  // complete_clean_ok

@@ -287,6 +287,22 @@ TEST(LeaseStore, StealTakesAnExpiredLeaseAtTheNextGeneration) {
   EXPECT_EQ(store.leases()[0].generation, 1u);
 }
 
+TEST(LeaseStore, ADirectoryAtALeasePathReadsAsUnreadableAndReclaimable) {
+  const std::string dir = test_dir("lease_directory");
+  fleet::ensure_plan(dir, fleet_scenario(), 1, fast_plan_options());
+  fleet::LeaseStore store(dir);
+  const std::string lease =
+      fleet::leases_dir(dir) + "/" + fleet::lease_filename(0, 0, "w");
+  fs::remove(fleet::queue_ticket_path(dir, 0));
+  fs::create_directories(lease);
+
+  const auto leases = store.leases();
+  ASSERT_EQ(leases.size(), 1u);
+  EXPECT_EQ(leases[0].owner, "w");
+  EXPECT_EQ(leases[0].expires_unix_ms, 0);  // never renewed
+  EXPECT_TRUE(leases[0].expired(fleet::LeaseStore::now_unix_ms()));
+}
+
 TEST(LeaseStore, RenewalKeepsALeaseAliveWellPastItsTtl) {
   const std::string dir = test_dir("renew_beats_ttl");
   fleet::ensure_plan(dir, fleet_scenario(), 1, fast_plan_options());
@@ -411,6 +427,26 @@ TEST(FleetPlan, CorruptPlanStopsTheFleetInsteadOfRestartingIt) {
   fleet::ensure_plan(dir, fleet_scenario(), 2, fast_plan_options());
   spit(fleet::plan_path(dir), "{\"record\":\"fleet_plan\",\"schema\":");
   EXPECT_THROW(fleet::try_load_plan(dir), ArgumentError);
+}
+
+TEST(FleetPlan, APlanPathThatIsADirectoryIsUnreadableNotAbsent) {
+  const std::string dir = test_dir("plan_directory");
+  fleet::ensure_plan(dir, fleet_scenario(), 2, fast_plan_options());
+  fs::remove(fleet::plan_path(dir));
+  fs::create_directories(fleet::plan_path(dir));
+  try {
+    (void)fleet::try_load_plan(dir);
+    ADD_FAILURE() << "a directory loaded as a plan";
+  } catch (const ArgumentError& error) {
+    EXPECT_NE(std::string(error.what()).find("unreadable"), std::string::npos)
+        << error.what();
+  }
+  // The merge surfaces it as a message and exit 1.
+  const CliOutcome merge = run_sweep_cli(
+      {"--fleet-dir=" + dir, "--fleet-merge"}, fleet_scenario());
+  EXPECT_EQ(merge.exit_code, 1);
+  EXPECT_NE(merge.stderr_text.find("unreadable"), std::string::npos)
+      << merge.stderr_text;
 }
 
 TEST(FleetPlan, RequeueRestoresAClaimableTicket) {

@@ -1,9 +1,14 @@
 // Unit + property tests for the graph module: CSR, G(n,r) construction,
-// connectivity, radius helpers.
+// connectivity, radius helpers, and the CSR and routing-mirror kernels
+// against brute-force references and pinned bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "geometry/sampling.hpp"
 #include "graph/connectivity.hpp"
@@ -366,6 +371,217 @@ TEST(GeometricGraph, SubThresholdRadiusDisconnects) {
   const GeometricGraph g(points, 0.25 * threshold_radius(1000));
   EXPECT_FALSE(is_connected(g.adjacency()));
   EXPECT_LT(largest_component_size(g.adjacency()), 500u);
+}
+
+// ------------------------------------- kernels against their definition ----
+
+/// The closed-ball adjacency by an O(n^2) scan: row i lists, ascending,
+/// every j != i with distance_sq(points[j], points[i]) <= r * r.
+void expect_csr_matches_brute_force(const GeometricGraph& g) {
+  const auto& points = g.points();
+  const double r_sq = g.radius() * g.radius();
+  std::vector<NodeId> expected;
+  for (NodeId i = 0; i < g.node_count(); ++i) {
+    expected.clear();
+    for (NodeId j = 0; j < g.node_count(); ++j) {
+      if (j != i && geometry::distance_sq(points[j], points[i]) <= r_sq) {
+        expected.push_back(j);
+      }
+    }
+    const auto row = g.neighbors(i);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), expected.begin(),
+                           expected.end()))
+        << "node " << i << ": degree " << row.size() << ", expected "
+        << expected.size();
+  }
+}
+
+/// The routing mirror from its definition: each neighbour's annulus is the
+/// largest a < K with d_sq <= (r * (K - a) / K)^2 (0 when none), found by
+/// a linear scan of the edges; a row lists annulus 0 first, each annulus
+/// in CSR order, and pairs each entry with its annulus's outer radius
+/// rounded up to float.  Also checks what greedy pruning relies on: radii
+/// never increase along a row and never undercut the true distance.
+void expect_mirror_matches_reference(const GeometricGraph& g) {
+  constexpr int kAnnuli = GeometricGraph::kRoutingAnnuli;
+  double edge_sq[kAnnuli];
+  float bound_up[kAnnuli];
+  for (int a = 0; a < kAnnuli; ++a) {
+    const double edge = g.radius() * static_cast<double>(kAnnuli - a) / kAnnuli;
+    edge_sq[a] = edge * edge;
+    bound_up[a] = static_cast<float>(edge);
+    if (static_cast<double>(bound_up[a]) < edge) {
+      bound_up[a] = std::nextafter(bound_up[a],
+                                   std::numeric_limits<float>::infinity());
+    }
+  }
+  const auto& points = g.points();
+  std::vector<int> annulus;
+  std::vector<NodeId> ids;
+  std::vector<float> radii;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const auto row = g.neighbors(v);
+    annulus.assign(row.size(), 0);
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      const double d_sq = geometry::distance_sq(points[v], points[row[k]]);
+      for (int a = 0; a < kAnnuli; ++a) {
+        if (d_sq <= edge_sq[a]) annulus[k] = a;
+      }
+    }
+    ids.clear();
+    radii.clear();
+    for (int a = 0; a < kAnnuli; ++a) {
+      for (std::size_t k = 0; k < row.size(); ++k) {
+        if (annulus[k] != a) continue;
+        ids.push_back(row[k]);
+        radii.push_back(bound_up[a]);
+      }
+    }
+    const auto got_ids = g.routing_ids(v);
+    const auto got_radii = g.routing_radii(v);
+    ASSERT_EQ(got_ids.size(), ids.size()) << "node " << v;
+    ASSERT_EQ(got_radii.size(), radii.size()) << "node " << v;
+    ASSERT_EQ(std::memcmp(got_ids.data(), ids.data(), got_ids.size_bytes()),
+              0)
+        << "routing ids of node " << v;
+    ASSERT_EQ(
+        std::memcmp(got_radii.data(), radii.data(), got_radii.size_bytes()),
+        0)
+        << "routing radii of node " << v;
+    for (std::size_t k = 0; k < got_ids.size(); ++k) {
+      if (k > 0) {
+        ASSERT_LE(got_radii[k], got_radii[k - 1]) << "node " << v;
+      }
+      ASSERT_GE(static_cast<double>(got_radii[k]),
+                geometry::distance(points[v], points[got_ids[k]]))
+          << "node " << v << ", neighbour " << got_ids[k];
+    }
+  }
+}
+
+/// Uniform points plus the cases a kernel gets wrong at the boundary:
+/// three coincident points, a pair at exactly distance r and a point one
+/// ulp beyond it.  r = 1/8 keeps those distances exact in double.
+std::vector<Vec2> boundary_point_set(Rng& rng, double r) {
+  auto points = geometry::sample_unit_square(400, rng);
+  for (int copy = 0; copy < 3; ++copy) points.push_back({0.3, 0.7});
+  const Vec2 anchor{0.25, 0.5};
+  const Vec2 on_edge{0.25 + r, 0.5};
+  const Vec2 beyond{std::nextafter(on_edge.x, 1.0), 0.5};
+  EXPECT_EQ(geometry::distance_sq(on_edge, anchor), r * r);
+  EXPECT_GT(geometry::distance_sq(beyond, anchor), r * r);
+  points.insert(points.end(), {anchor, on_edge, beyond});
+  return points;
+}
+
+TEST(GeometricGraph, CsrMatchesABruteForceClosedBallScan) {
+  const ThreadPool pool(4);
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    Rng rng(seed);
+    expect_csr_matches_brute_force(GeometricGraph::sample(600, 1.2, rng));
+    Rng rng_pooled(seed);
+    expect_csr_matches_brute_force(
+        GeometricGraph::sample(600, 1.2, rng_pooled, {.pool = &pool}));
+  }
+
+  // Raw constructor: no spatial renumbering, boundary pairs included.
+  const double r = 0.125;
+  Rng rng(17);
+  const auto points = boundary_point_set(rng, r);
+  const auto n = static_cast<NodeId>(points.size());
+  for (const ThreadPool* build_pool : {static_cast<const ThreadPool*>(nullptr),
+                                       &pool}) {
+    const GeometricGraph g(points, r, geometry::Rect::unit_square(),
+                           {.pool = build_pool});
+    expect_csr_matches_brute_force(g);
+    // anchor, on_edge, beyond are the last three points.
+    EXPECT_TRUE(g.adjacency().has_edge(n - 3, n - 2));
+    EXPECT_FALSE(g.adjacency().has_edge(n - 3, n - 1));
+    EXPECT_TRUE(g.adjacency().has_edge(400, 401));  // coincident
+  }
+}
+
+TEST(GeometricGraph, RoutingMirrorMatchesItsDefinition) {
+  const ThreadPool pool(4);
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    Rng rng(seed);
+    expect_mirror_matches_reference(GeometricGraph::sample(2000, 1.2, rng));
+  }
+  Rng rng(17);
+  const auto points = boundary_point_set(rng, 0.125);
+  expect_mirror_matches_reference(GeometricGraph(points, 0.125));
+
+  // Neighbours on every annulus edge r * (K - a) / K and one ulp to either
+  // side, on both sides of a centre node: there the distance-based guess
+  // of the annulus is off by one and the exact comparisons must settle
+  // it.  The dyadic radius puts the middle point exactly on the edge; the
+  // paper radius puts it within rounding of it.
+  constexpr int kAnnuli = GeometricGraph::kRoutingAnnuli;
+  for (const double r : {0.125, paper_radius(4096, 1.2)}) {
+    std::vector<Vec2> ring{{0.5, 0.5}};
+    for (int a = 0; a < kAnnuli; ++a) {
+      const double edge = r * static_cast<double>(kAnnuli - a) / kAnnuli;
+      for (const double x : {0.5 + edge, 0.5 - edge}) {
+        ring.push_back({std::nextafter(x, 0.0), 0.5});
+        ring.push_back({x, 0.5});
+        ring.push_back({std::nextafter(x, 1.0), 0.5});
+      }
+    }
+    for (const ThreadPool* build_pool :
+         {static_cast<const ThreadPool*>(nullptr), &pool}) {
+      const GeometricGraph g(ring, r, geometry::Rect::unit_square(),
+                             {.pool = build_pool});
+      expect_mirror_matches_reference(g);
+      // Every ring point but those past r on the outermost edge.
+      EXPECT_GE(g.degree(0), 6u * kAnnuli - 4) << "r = " << r;
+    }
+  }
+}
+
+/// FNV-1a over the CSR offsets and targets and the mirror's ids and radii.
+std::uint64_t graph_digest(const GeometricGraph& g) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      hash ^= p[i];
+      hash *= 1099511628211ull;
+    }
+  };
+  const auto offsets = g.adjacency().offsets();
+  mix(offsets.data(), offsets.size_bytes());
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    mix(g.neighbors(v).data(), g.neighbors(v).size_bytes());
+  }
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    mix(g.routing_ids(v).data(), g.routing_ids(v).size_bytes());
+  }
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    mix(g.routing_radii(v).data(), g.routing_radii(v).size_bytes());
+  }
+  return hash;
+}
+
+TEST(GeometricGraph, BuildAndMirrorBytesArePinned) {
+  // Recorded from the binary-search mirror and the branching count and
+  // fill loops that preceded the current kernels; any rewrite of either
+  // kernel must keep every byte, serially and on a pool.
+  struct Pin {
+    std::size_t n;
+    std::uint64_t digest;
+  };
+  const ThreadPool pool(4);
+  for (const Pin pin : {Pin{1024, 0x076b72bc39eab82bull},
+                        Pin{32768, 0x00dbfeaf873295bcull}}) {
+    for (const ThreadPool* build_pool :
+         {static_cast<const ThreadPool*>(nullptr), &pool}) {
+      Rng rng(7);
+      const auto g =
+          GeometricGraph::sample(pin.n, 1.2, rng, {.pool = build_pool});
+      EXPECT_EQ(graph_digest(g), pin.digest)
+          << "n = " << pin.n << (build_pool ? ", 4 threads" : ", serial");
+    }
+  }
 }
 
 }  // namespace

@@ -383,6 +383,12 @@ TEST(SnapshotStore, ForeignFileWithBadMagicRestarts) {
   EXPECT_FALSE(store.try_load(0, 0, 11).has_value());
 }
 
+TEST(SnapshotStore, ADirectoryAtTheSnapshotPathRestartsInsteadOfAborting) {
+  const exp::SnapshotStore store(test_dir("directory"), "tiny", 7);
+  std::filesystem::create_directories(store.path_for(0, 0));
+  EXPECT_FALSE(store.try_load(0, 0, 11).has_value());
+}
+
 TEST(SnapshotStore, TwoStoresSavingOneSlotConcurrentlyNeverFail) {
   // A lease stolen from a slow but live owner: both workers save the same
   // slot into one shared directory.  Writer-unique temps let both succeed
@@ -482,15 +488,13 @@ TEST(JsonlSchema, MismatchedStampIsRejectedLoudly) {
   std::string future = line;
   future.replace(at, stamp.size(), "\"schema\":999");
   exp::Checkpoint reject("tiny", 7);
-  std::istringstream future_in(future);
-  EXPECT_THROW(reject.load(future_in), ArgumentError);
+  EXPECT_THROW(reject.load(future), ArgumentError);
 
   // A legacy record with NO stamp predates the field and still loads.
   std::string legacy = line;
   legacy.erase(at - 1, stamp.size() + 1);  // also drop the leading comma
   exp::Checkpoint accept("tiny", 7);
-  std::istringstream legacy_in(legacy);
-  accept.load(legacy_in);
+  accept.load(legacy);
   EXPECT_EQ(accept.size(), 1u);
   EXPECT_EQ(accept.stats().malformed, 0u);
 }

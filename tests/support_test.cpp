@@ -1,8 +1,10 @@
 // Unit tests for the support module: RNG, checks, strings, CSV, CLI,
-// logging, tables.
+// logging, tables, whole-file reads.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -11,6 +13,7 @@
 #include "support/csv.hpp"
 #include "support/json.hpp"
 #include "support/logging.hpp"
+#include "support/read_file.hpp"
 #include "support/rng.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
@@ -450,6 +453,21 @@ TEST(AsciiChart, EmptyChartDoesNotCrash) {
   std::ostringstream os;
   chart.print(os);
   EXPECT_NE(os.str().find("empty"), std::string::npos);
+}
+
+// ------------------------------------------------------------ read_file ----
+
+TEST(ReadFile, ReturnsTheBytesOrNulloptForAMissingPathOrADirectory) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "ggread_file";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string bytes("line\n\0binary\xff tail", 18);
+  std::ofstream(dir / "file.bin", std::ios::binary) << bytes;
+  EXPECT_EQ(read_file((dir / "file.bin").string()), bytes);
+  EXPECT_EQ(read_file((dir / "missing").string()), std::nullopt);
+  // A directory opens like a file; its first read throws inside libstdc++.
+  EXPECT_EQ(read_file(dir.string()), std::nullopt);
 }
 
 }  // namespace

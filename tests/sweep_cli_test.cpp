@@ -73,6 +73,9 @@ TEST(SweepCliMisuse, ExitsOneWithAMessageBeforeAnyWork) {
       {"resume from a missing file",
        {"--resume=" + (root / "missing.jsonl").string()},
        "missing.jsonl"},
+      {"resume from a directory",
+       {"--resume=" + root.string()},
+       "cannot read"},
       {"unwritable --csv",
        {"--csv=" + missing_dir + "/out.csv"},
        "--csv="},
