@@ -141,8 +141,8 @@ Graph sample_graph(std::size_t n, double mult, gg::Rng& rng,
 }
 
 /// Forces the routing mirror into existence (no-op on library versions
-/// that build it during construction), so route kernels measure routing,
-/// not the first route's lazy mirror build.
+/// that build it during construction), so route kernels measure mirrored
+/// routing, not the mirror build or the CSR scan that precedes it.
 template <typename Graph>
 void warm_routing_mirror(const Graph& graph) {
   if constexpr (requires { graph.ensure_routing_mirror(); }) {
@@ -369,8 +369,9 @@ int main(int argc, char** argv) {
     });
 
     // Warm the lazy mirror whenever any kernel that routes is selected:
-    // filtered runs must measure the same steady state as the unfiltered
-    // baseline, where route_to_node has always built it by this point.
+    // the kernels measure the steady state of a routing-heavy replicate,
+    // which crosses the switch threshold early in its run, so no timed
+    // routing kernel scans the plain CSR row.
     static constexpr const char* kRoutingKernels[] = {
         "route_to_node", "gossip_tick_geographic", "gossip_tick_async",
         "gossip_tick_decentralized"};

@@ -13,34 +13,55 @@ void CsrGraph::check_node_count(std::uint64_t node_count) {
                    "deployment or widen NodeId");
 }
 
-CsrGraph CsrGraph::from_parts(std::vector<std::uint64_t> offsets,
-                              std::vector<NodeId> targets) {
+void CsrGraph::check_shape(const std::vector<std::uint64_t>& offsets,
+                           const std::vector<NodeId>& targets) {
   GG_CHECK_ARG(!offsets.empty(), "from_parts: offsets must have n+1 entries");
   check_node_count(offsets.size() - 1);
   GG_CHECK_ARG(offsets.front() == 0, "from_parts: offsets must start at 0");
   GG_CHECK_ARG(offsets.back() == targets.size(),
                "from_parts: offsets.back() must equal targets.size()");
+}
+
+void CsrGraph::check_row(NodeId node, std::span<const NodeId> row,
+                         std::uint64_t node_count) {
+  // A valid row is strictly increasing, ends below node_count and skips
+  // `node`: one branch-free pass decides that, and only a failing row
+  // pays for the checks that name what is wrong.
+  bool valid = row.empty() || row.back() < node_count;
+  for (std::size_t k = 0; k < row.size(); ++k) {
+    valid &= (k == 0 || row[k - 1] < row[k]) & (row[k] != node);
+  }
+  if (valid) return;
+  GG_CHECK_ARG(std::is_sorted(row.begin(), row.end()),
+               "from_parts: per-node targets must be sorted");
+  GG_CHECK_ARG(std::adjacent_find(row.begin(), row.end()) == row.end(),
+               "from_parts: duplicate edge in row");
+  for (const NodeId target : row) {
+    GG_CHECK_ARG(target < node_count, "from_parts: target out of range");
+    GG_CHECK_ARG(target != node, "from_parts: self-loop in row");
+  }
+}
+
+CsrGraph CsrGraph::adopt_checked(std::vector<std::uint64_t> offsets,
+                                 std::vector<NodeId> targets) {
+  check_shape(offsets, targets);
+  return CsrGraph(std::move(offsets), std::move(targets));
+}
+
+CsrGraph CsrGraph::from_parts(std::vector<std::uint64_t> offsets,
+                              std::vector<NodeId> targets) {
+  check_shape(offsets, targets);
   const auto n = static_cast<NodeId>(offsets.size() - 1);
-  // Validate the whole offset array BEFORE forming any iterator from it:
+  // Validate the whole offset array BEFORE forming any span from it:
   // monotone plus front==0/back==size bounds every entry by targets.size(),
-  // so the row iterators below cannot point past the buffer.
+  // so the row spans below cannot point past the buffer.
   for (NodeId v = 0; v < n; ++v) {
     GG_CHECK_ARG(offsets[v] <= offsets[v + 1],
                  "from_parts: offsets must be non-decreasing");
   }
   for (NodeId v = 0; v < n; ++v) {
-    const auto begin =
-        targets.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
-    const auto end =
-        targets.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
-    GG_CHECK_ARG(std::is_sorted(begin, end),
-                 "from_parts: per-node targets must be sorted");
-    GG_CHECK_ARG(std::adjacent_find(begin, end) == end,
-                 "from_parts: duplicate edge in row");
-    for (auto it = begin; it != end; ++it) {
-      GG_CHECK_ARG(*it < n, "from_parts: target out of range");
-      GG_CHECK_ARG(*it != v, "from_parts: self-loop in row");
-    }
+    check_row(v, {targets.data() + offsets[v], targets.data() + offsets[v + 1]},
+              n);
   }
   return CsrGraph(std::move(offsets), std::move(targets));
 }

@@ -49,6 +49,14 @@ class CsrGraph {
   static CsrGraph from_parts(std::vector<std::uint64_t> offsets,
                              std::vector<NodeId> targets);
 
+  /// from_parts' per-row check of row `node` of a `node_count`-node CSR:
+  /// sorted ascending, no duplicates, every target in range and not
+  /// `node` itself.  Throws ArgumentError with from_parts' messages.
+  /// Public so a builder that fills rows in parallel can check each one
+  /// inside its own row loop, while the row is still in cache.
+  static void check_row(NodeId node, std::span<const NodeId> row,
+                        std::uint64_t node_count);
+
   std::size_t node_count() const noexcept {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
@@ -74,6 +82,18 @@ class CsrGraph {
   double mean_degree() const noexcept;
 
  private:
+  // GeometricGraph's two-pass build runs check_row (and the offset
+  // monotonicity check) inside its pass-2 row loop, then adopts the parts
+  // through adopt_checked instead of paying from_parts' serial re-scan.
+  friend class GeometricGraph;
+
+  /// from_parts minus the per-row scan: only the O(1) shape checks.  The
+  /// caller must already have checked every row and offset.
+  static CsrGraph adopt_checked(std::vector<std::uint64_t> offsets,
+                                std::vector<NodeId> targets);
+  static void check_shape(const std::vector<std::uint64_t>& offsets,
+                          const std::vector<NodeId>& targets);
+
   CsrGraph(std::vector<std::uint64_t> offsets, std::vector<NodeId> targets)
       : offsets_(std::move(offsets)), targets_(std::move(targets)) {}
 

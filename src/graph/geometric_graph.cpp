@@ -57,6 +57,7 @@ GeometricGraph::GeometricGraph(std::vector<geometry::Vec2> points, double r,
   // bucket row-major order, which for spatially renumbered samples is
   // already ascending id order — the per-row sort then degenerates to the
   // is_sorted check; arbitrary point sets pay an O(deg log deg) sort.
+  // Each finished row then gets CsrGraph::from_parts' row checks.
   std::vector<NodeId> targets(offsets.back());
   const double r_sq = r_ * r_;
   parallel_ranges(pool_, n, [&](std::size_t begin, std::size_t end) {
@@ -74,17 +75,22 @@ GeometricGraph::GeometricGraph(std::vector<geometry::Vec2> points, double r,
                   static_cast<std::size_t>(j != i);
         }
       });
+      GG_CHECK_ARG(offsets[i] <= offsets[i + 1],
+                   "from_parts: offsets must be non-decreasing");
       GG_CHECK(kept == offsets[i + 1] - offsets[i],
                "GeometricGraph: pass 2 disagrees with pass 1's degree");
       const auto row_end = row.begin() + static_cast<std::ptrdiff_t>(kept);
       if (!std::is_sorted(row.begin(), row_end)) {
         std::sort(row.begin(), row_end);
       }
+      CsrGraph::check_row(static_cast<NodeId>(i), {row.data(), kept}, n);
       std::copy(row.begin(), row_end,
                 targets.begin() + static_cast<std::ptrdiff_t>(offsets[i]));
     }
   });
-  csr_ = CsrGraph::from_parts(std::move(offsets), std::move(targets));
+  // Every row and offset was checked above, on the pool, while the row was
+  // in cache; adopting skips from_parts' serial re-scan of the whole CSR.
+  csr_ = CsrGraph::adopt_checked(std::move(offsets), std::move(targets));
 
   if (options.eager_routing_mirror) ensure_routing_mirror();
 }

@@ -6,7 +6,9 @@
 //
 // Construction is a two-pass CSR build straight from the bucket grid: pass 1
 // counts each node's degree, an exclusive prefix-sum lays out the offsets,
-// pass 2 fills each node's (sorted) neighbour slice.  Both passes walk the
+// pass 2 fills each node's (sorted) neighbour slice and runs CsrGraph's
+// row checks on it while it is in cache, so the finished CSR is adopted
+// without CsrGraph::from_parts' serial re-scan.  Both passes walk the
 // scan window as contiguous bucket runs and keep or count candidates
 // without a branch (about a third pass the distance test, so a branch
 // would mispredict constantly).  No edge-list intermediate, no global sort
@@ -15,11 +17,17 @@
 // path at any thread count (each node's slice is a pure function of the
 // point set).
 //
-// The routing-ordered adjacency mirror that greedy routing scans is LAZY:
-// it is built (in parallel, when a pool is attached) on the first
-// ensure_routing_mirror() call — which the greedy routers issue on entry —
-// so workloads that never route (spectral probes, connectivity sweeps,
-// nearest-neighbour gossip) never pay its build time or its 8 bytes/arc.
+// The routing-ordered adjacency mirror that greedy routing scans is built
+// only once a graph's routing pays for it.  Until then the greedy routers
+// scan the plain CSR row and add each finished route's hops to a per-graph
+// tally (add_unmirrored_hops); once that tally reaches the break-even
+// threshold (routing::mirror_switch_hops, half a routed hop per arc) the
+// next route calls ensure_routing_mirror(), which builds it — in parallel
+// when a pool is attached.  Workloads that never route or route little
+// (spectral probes, connectivity sweeps, the paper's affine protocols,
+// whose few routes join square representatives) never pay its build time
+// or its 8 bytes/arc; routing-heavy ones (Dimakis et al.'s geographic
+// gossip) switch within their first few percent of hops.
 // Each neighbour's annulus is guessed from its distance and settled by
 // exact comparisons with the annulus edges, then a counting sort groups
 // the row.  Pass BuildOptions::eager_routing_mirror to front-load it
@@ -28,6 +36,7 @@
 #define GEOGOSSIP_GRAPH_GEOMETRIC_GRAPH_HPP
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -44,8 +53,8 @@
 namespace geogossip::graph {
 
 /// Construction knobs.  The defaults reproduce the historical behaviour
-/// for non-routing workloads: serial build, no routing mirror until a
-/// route asks for one.
+/// for non-routing workloads: serial build, no routing mirror until the
+/// graph's routing pays for one.
 struct BuildOptions {
   /// Pool the two-pass CSR build (and any later routing-mirror build)
   /// fans node ranges across; nullptr builds serially.  The pool is only
@@ -53,8 +62,9 @@ struct BuildOptions {
   /// built lazily after construction.
   const ThreadPool* pool = nullptr;
   /// Build the routing-ordered adjacency mirror during construction
-  /// instead of on first use.  Routing-heavy workloads (E6, geographic
-  /// gossip) amortize it; measurement workloads should leave it off.
+  /// instead of when the routed hops reach the switch threshold.
+  /// Routing-heavy workloads (E6, geographic gossip) amortize it;
+  /// measurement workloads should leave it off.
   bool eager_routing_mirror = false;
 };
 
@@ -104,13 +114,24 @@ class GeometricGraph {
   static constexpr int kRoutingAnnuli = 32;
 
   /// Builds the routing-ordered mirror if it does not exist yet.  Safe to
-  /// call concurrently (std::call_once); the greedy routers call it once
-  /// per route entry, so plain library users never need to.  Uses the
-  /// construction-time pool when one was attached.
+  /// call concurrently (std::call_once); the greedy routers call it at
+  /// route entry once unmirrored_hops() reaches their switch threshold,
+  /// so plain library users never need to.  Uses the construction-time
+  /// pool when one was attached.
   void ensure_routing_mirror() const;
   /// Whether the mirror has been materialized (eagerly or lazily).
   bool routing_mirror_built() const noexcept {
     return mirror_->built.load(std::memory_order_acquire);
+  }
+
+  /// Hops routed on this graph by the plain CSR scan, i.e. while it had
+  /// no mirror: the tally the greedy routers' switch reads.  Relaxed and
+  /// added to once per finished route, never per hop.
+  std::uint64_t unmirrored_hops() const noexcept {
+    return mirror_->unmirrored_hops.load(std::memory_order_relaxed);
+  }
+  void add_unmirrored_hops(std::uint64_t hops) const noexcept {
+    mirror_->unmirrored_hops.fetch_add(hops, std::memory_order_relaxed);
   }
 
   /// Routing-ordered adjacency (ids unchecked — they must come from this
@@ -123,8 +144,8 @@ class GeometricGraph {
   /// far targets that prunes most of the list, exactly.  The row layout
   /// mirrors the CSR exactly (same per-node counts), so the CSR offsets
   /// slice both arrays.  Self-ensuring: the first call materializes the
-  /// lazy mirror; the steady-state cost is one relaxed call_once check,
-  /// noise against the row scan that follows.
+  /// mirror whatever the routed-hop tally; the steady-state cost is one
+  /// relaxed call_once check, noise against the row scan that follows.
   std::span<const NodeId> routing_ids(NodeId node) const {
     ensure_routing_mirror();
     return routing_ids_unchecked(node);
@@ -159,11 +180,13 @@ class GeometricGraph {
   std::string summary() const;
 
  private:
-  // Lazily-built routing mirror; boxed so the graph stays movable (the
-  // once_flag/atomic inside are neither copyable nor movable).
+  // Lazily-built routing mirror and the routed-hop tally that decides
+  // when to build it; boxed so the graph stays movable (the
+  // once_flag/atomics inside are neither copyable nor movable).
   struct RoutingMirror {
     std::once_flag once;
     std::atomic<bool> built{false};
+    std::atomic<std::uint64_t> unmirrored_hops{0};
     std::vector<NodeId> ids;
     std::vector<float> radii;
   };

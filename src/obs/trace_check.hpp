@@ -10,8 +10,11 @@
 //   - every replicate span lies inside the "cell" envelope of its cell
 //     (the envelopes are derived from per-task times, so a breach means
 //     the Runner recorded inconsistent times);
-//   - some "graph_build" and some "routing_mirror" span nest inside a
-//     replicate span of the same lane.
+//   - some "graph_build" span nests inside a replicate span of the same
+//     lane, and so does some "routing_mirror" span — unless the trace has
+//     none and its counters show every routed hop ran before a mirror
+//     existed (routing.unmirrored_hops == routing.hops): a sweep that
+//     routes too little to reach the switch threshold builds none.
 // heartbeat_violations checks a heartbeat file: every line is one
 // heartbeat (parse_heartbeat_line) with every schema key, `seq` counts
 // lines from 0, `completed` never exceeds `total` and never decreases,

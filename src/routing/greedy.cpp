@@ -21,14 +21,26 @@ std::uint32_t default_hop_budget(const GeometricGraph& g) {
 
 namespace {
 
+/// mirror_switch_hops() is one routed hop per kArcsPerSwitchHop arcs: the
+/// break-even of the mirror, its build cost per arc over what it saves
+/// per hop.  Measured with route_to_node between random pairs on
+/// sample(n, 1.2) graphs (gcc 12 Release, 4-vCPU Xeon, median of 7
+/// graphs): the build costs 11-12 ns per arc, and a mirrored hop is 19 ns
+/// cheaper than a CSR-row hop at n = 2048 and 25-32 ns cheaper at
+/// n = 32768, so the mirror repays itself after 0.4-0.6 routed hops per
+/// arc.  Per replicate, the paper's affine protocols route under 0.1 hops
+/// per arc and never build it; Dimakis et al.'s gossip routes 70-100 and
+/// path averaging about 1.2, and both switch early in the run.
+constexpr std::uint64_t kArcsPerSwitchHop = 2;
+
 /// Single greedy step: the neighbour strictly closest to `target` (closer
 /// than `current` itself), or `current` when none is — the sentinel avoids
 /// std::optional in the per-hop loop.  Endpoints are validated and the
-/// lazy routing mirror ensured ONCE at route entry; every id scanned here
-/// comes out of the graph's own CSR, so the inner loop carries no bounds
-/// checks or mirror checks (the _unchecked accessors), and the spatially
-/// renumbered node ids (GeometricGraph::sample) keep the position reads
-/// cache-local.
+/// mirror scan chosen (use_mirror) ONCE at route entry; every id scanned
+/// here comes out of the graph's own CSR, so the inner loop carries no
+/// bounds checks or mirror checks (the _unchecked accessors), and the
+/// spatially renumbered node ids (GeometricGraph::sample) keep the
+/// position reads cache-local.
 /// `here_sq` must equal distance_sq(positions[current], target); route
 /// loops carry it across hops (the winning candidate's distance IS the
 /// next hop's here_sq), saving a recomputation per hop.  On return it
@@ -97,18 +109,63 @@ inline NodeId greedy_step(const GeometricGraph& g,
   return merged;
 }
 
-/// Telemetry tap at route granularity: one counter bump per finished
-/// route, not per hop, so routing telemetry costs nothing on the per-hop
-/// path and a handful of adds per route when enabled.
-void report_route(const RouteResult& result, std::uint64_t pruned) {
+/// greedy_step's contract on the plain CSR row, for routes that run before
+/// the graph has a mirror: the strictly-closer neighbour of least squared
+/// distance, or `current`.  Ascending ids, strict `<` and a branch-free
+/// select, so an exact tie would go to the least id (see greedy.hpp).
+inline NodeId csr_step(const graph::CsrGraph& adjacency,
+                       std::span<const Vec2> positions, NodeId current,
+                       Vec2 target, double& here_sq_io) noexcept {
+  double best_sq = here_sq_io;
+  NodeId best = current;
+  for (const NodeId u : adjacency.neighbors_unchecked(current)) {
+    const double d_sq = distance_sq(positions[u], target);
+    const bool closer = d_sq < best_sq;
+    best_sq = closer ? d_sq : best_sq;
+    best = closer ? u : best;
+  }
+  here_sq_io = best_sq;
+  return best;
+}
+
+/// One hop by the scan the route chose at entry: a compile-time choice, so
+/// the per-hop loop carries no branch on it.
+template <bool kMirrored>
+inline NodeId step(const GeometricGraph& g, std::span<const Vec2> positions,
+                   NodeId current, Vec2 target, double& here_sq_io,
+                   std::uint64_t& pruned_io) noexcept {
+  if constexpr (kMirrored) {
+    return greedy_step(g, positions, current, target, here_sq_io, pruned_io);
+  } else {
+    return csr_step(g.adjacency(), positions, current, target, here_sq_io);
+  }
+}
+
+/// Whether this route scans the mirror.  Until the graph's CSR-phase hops
+/// reach mirror_switch_hops() the mirror would not repay its build, so the
+/// route scans the CSR row; the first route past it builds the mirror.
+bool use_mirror(const GeometricGraph& g) {
+  if (g.routing_mirror_built()) return true;
+  if (g.unmirrored_hops() < mirror_switch_hops(g)) return false;
+  g.ensure_routing_mirror();
+  return true;
+}
+
+/// Route-granularity bookkeeping: one tally add and, when telemetry is
+/// on, a handful of counter bumps per finished route — nothing per hop.
+void finish_route(const GeometricGraph& g, const RouteResult& result,
+                  bool mirrored, std::uint64_t pruned) {
+  if (!mirrored) g.add_unmirrored_hops(result.hops);
   if (!obs::enabled()) return;
   static const auto c_routes = obs::counter("routing.routes");
   static const auto c_hops = obs::counter("routing.hops");
+  static const auto c_unmirrored = obs::counter("routing.unmirrored_hops");
   static const auto c_pruned = obs::counter("routing.pruned_candidates");
   static const auto c_dead = obs::counter("routing.dead_ends");
   static const auto c_budget = obs::counter("routing.hop_budget_exceeded");
   obs::add(c_routes);
   obs::add(c_hops, result.hops);
+  if (!mirrored) obs::add(c_unmirrored, result.hops);
   obs::add(c_pruned, pruned);
   if (result.status == RouteStatus::kDeadEnd) obs::add(c_dead);
   if (result.status == RouteStatus::kHopBudget) obs::add(c_budget);
@@ -124,88 +181,106 @@ void prepare_trace(std::vector<NodeId>* trace, std::uint32_t budget,
   trace->push_back(source);
 }
 
+template <bool kMirrored>
+RouteResult walk_to_node(const GeometricGraph& g, NodeId source,
+                         NodeId destination, std::uint32_t budget,
+                         std::vector<NodeId>* trace, std::uint64_t& pruned) {
+  const auto positions = g.positions();
+  const Vec2 target = positions[destination];
+  RouteResult result;
+  NodeId current = source;
+  double cur_sq = distance_sq(positions[current], target);
+  while (current != destination) {
+    if (result.hops >= budget) {
+      result.status = RouteStatus::kHopBudget;
+      result.final_node = current;
+      return result;
+    }
+    const NodeId next =
+        step<kMirrored>(g, positions, current, target, cur_sq, pruned);
+    if (next == current) {
+      result.status = RouteStatus::kDeadEnd;
+      result.final_node = current;
+      return result;
+    }
+    current = next;
+    ++result.hops;
+    if (trace != nullptr) trace->push_back(current);
+  }
+  result.status = RouteStatus::kArrived;
+  result.final_node = current;
+  return result;
+}
+
+template <bool kMirrored>
+RouteResult walk_to_position(const GeometricGraph& g, NodeId source,
+                             Vec2 target, std::uint32_t budget,
+                             std::vector<NodeId>* trace,
+                             std::uint64_t& pruned) {
+  const auto positions = g.positions();
+  RouteResult result;
+  NodeId current = source;
+  double cur_sq = distance_sq(positions[current], target);
+  while (true) {
+    const NodeId next =
+        step<kMirrored>(g, positions, current, target, cur_sq, pruned);
+    if (next == current) {
+      // Local minimum w.r.t. the target position: this IS the destination
+      // for position-targeted routing.
+      result.status = RouteStatus::kArrived;
+      result.final_node = current;
+      return result;
+    }
+    if (result.hops >= budget) {
+      result.status = RouteStatus::kHopBudget;
+      result.final_node = current;
+      return result;
+    }
+    current = next;
+    ++result.hops;
+    if (trace != nullptr) trace->push_back(current);
+  }
+}
+
 }  // namespace
+
+std::uint64_t mirror_switch_hops(const GeometricGraph& g) noexcept {
+  return g.adjacency().offsets().back() / kArcsPerSwitchHop;
+}
 
 RouteResult route_to_node(const GeometricGraph& g, NodeId source,
                           NodeId destination, const RouteOptions& options) {
   GG_CHECK_ARG(source < g.node_count() && destination < g.node_count(),
                "route endpoints out of range");
-  // First route on a graph materializes the routing-ordered mirror (a
-  // no-op ever after); greedy_step itself reads it unchecked per hop.
-  g.ensure_routing_mirror();
   const std::uint32_t budget =
       options.max_hops != 0 ? options.max_hops : default_hop_budget(g);
-  const auto positions = g.positions();
-  const Vec2 target = positions[destination];
-
-  RouteResult result;
-  result.final_node = source;
   prepare_trace(options.trace, budget, source);
-
-  NodeId current = source;
-  double cur_sq = distance_sq(positions[current], target);
+  const bool mirrored = use_mirror(g);
   std::uint64_t pruned = 0;
-  while (current != destination) {
-    if (result.hops >= budget) {
-      result.status = RouteStatus::kHopBudget;
-      result.final_node = current;
-      report_route(result, pruned);
-      return result;
-    }
-    const NodeId next =
-        greedy_step(g, positions, current, target, cur_sq, pruned);
-    if (next == current) {
-      result.status = RouteStatus::kDeadEnd;
-      result.final_node = current;
-      report_route(result, pruned);
-      return result;
-    }
-    current = next;
-    ++result.hops;
-    if (options.trace != nullptr) options.trace->push_back(current);
-  }
-  result.status = RouteStatus::kArrived;
-  result.final_node = current;
-  report_route(result, pruned);
+  const RouteResult result =
+      mirrored ? walk_to_node<true>(g, source, destination, budget,
+                                    options.trace, pruned)
+               : walk_to_node<false>(g, source, destination, budget,
+                                     options.trace, pruned);
+  finish_route(g, result, mirrored, pruned);
   return result;
 }
 
 RouteResult route_to_position(const GeometricGraph& g, NodeId source,
                               Vec2 target, const RouteOptions& options) {
   GG_CHECK_ARG(source < g.node_count(), "route source out of range");
-  g.ensure_routing_mirror();
   const std::uint32_t budget =
       options.max_hops != 0 ? options.max_hops : default_hop_budget(g);
-  const auto positions = g.positions();
-
-  RouteResult result;
-  result.final_node = source;
   prepare_trace(options.trace, budget, source);
-
-  NodeId current = source;
-  double cur_sq = distance_sq(positions[current], target);
+  const bool mirrored = use_mirror(g);
   std::uint64_t pruned = 0;
-  while (true) {
-    const NodeId next =
-        greedy_step(g, positions, current, target, cur_sq, pruned);
-    if (next == current) {
-      // Local minimum w.r.t. the target position: this IS the destination
-      // for position-targeted routing.
-      result.status = RouteStatus::kArrived;
-      result.final_node = current;
-      report_route(result, pruned);
-      return result;
-    }
-    if (result.hops >= budget) {
-      result.status = RouteStatus::kHopBudget;
-      result.final_node = current;
-      report_route(result, pruned);
-      return result;
-    }
-    current = next;
-    ++result.hops;
-    if (options.trace != nullptr) options.trace->push_back(current);
-  }
+  const RouteResult result =
+      mirrored ? walk_to_position<true>(g, source, target, budget,
+                                        options.trace, pruned)
+               : walk_to_position<false>(g, source, target, budget,
+                                         options.trace, pruned);
+  finish_route(g, result, mirrored, pruned);
+  return result;
 }
 
 }  // namespace geogossip::routing

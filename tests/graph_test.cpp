@@ -89,6 +89,54 @@ TEST(Csr, FromPartsAcceptsValidLayoutAndRejectsBrokenOnes) {
   EXPECT_THROW(CsrGraph::from_parts({0, 1, 2}, {5, 0}), ArgumentError);
 }
 
+/// Re-lays `g`'s CSR out as plain offsets and targets and runs them
+/// through from_parts' full validation; the result must equal `g`'s rows.
+void expect_parts_pass_from_parts(const GeometricGraph& g) {
+  const auto offsets = g.adjacency().offsets();
+  std::vector<NodeId> targets;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const auto row = g.neighbors(v);
+    targets.insert(targets.end(), row.begin(), row.end());
+  }
+  const auto adopted = CsrGraph::from_parts({offsets.begin(), offsets.end()},
+                                            std::move(targets));
+  ASSERT_EQ(adopted.node_count(), g.node_count());
+  ASSERT_EQ(adopted.edge_count(), g.adjacency().edge_count());
+  ASSERT_GT(adopted.edge_count(), 0u);
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const auto a = adopted.neighbors(v);
+    const auto b = g.neighbors(v);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "node " << v;
+  }
+}
+
+TEST(Csr, SampledGraphPartsPassFromParts) {
+  // GeometricGraph checks its rows inside its own build instead of
+  // through from_parts; the CSR it adopts must still pass from_parts' full
+  // validation — on the paper's deployment (renumbered by sample(), and
+  // raw, where pass 2 sorts its rows) and on the stress deployments,
+  // serial and pooled.
+  const ThreadPool pool(4);
+  const auto rect = geometry::Rect::unit_square();
+  for (const ThreadPool* build_pool : {static_cast<const ThreadPool*>(nullptr),
+                                       &pool}) {
+    SCOPED_TRACE(build_pool == nullptr ? "serial" : "pooled");
+    Rng rng(1300);
+    expect_parts_pass_from_parts(
+        GeometricGraph::sample(900, 1.5, rng, {.pool = build_pool}));
+    const std::vector<Vec2> deployments[] = {
+        geometry::sample_unit_square(900, rng),
+        geometry::sample_jittered_grid(900, rect, rng),
+        geometry::sample_clustered(900, rect, 5, 0.08, rng)};
+    for (const auto& points : deployments) {
+      expect_parts_pass_from_parts(
+          GeometricGraph(points, paper_radius(points.size(), 1.5), rect,
+                         {.pool = build_pool}));
+    }
+  }
+}
+
 TEST(Csr, NodeCountCeilingIsExplicit) {
   // NodeId is 32-bit: n >= 2^32 must be rejected with a clear error, not
   // silently truncated.  The check itself is cheap and allocation-free.
@@ -326,29 +374,139 @@ TEST(GeometricGraph, ParallelBuildMatchesSerialOnArbitraryPointSets) {
   expect_identical_graphs(serial, parallel);
 }
 
-TEST(GeometricGraph, RoutingMirrorIsLazyAndEagerOptionForcesIt) {
-  Rng rng_lazy(55);
-  Rng rng_eager(55);
-  const auto lazy = GeometricGraph::sample(400, 2.0, rng_lazy);
-  const auto eager = GeometricGraph::sample(
-      400, 2.0, rng_eager, {.eager_routing_mirror = true});
-  EXPECT_FALSE(lazy.routing_mirror_built());
-  EXPECT_TRUE(eager.routing_mirror_built());
+/// One route request of the laziness test: to a node, or to a position.
+struct RouteRequest {
+  NodeId source = 0;
+  bool to_node = true;
+  NodeId destination = 0;
+  Vec2 target;
+};
 
-  // Routing through the lazy graph materializes the mirror on first use
-  // and takes exactly the same hops as on the eager graph.
-  Rng pick(7);
-  for (int trial = 0; trial < 25; ++trial) {
-    const auto src = static_cast<NodeId>(pick.below(lazy.node_count()));
-    const auto dst = static_cast<NodeId>(
-        pick.below_excluding(lazy.node_count(), src));
-    const auto via_lazy = routing::route_to_node(lazy, src, dst);
-    const auto via_eager = routing::route_to_node(eager, src, dst);
-    EXPECT_EQ(via_lazy.status, via_eager.status);
-    EXPECT_EQ(via_lazy.hops, via_eager.hops);
-    EXPECT_EQ(via_lazy.final_node, via_eager.final_node);
+routing::RouteResult route(const GeometricGraph& g, const RouteRequest& req,
+                           std::vector<NodeId>& trace) {
+  trace.clear();
+  const routing::RouteOptions options{.trace = &trace};
+  return req.to_node
+             ? routing::route_to_node(g, req.source, req.destination, options)
+             : routing::route_to_position(g, req.source, req.target, options);
+}
+
+TEST(GeometricGraph, RoutingMirrorIsLazyAndEagerOptionForcesIt) {
+  // The mirror waits until the graph's routed hops reach the switch
+  // threshold: every route below it scans the CSR row and leaves the
+  // mirror unbuilt, the first route past it builds the mirror, and the
+  // eager option builds it up front.  Routes on either side of the switch
+  // take exactly the hops they take on the eager graph.
+  const Vec2 edges_and_corners[] = {{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0},
+                                    {1.0, 1.0}, {0.5, 0.0}, {0.0, 0.5},
+                                    {1.0, 0.5}, {0.5, 1.0}};
+  for (const bool clustered : {false, true}) {
+    for (std::uint64_t seed = 55; seed < 58; ++seed) {
+      SCOPED_TRACE(testing::Message()
+                   << (clustered ? "clustered" : "uniform") << " seed "
+                   << seed);
+      Rng rng(seed);
+      const auto points =
+          clustered ? geometry::sample_clustered(
+                          400, geometry::Rect::unit_square(), 5, 0.08, rng)
+                    : geometry::sample_unit_square(400, rng);
+      const double r = paper_radius(points.size(), 2.0);
+      const GeometricGraph lazy(points, r);
+      const GeometricGraph eager(points, r, geometry::Rect::unit_square(),
+                                 {.eager_routing_mirror = true});
+      EXPECT_FALSE(lazy.routing_mirror_built());
+      EXPECT_TRUE(eager.routing_mirror_built());
+      const std::uint64_t switch_hops = routing::mirror_switch_hops(lazy);
+      ASSERT_GT(switch_hops, 0u);
+
+      Rng pick(seed * 7);
+      const auto n = static_cast<NodeId>(lazy.node_count());
+      std::uint64_t csr_routes = 0;
+      std::uint64_t csr_hops = 0;
+      std::uint64_t mirror_routes = 0;
+      std::vector<NodeId> trace_lazy;
+      std::vector<NodeId> trace_eager;
+      for (std::uint64_t k = 0; mirror_routes < 200; ++k) {
+        ASSERT_LT(k, 100000u) << "the switch never came";
+        RouteRequest req;
+        req.source = static_cast<NodeId>(pick.below(n));
+        switch (k % 3) {
+          case 0:
+            req.destination =
+                static_cast<NodeId>(pick.below_excluding(n, req.source));
+            break;
+          case 1:
+            req.to_node = false;
+            req.target = edges_and_corners[(k / 3) % 8];
+            break;
+          default:
+            req.to_node = false;
+            req.target = {pick.next_double(), pick.next_double()};
+            break;
+        }
+        const bool csr_phase = lazy.unmirrored_hops() < switch_hops;
+        const auto via_lazy = route(lazy, req, trace_lazy);
+        const auto via_eager = route(eager, req, trace_eager);
+        ASSERT_EQ(via_lazy.status, via_eager.status) << "route " << k;
+        ASSERT_EQ(via_lazy.hops, via_eager.hops) << "route " << k;
+        ASSERT_EQ(via_lazy.final_node, via_eager.final_node) << "route " << k;
+        ASSERT_EQ(trace_lazy, trace_eager) << "route " << k;
+        ASSERT_EQ(lazy.routing_mirror_built(), !csr_phase) << "route " << k;
+        if (csr_phase) {
+          ++csr_routes;
+          csr_hops += via_lazy.hops;
+        } else {
+          ++mirror_routes;
+        }
+      }
+      // Routes below the threshold left the mirror unbuilt until the tally
+      // crossed it; only CSR-phase hops were tallied, and never on the
+      // eager graph.
+      EXPECT_GT(csr_routes, 100u);
+      EXPECT_EQ(lazy.unmirrored_hops(), csr_hops);
+      EXPECT_GE(csr_hops, switch_hops);
+      EXPECT_EQ(eager.unmirrored_hops(), 0u);
+      expect_identical_graphs(lazy, eager);
+    }
   }
+}
+
+TEST(GeometricGraph, ConcurrentRoutesCrossTheSwitchOnce) {
+  // Replicates route on their own graph, but the graph is shared-const:
+  // routes from several threads may read the tally, scan the CSR row and
+  // trigger the one mirror build at the same time (a race here is a
+  // ThreadSanitizer finding).  Every route must match the eager graph's.
+  Rng rng_lazy(77);
+  Rng rng_eager(77);
+  const ThreadPool pool(4);
+  const auto lazy = GeometricGraph::sample(500, 2.0, rng_lazy);
+  const auto eager = GeometricGraph::sample(500, 2.0, rng_eager,
+                                            {.eager_routing_mirror = true});
+  constexpr std::size_t kChunks = 16;
+  constexpr std::size_t kPerChunk = 600;
+  std::vector<std::pair<NodeId, NodeId>> pairs(kChunks * kPerChunk);
+  Rng pick(78);
+  for (auto& [src, dst] : pairs) {
+    src = static_cast<NodeId>(pick.below(500));
+    dst = static_cast<NodeId>(pick.below_excluding(500, src));
+  }
+  std::vector<routing::RouteResult> results(pairs.size());
+  pool.run(kChunks, [&](std::size_t chunk) {
+    for (std::size_t k = chunk * kPerChunk; k < (chunk + 1) * kPerChunk;
+         ++k) {
+      results[k] = routing::route_to_node(lazy, pairs[k].first,
+                                          pairs[k].second);
+    }
+  });
   EXPECT_TRUE(lazy.routing_mirror_built());
+  EXPECT_GE(lazy.unmirrored_hops(), routing::mirror_switch_hops(lazy));
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const auto expected =
+        routing::route_to_node(eager, pairs[k].first, pairs[k].second);
+    ASSERT_EQ(results[k].status, expected.status) << "route " << k;
+    ASSERT_EQ(results[k].hops, expected.hops) << "route " << k;
+    ASSERT_EQ(results[k].final_node, expected.final_node) << "route " << k;
+  }
   expect_identical_graphs(lazy, eager);
 }
 

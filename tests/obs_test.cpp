@@ -21,13 +21,16 @@
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sink.hpp"
+#include "graph/geometric_graph.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/memory.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace_check.hpp"
 #include "obs/trace_export.hpp"
+#include "routing/greedy.hpp"
 #include "support/check.hpp"
 #include "support/durable_file.hpp"
+#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace gg = geogossip;
@@ -133,6 +136,49 @@ TEST(Telemetry, CounterTotalsBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(counters_1.at("routing.routes"), 0u);
   EXPECT_GT(counters_1.at("routing.hops"), 0u);
   EXPECT_EQ(counters_1.at("trial.count"), 6u);
+}
+
+TEST(Telemetry, UnmirroredHopsCountOnlyRoutesBeforeTheMirror) {
+  // routing.unmirrored_hops counts the hops routed by the CSR scan, before
+  // the graph built its mirror; routing.hops counts every hop.
+  ObsGuard guard;
+  gg::obs::set_enabled(true);
+  gg::Rng graph_rng(31);
+  const auto lazy = gg::graph::GeometricGraph::sample(300, 2.0, graph_rng);
+  const std::uint64_t switch_hops = gg::routing::mirror_switch_hops(lazy);
+  gg::Rng pick(32);
+  std::uint64_t hops = 0;
+  std::uint64_t csr_hops = 0;
+  std::uint64_t mirrored_routes = 0;
+  while (mirrored_routes < 50) {
+    const auto src = static_cast<gg::graph::NodeId>(pick.below(300));
+    const auto dst =
+        static_cast<gg::graph::NodeId>(pick.below_excluding(300, src));
+    const bool csr_phase = !lazy.routing_mirror_built() &&
+                           lazy.unmirrored_hops() < switch_hops;
+    const auto result = gg::routing::route_to_node(lazy, src, dst);
+    hops += result.hops;
+    if (csr_phase) {
+      csr_hops += result.hops;
+    } else {
+      ++mirrored_routes;
+    }
+  }
+  // Routes on a graph whose mirror exists from the start add none.
+  gg::Rng eager_rng(31);
+  const auto eager = gg::graph::GeometricGraph::sample(
+      300, 2.0, eager_rng, {.eager_routing_mirror = true});
+  for (int k = 0; k < 50; ++k) {
+    hops += gg::routing::route_to_node(eager, 0, 299 - k).hops;
+  }
+  gg::obs::set_enabled(false);
+  const auto counters = gg::obs::snapshot().counters;
+  ASSERT_TRUE(counters.count("routing.unmirrored_hops"));
+  EXPECT_EQ(counters.at("routing.unmirrored_hops"), csr_hops);
+  EXPECT_EQ(counters.at("routing.unmirrored_hops"), lazy.unmirrored_hops());
+  EXPECT_EQ(counters.at("routing.hops"), hops);
+  EXPECT_GE(csr_hops, switch_hops);
+  EXPECT_LT(csr_hops, hops);
 }
 
 TEST(Telemetry, JoinedPoolThreadsKeepTheirEventsInATrimmedBuffer) {

@@ -72,6 +72,21 @@ TEST(GreedyRouting, SelfRouteIsZeroHops) {
   EXPECT_EQ(route.final_node, 7u);
 }
 
+TEST(GreedyRouting, CsrScanTakesTheLeastIdOnAnExactTieAndNeverAnEqualHop) {
+  // Dyadic coordinates make the two candidates' squared distances to the
+  // target exactly equal.  Before the switch a route scans the CSR row:
+  // the tie goes to the least id, and a neighbour no closer than the
+  // current node (1 and 2 are equidistant) is never a hop.
+  const std::vector<Vec2> points{{0.125, 0.5}, {0.25, 0.625}, {0.25, 0.375}};
+  const GeometricGraph g(points, 0.25);
+  ASSERT_TRUE(g.adjacency().has_edge(1, 2));
+  const auto route = route_to_position(g, 0, {0.875, 0.5});
+  EXPECT_FALSE(g.routing_mirror_built());
+  EXPECT_EQ(route.status, RouteStatus::kArrived);
+  EXPECT_EQ(route.final_node, 1u);
+  EXPECT_EQ(route.hops, 1u);
+}
+
 TEST(GreedyRouting, HopsBoundedByBudgetHeuristic) {
   const auto g = dense_graph(2000, 46);
   Rng rng(47);

@@ -216,9 +216,20 @@ TEST_P(FamilySnapshot, InterruptedRunFinishesBitIdentically) {
 
   // "Crash" after the first snapshot: a fresh trial of the identical
   // configuration restores the payload and must finish bit-identically.
+  // It runs on a freshly sampled copy of the graph, as a restarted process
+  // would: `g` may have built its routing mirror during the reference run,
+  // while the copy starts on the CSR scan and switches at a different tick
+  // — and the switch point must not change a byte.
+  Rng graph_rng_b(4000);
+  const auto fresh = GeometricGraph::sample(256, 2.0, graph_rng_b);
+  ASSERT_FALSE(fresh.routing_mirror_built());
   Rng rng_b(4002);
   const auto resumed = core::run_protocol_trial(
-      kind, g, x0, rng_b, options, sim::CheckpointPolicy{}, mid_payload);
+      kind, fresh, x0, rng_b, options, sim::CheckpointPolicy{}, mid_payload);
+  if (kind == ProtocolKind::kDimakisGeographic) {
+    // Not vacuous: this resumed run crossed the switch mid-run.
+    EXPECT_TRUE(fresh.routing_mirror_built());
+  }
   EXPECT_TRUE(outcomes_identical(reference, resumed))
       << core::protocol_kind_name(kind) << ": resumed from tick "
       << mid_ticks << " ref_err=" << reference.final_error

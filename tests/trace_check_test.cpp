@@ -198,6 +198,34 @@ TEST(TraceSummary, MissingPhaseFails) {
   EXPECT_TRUE(contains(outcome.err, "routing_mirror")) << outcome.err;
 }
 
+TEST(TraceSummary, MirrorSpanIsOwedOnlyOnceAHopRanOnAMirror) {
+  // A sweep whose every hop scanned the CSR row (routing.unmirrored_hops
+  // equals routing.hops) built no mirror and owes no routing_mirror span;
+  // one mirrored hop makes the span owed again.
+  std::vector<std::string> events;
+  for (const std::string& event : valid_events()) {
+    if (!contains(event, "routing_mirror")) events.push_back(event);
+  }
+  const Outcome csr_only = summarize(
+      trace_of(events, "\"routing.hops\":42,\"routing.unmirrored_hops\":42"),
+      validate_top(10));
+  EXPECT_EQ(csr_only.code, 0) << csr_only.err;
+  const Outcome one_mirrored = summarize(
+      trace_of(events, "\"routing.hops\":42,\"routing.unmirrored_hops\":41"),
+      validate_top(10));
+  EXPECT_EQ(one_mirrored.code, 1);
+  EXPECT_TRUE(contains(one_mirrored.err, "routing_mirror"))
+      << one_mirrored.err;
+  // A mirror span that exists must still nest inside a replicate.
+  std::vector<std::string> escaped = events;
+  escaped.push_back(span("routing_mirror", 2000, 40, 1, "\"n\":64"));
+  const Outcome stray = summarize(
+      trace_of(escaped, "\"routing.hops\":42,\"routing.unmirrored_hops\":42"),
+      validate_top(10));
+  EXPECT_EQ(stray.code, 1);
+  EXPECT_TRUE(contains(stray.err, "routing_mirror")) << stray.err;
+}
+
 TEST(TraceSummary, ArglessReplicateFails) {
   std::vector<std::string> events = valid_events();
   events[1] = span("replicate", 0, 450, 1);
