@@ -20,15 +20,6 @@
 //   # skipped, their results re-ingested, new records appended
 //   parallel_sweep --scenario=e5-scaling-xl --resume=xl.jsonl
 //       --json-replicates=xl.jsonl --csv=xl.csv        (one command line)
-//   # or split one sweep across processes/machines (round-robin over the
-//   # flattened (cell, replicate) stream; output paths auto-suffixed)
-//   parallel_sweep --scenario=e5-scaling-xl --shard=0/2 --json-replicates=xl.jsonl
-//   parallel_sweep --scenario=e5-scaling-xl --shard=1/2 --json-replicates=xl.jsonl
-//   # then fold the shard files into the summaries a single uninterrupted
-//   # run would emit, plus one canonical merged record file
-//   parallel_sweep --scenario=e5-scaling-xl --merge-only
-//       --resume=xl.shard-0-of-2.jsonl,xl.shard-1-of-2.jsonl --csv=xl.csv
-//       --json-replicates=xl.merged.jsonl
 //
 // Long replicates can additionally checkpoint MID-flight: --snapshot-dir
 // (+ --snapshot-every) periodically persists each running replicate's full
@@ -36,9 +27,9 @@
 // restores those replicates at the snapshotted tick and finishes them
 // bit-identically to an uninterrupted run.
 //
-// Fleet mode automates the sharding: workers on any machines sharing a
-// filesystem coordinate through one directory (leased batches, dead-lease
-// stealing, snapshot-aware reassignment — see src/fleet/):
+// Fleet mode splits one sweep across processes: workers on any machines
+// sharing a filesystem coordinate through one directory (leased batches,
+// dead-lease stealing, snapshot-aware reassignment — see src/fleet/):
 //
 //   # same command on every machine; first founds the plan, rest adopt
 //   parallel_sweep --scenario=e5-scaling-xl --fleet-dir=/shared/fleet

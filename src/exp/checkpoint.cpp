@@ -199,7 +199,7 @@ void Checkpoint::load(std::string_view text) {
             std::to_string(cell_index) + " replicate " +
             std::to_string(replicate) +
             " — same key, different payload (corrupted or mismatched "
-            "shard files?)");
+            "record files?)");
       }
       records_.emplace(key, std::move(result));
       ++stats_.accepted;
@@ -255,34 +255,6 @@ bool results_equal(const ReplicateResult& a,
     }
   }
   return true;
-}
-
-std::string shard_path(const std::string& path, std::uint32_t shard_index,
-                       std::uint32_t shard_count) {
-  GG_CHECK_ARG(shard_count >= 1, "shard_path: shard_count >= 1");
-  GG_CHECK_ARG(shard_index < shard_count,
-               "shard_path: shard_index < shard_count");
-  const std::string tag =
-      std::to_string(shard_index) + "-of-" + std::to_string(shard_count);
-
-  static constexpr std::string_view kPlaceholder = "{shard}";
-  if (path.find(kPlaceholder) != std::string::npos) {
-    std::string out = path;
-    std::size_t pos = 0;
-    while ((pos = out.find(kPlaceholder, pos)) != std::string::npos) {
-      out.replace(pos, kPlaceholder.size(), tag);
-      pos += tag.size();
-    }
-    return out;
-  }
-  if (shard_count == 1) return path;
-
-  const std::size_t slash = path.find_last_of("/\\");
-  const std::size_t dot =
-      path.find('.', slash == std::string::npos ? 0 : slash + 1);
-  const std::string infix = ".shard-" + tag;
-  if (dot == std::string::npos) return path + infix;
-  return path.substr(0, dot) + infix + path.substr(dot);
 }
 
 }  // namespace geogossip::exp

@@ -1,4 +1,4 @@
-// Checkpoint model for resumable, sharded sweeps.
+// Checkpoint model for resumable sweeps and fleet merges.
 //
 // A running sweep streams one JSON-lines record per finished replicate
 // (JsonLinesSink::write_replicate, flushed after every line), keyed by
@@ -37,7 +37,7 @@
 
 namespace geogossip::exp {
 
-/// What Checkpoint::load saw, accumulated across load() calls so a k-shard
+/// What Checkpoint::load saw, accumulated across load() calls so a fleet
 /// merge reports totals.  Drivers surface non-zero counters as warnings.
 struct CheckpointStats {
   std::size_t accepted = 0;    ///< replicate records added to the set
@@ -57,7 +57,7 @@ class Checkpoint {
   Checkpoint(std::string scenario, std::uint64_t master_seed);
 
   /// Parses one JSON-lines text into the set (see the tolerance policy
-  /// above).  May be called repeatedly to fold shard files together;
+  /// above).  May be called repeatedly to fold record files together;
   /// throws ArgumentError on conflicting payloads for the same key.
   void load(std::string_view text);
   /// Reads and loads `path`; throws ArgumentError if it cannot be read (a
@@ -97,19 +97,12 @@ bool results_equal(const ReplicateResult& a,
 /// task stream (task = cell_index * replicates + replicate): shard i of k
 /// owns the tasks with task % k == i.  Every shard touches every cell
 /// whenever k <= replicates, so long-running XL cells spread across
-/// processes instead of serializing onto one.  shard_count <= 1 owns
+/// fleet batches instead of serializing onto one.  shard_count <= 1 owns
 /// everything.
 inline bool shard_owns(std::uint32_t shard_index, std::uint32_t shard_count,
                        std::size_t task) noexcept {
   return shard_count <= 1 || task % shard_count == shard_index;
 }
-
-/// Derives a per-shard output path: every "{shard}" placeholder becomes
-/// "<i>-of-<k>"; without a placeholder (and k > 1) ".shard-<i>-of-<k>" is
-/// inserted before the basename's extension ("out.jsonl" ->
-/// "out.shard-0-of-2.jsonl").  Identity when k == 1 and no placeholder.
-std::string shard_path(const std::string& path, std::uint32_t shard_index,
-                       std::uint32_t shard_count);
 
 }  // namespace geogossip::exp
 

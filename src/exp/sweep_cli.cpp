@@ -28,34 +28,6 @@ namespace geogossip::exp {
 
 namespace {
 
-/// Parses "--shard=i/k".  Returns false (with a diagnostic) on bad specs;
-/// strict parse_int rejects negatives and trailing junk rather than
-/// letting "--shard=0/-1" degrade into a near-empty sweep.
-bool parse_shard_spec(const std::string& spec, std::uint32_t* shard_index,
-                      std::uint32_t* shard_count) {
-  const std::size_t slash = spec.find('/');
-  if (slash == std::string::npos || slash == 0 ||
-      slash + 1 >= spec.size()) {
-    std::cerr << "--shard expects i/k (e.g. --shard=0/4)\n";
-    return false;
-  }
-  try {
-    const std::int64_t index = parse_int(spec.substr(0, slash));
-    const std::int64_t count = parse_int(spec.substr(slash + 1));
-    if (count < 1 || index < 0 || index >= count ||
-        count > 0xFFFFFFFFll) {
-      std::cerr << "--shard=" << spec << ": need 0 <= i < k\n";
-      return false;
-    }
-    *shard_index = static_cast<std::uint32_t>(index);
-    *shard_count = static_cast<std::uint32_t>(count);
-    return true;
-  } catch (const ArgumentError&) {
-    std::cerr << "--shard=" << spec << ": not a valid i/k pair\n";
-    return false;
-  }
-}
-
 /// True when both paths name the same file on disk — resolved through
 /// the filesystem, so "./x" vs "x", relative vs absolute spellings and
 /// symlinks all count (a raw string compare here would let a resume
@@ -209,28 +181,18 @@ SweepCli::SweepCli(const std::string& program, const std::string& summary)
                    "stream one JSON-lines record per finished replicate to "
                    "this file (flushed per record; interrupted sweeps keep "
                    "partial results and --resume picks them back up)");
-  parser_.add_flag("shard", &shard_spec_,
-                   "run shard i of k (i/k): round-robin partition of the "
-                   "(cell, replicate) stream; --csv/--json/--json-replicates "
-                   "paths are suffixed per shard unless they carry a {shard} "
-                   "placeholder");
   parser_.add_flag("resume", &resume_spec_,
                    "comma-separated replicate-record files from earlier "
-                   "(killed or sharded) runs of this scenario; completed "
-                   "replicates are skipped and re-ingested.  Resuming into "
+                   "(killed) runs of this scenario; completed replicates "
+                   "are skipped and re-ingested.  Resuming into "
                    "the same --json-replicates path appends only new records");
-  parser_.add_flag("merge-only", &merge_only_,
-                   "run nothing: require --resume to cover the scenario "
-                   "exactly and emit the merged summaries, plus the merged "
-                   "record file with --json-replicates (exit 1 when "
-                   "replicates are missing or outside the grid)");
   parser_.add_flag("mem-budget", &mem_budget_gb_,
                    "cap concurrent replicates by their memory hints to this "
                    "many GiB (0 = no cap; XL scenarios carry hints)");
   parser_.add_flag("trace", &trace_path_,
                    "enable telemetry and write a Chrome/Perfetto trace "
                    "(chrome://tracing or ui.perfetto.dev) of the sweep to "
-                   "this file ({shard}-suffixed like the other outputs)");
+                   "this file (a fleet worker appends .<worker>)");
   parser_.add_flag("heartbeat", &heartbeat_spec_,
                    "write a heartbeat JSONL file for unattended runs: "
                    "FILE[,SECS] (default every 5s; torn-write safe via "
@@ -292,24 +254,6 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
     return 1;
   }
 
-  if (!shard_spec_.empty() &&
-      !parse_shard_spec(shard_spec_, &shard_index_, &shard_count_)) {
-    return 1;
-  }
-  if (merge_only_ && shard_count_ > 1) {
-    std::cerr << "--merge-only folds ALL shards; drop --shard\n";
-    return 1;
-  }
-  if (merge_only_ && resume_spec_.empty()) {
-    std::cerr << "--merge-only needs --resume=<shard files>\n";
-    return 1;
-  }
-  if (merge_only_ && (!snapshot_dir_.empty() || !heartbeat_spec_.empty() ||
-                      !trace_path_.empty())) {
-    std::cerr << "--merge-only runs nothing: drop --snapshot-dir, "
-                 "--heartbeat and --trace\n";
-    return 1;
-  }
   if (mem_budget_gb_ < 0.0) {
     std::cerr << "--mem-budget must be >= 0\n";
     return 1;
@@ -347,8 +291,12 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
     std::cerr << "--fleet-merge needs --fleet-dir\n";
     return 1;
   }
+  if (fleet_merge_ && !trace_path_.empty()) {
+    std::cerr << "--fleet-merge runs nothing: drop --trace\n";
+    return 1;
+  }
   if (!fleet_dir_.empty()) {
-    // The fleet directory owns sharding, resume, records, snapshots and
+    // The fleet directory owns batching, resume, records, snapshots and
     // heartbeats; accepting these flags alongside it would silently
     // split the run's durable state across two layouts.
     const auto conflict = [](const char* flag) {
@@ -357,9 +305,7 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
                    "mode\")\n";
       return 1;
     };
-    if (!shard_spec_.empty()) return conflict("--shard");
     if (!resume_spec_.empty()) return conflict("--resume");
-    if (merge_only_) return conflict("--merge-only (use --fleet-merge)");
     if (!snapshot_dir_.empty()) return conflict("--snapshot-dir");
     if (!heartbeat_spec_.empty()) return conflict("--heartbeat");
     if (!fleet_merge_) {
@@ -404,8 +350,6 @@ void SweepCli::apply_overrides(Scenario& scenario) const {
 RunnerOptions SweepCli::base_options() const {
   RunnerOptions options;
   options.threads = threads_;
-  options.shard_index = shard_index_;
-  options.shard_count = shard_count_;
   options.memory_budget_bytes = static_cast<std::uint64_t>(
       mem_budget_gb_ * 1024.0 * 1024.0 * 1024.0);
   options.resume_from = checkpoint_;
@@ -434,21 +378,12 @@ int SweepCli::run_checked(Scenario scenario, std::ostream& out) {
     return fleet_merge_ ? run_fleet_merge(scenario, out)
                         : run_fleet_worker(scenario, out);
   }
-  if (merge_only_) return run_merge(scenario, split(resume_spec_, ','), out);
 
-  // Per-shard output paths so k cooperating processes can share one
-  // command line (identity when unsharded and no {shard} placeholder).
-  // The snapshot dir is shared as-is: shards own disjoint (cell,
-  // replicate) slots, so their snapshot files never collide.
-  const std::string csv_path = output_path(csv_path_);
-  const std::string json_path = output_path(json_path_);
-  const std::string json_replicates_path = output_path(json_replicates_path_);
-  const std::string trace_path = output_path(trace_path_);
   // The summary sinks and the trace are written after the sweep: find
   // out now, not hours later, that they cannot be.
-  require_writable(csv_path, "--csv");
-  require_writable(json_path, "--json");
-  require_writable(trace_path, "--trace");
+  require_writable(csv_path_, "--csv");
+  require_writable(json_path_, "--json");
+  require_writable(trace_path_, "--trace");
 
   // Load checkpoints BEFORE any sink opens the replicate path: resuming
   // into the same file must read it completely first.
@@ -459,8 +394,8 @@ int SweepCli::run_checked(Scenario scenario, std::ostream& out) {
     for (const auto& path : split(resume_spec_, ',')) {
       if (path.empty()) continue;
       checkpoint->load_file(path);
-      if (!json_replicates_path.empty() &&
-          same_file(path, json_replicates_path)) {
+      if (!json_replicates_path_.empty() &&
+          same_file(path, json_replicates_path_)) {
         resume_into_same_file = true;
       }
     }
@@ -476,9 +411,9 @@ int SweepCli::run_checked(Scenario scenario, std::ostream& out) {
   options.snapshot_every_seconds = snapshot_every_seconds_;
 
   std::unique_ptr<JsonLinesSink> replicate_sink;
-  if (!json_replicates_path.empty()) {
+  if (!json_replicates_path_.empty()) {
     replicate_sink = std::make_unique<JsonLinesSink>(
-        json_replicates_path, resume_into_same_file
+        json_replicates_path_, resume_into_same_file
                                   ? JsonLinesSink::Mode::kAppend
                                   : JsonLinesSink::Mode::kTruncate);
     JsonLinesSink* sink = replicate_sink.get();
@@ -496,19 +431,11 @@ int SweepCli::run_checked(Scenario scenario, std::ostream& out) {
   std::unique_ptr<obs::Heartbeat> heartbeat;
   if (!heartbeat_path_.empty()) {
     obs::Heartbeat::Options hb;
-    hb.path = shard_path(heartbeat_path_, shard_index_, shard_count_);
+    hb.path = heartbeat_path_;
     hb.interval_seconds = heartbeat_interval_seconds_;
     hb.scenario = scenario.name;
-    hb.shard_index = shard_index_;
-    hb.shard_count = shard_count_;
-    // Total = the tasks THIS process owns under the round-robin shard
-    // partition, so completed == total signals a finished shard.
-    const std::uint64_t task_count =
-        static_cast<std::uint64_t>(scenario.cells.size()) *
-        scenario.replicates;
-    hb.total_replicates =
-        task_count / shard_count_ +
-        (task_count % shard_count_ > shard_index_ ? 1 : 0);
+    hb.total_replicates = static_cast<std::uint64_t>(scenario.cells.size()) *
+                          scenario.replicates;
     heartbeat = std::make_unique<obs::Heartbeat>(std::move(hb));
     options.heartbeat = heartbeat.get();
   }
@@ -528,20 +455,14 @@ int SweepCli::run_checked(Scenario scenario, std::ostream& out) {
 
   // Export BEFORE any verification re-run the driver may do records more
   // events; the trace describes the primary (parallel) sweep.
-  if (!trace_path.empty()) {
-    obs::write_chrome_trace_file(trace_path, obs::snapshot(),
+  if (!trace_path_.empty()) {
+    obs::write_chrome_trace_file(trace_path_, obs::snapshot(),
                                  program_ + " " + scenario.name);
-    out << "trace: " << trace_path << "\n";
+    out << "trace: " << trace_path_ << "\n";
   }
 
-  write_sinks(summary_, csv_path, json_path);
+  write_sinks(summary_, csv_path_, json_path_);
   return 0;
-}
-
-std::string SweepCli::output_path(const std::string& flag_value) const {
-  return flag_value.empty()
-             ? flag_value
-             : shard_path(flag_value, shard_index_, shard_count_);
 }
 
 int SweepCli::run_fleet_worker(const Scenario& scenario, std::ostream& out) {
@@ -603,29 +524,20 @@ int SweepCli::run_fleet_merge(const Scenario& scenario, std::ostream& out) {
                  "(batches still to run); merge once every batch is done\n";
     return 1;
   }
-  return run_merge(scenario, fleet::all_record_files(fleet_dir_), out);
-}
 
-int SweepCli::run_merge(const Scenario& scenario,
-                        const std::vector<std::string>& files,
-                        std::ostream& out) {
-  const std::string json_replicates_path = output_path(json_replicates_path_);
-  const std::string csv_path = output_path(csv_path_);
-  const std::string json_path = output_path(json_path_);
-  require_writable(csv_path, "--csv");
-  require_writable(json_path, "--json");
-  require_writable(json_replicates_path, "--json-replicates");
-
+  require_writable(csv_path_, "--csv");
+  require_writable(json_path_, "--json");
+  require_writable(json_replicates_path_, "--json-replicates");
   auto checkpoint =
       std::make_shared<Checkpoint>(scenario.name, scenario.master_seed);
-  for (const std::string& path : files) {
-    if (!path.empty()) checkpoint->load_file(path);
+  for (const std::string& path : fleet::all_record_files(fleet_dir_)) {
+    checkpoint->load_file(path);
   }
   print_checkpoint_warnings(checkpoint->stats());
   out << "merge: " << checkpoint->size() << " replicate(s) loaded\n";
 
   // The records must be exactly the scenario's grid: a hole is unfinished
-  // work, and a record outside it (shards run with another --replicates,
+  // work, and a record outside it (a batch run with another --replicates,
   // say) means the inputs are not this sweep.
   std::size_t outside = 0;
   for (const auto& [key, result] : checkpoint->records()) {
@@ -645,8 +557,7 @@ int SweepCli::run_merge(const Scenario& scenario,
   }
   if (missing > 0) {
     std::cerr << program_ << ": merge: " << missing << " of " << tasks
-              << " replicates missing from the record files (shards or "
-                 "fleet batches still to run?)\n";
+              << " replicates missing from the fleet's record files\n";
     return 1;
   }
 
@@ -657,7 +568,7 @@ int SweepCli::run_merge(const Scenario& scenario,
   checkpoint_ = std::move(checkpoint);
   summary_ = Runner(base_options()).run(scenario);
   print_summary(out, summary_);
-  if (!json_replicates_path.empty()) {
+  if (!json_replicates_path_.empty()) {
     // The canonical merged record file: one record per replicate in
     // (cell_index, replicate) order, committed whole.
     std::ostringstream merged;
@@ -668,11 +579,11 @@ int SweepCli::run_merge(const Scenario& scenario,
                            result);
     }
     std::string error;
-    if (!write_durable_file(json_replicates_path, merged.str(), &error)) {
+    if (!write_durable_file(json_replicates_path_, merged.str(), &error)) {
       throw IoError("--json-replicates: " + error);
     }
   }
-  write_sinks(summary_, csv_path, json_path);
+  write_sinks(summary_, csv_path_, json_path_);
   return 0;
 }
 

@@ -1,11 +1,11 @@
 // Shared sweep-harness command line for every experiment driver.
 //
 // parallel_sweep and the E1-E11 bench mains all run Scenarios through the
-// same machinery — thread pool, sharding, resume checkpoints, streaming
-// replicate records, heartbeat files, telemetry traces and (new) durable
-// mid-replicate snapshots — and before SweepCli each driver re-registered
+// same machinery — thread pool, resume checkpoints, streaming replicate
+// records, heartbeat files, telemetry traces, durable mid-replicate
+// snapshots and the fleet — and before SweepCli each driver re-registered
 // its own subset of the flags, so only parallel_sweep could actually
-// resume or shard.  SweepCli owns the harness flag set once; a driver
+// resume.  SweepCli owns the harness flag set once; a driver
 // registers its experiment-specific flags on parser(), builds its
 // Scenario, and delegates execution:
 //
@@ -23,7 +23,6 @@
 #include <optional>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "exp/checkpoint.hpp"
 #include "exp/runner.hpp"
@@ -40,8 +39,8 @@ class SweepCli {
   /// parse().  Harness flag names (--threads, --csv, ...) are taken.
   ArgParser& parser() noexcept { return parser_; }
 
-  /// Parses argv and validates the harness flags (shard spec, heartbeat
-  /// spec, snapshot cadence, flag combinations).  Returns the process exit
+  /// Parses argv and validates the harness flags (heartbeat spec,
+  /// snapshot cadence, flag combinations).  Returns the process exit
   /// code when the run should stop here (--help, malformed flags);
   /// std::nullopt to continue.  Also applies --log-level and enables
   /// telemetry when --trace is given.
@@ -51,10 +50,9 @@ class SweepCli {
   /// this itself; exposed for drivers that size work before run().
   void apply_overrides(Scenario& scenario) const;
 
-  /// Executes `scenario` with the full harness wiring — per-shard output
-  /// paths, resume-checkpoint loading, streaming replicate records,
-  /// heartbeat, mid-replicate snapshots, or the --merge-only /
-  /// --fleet-merge fold (run_merge) — prints the summary table to `out`,
+  /// Executes `scenario` with the full harness wiring — resume-checkpoint
+  /// loading, streaming replicate records, heartbeat, mid-replicate
+  /// snapshots, or a fleet worker / the --fleet-merge fold — prints the summary table to `out`,
   /// exports the telemetry trace and writes the CSV/JSON sinks.  Returns
   /// the process exit code (0 on success); the aggregates stay available
   /// via summary().  Misuse found only here — a missing --resume file, an
@@ -66,13 +64,11 @@ class SweepCli {
   /// Aggregates of the last successful run().
   const SweepSummary& summary() const noexcept { return summary_; }
 
-  /// Runner configuration as parsed (threads, shard coordinates, memory
-  /// budget, the loaded resume checkpoint) WITHOUT sinks/snapshots — the
+  /// Runner configuration as parsed (threads, memory budget, the loaded
+  /// resume checkpoint) WITHOUT sinks/snapshots — the
   /// base for --compare style verification re-runs.  The checkpoint field
   /// is populated by run().
   RunnerOptions base_options() const;
-
-  bool merge_only() const noexcept { return merge_only_; }
 
   /// True when parse() selected fleet mode (--fleet-dir): run() will
   /// join the fleet as a worker (or merge it with --fleet-merge) instead
@@ -83,20 +79,14 @@ class SweepCli {
   int run_checked(Scenario scenario, std::ostream& out);
   int run_fleet_worker(const Scenario& scenario, std::ostream& out);
   /// Prints the fleet board (fleet/status.hpp) and lists every violated
-  /// fleet invariant on stderr; merges (run_merge) only a complete fleet
-  /// with no violation, and returns 1 otherwise.
+  /// fleet invariant on stderr.  Only a complete fleet with no violation
+  /// is merged: every record file is folded, the records must cover
+  /// exactly the scenario's (cell, replicate) grid — a hole or a record
+  /// outside it prints why and returns 1 — and they are aggregated
+  /// through the Runner (nothing runs).  Writes the summaries and, with
+  /// --json-replicates, the canonical merged record file: every record
+  /// once, in (cell_index, replicate) order.
   int run_fleet_merge(const Scenario& scenario, std::ostream& out);
-  /// The one merge path behind --merge-only and --fleet-merge: folds the
-  /// record `files`, requires them to cover exactly the scenario's (cell,
-  /// replicate) grid — a hole or a record outside it prints why and
-  /// returns 1 — and aggregates them through the Runner (nothing runs).
-  /// Writes the summaries and, with --json-replicates, the canonical
-  /// merged record file: every record once, in (cell_index, replicate)
-  /// order.
-  int run_merge(const Scenario& scenario,
-                const std::vector<std::string>& files, std::ostream& out);
-  /// A flag's output path for this process ("" stays ""; see shard_path).
-  std::string output_path(const std::string& flag_value) const;
 
   ArgParser parser_;
   std::string program_;
@@ -108,9 +98,7 @@ class SweepCli {
   std::string csv_path_;
   std::string json_path_;
   std::string json_replicates_path_;
-  std::string shard_spec_;
   std::string resume_spec_;
-  bool merge_only_ = false;
   double mem_budget_gb_ = 0.0;
   std::string trace_path_;
   std::string heartbeat_spec_;
@@ -125,8 +113,6 @@ class SweepCli {
   bool fleet_merge_ = false;
 
   unsigned threads_ = 0;
-  std::uint32_t shard_index_ = 0;
-  std::uint32_t shard_count_ = 1;
   std::string heartbeat_path_;
   double heartbeat_interval_seconds_ = 5.0;
   std::uint64_t snapshot_every_ticks_ = 0;

@@ -187,8 +187,8 @@ void Heartbeat::loop() {
 std::string Heartbeat::compose_locked() {
   const std::string values[] = {json_string("heartbeat"),
                                 json_string(options_.scenario),
-                                std::to_string(options_.shard_index),
-                                std::to_string(options_.shard_count),
+                                "0",  // shard_index: one shard
+                                "1",  // shard_count
                                 std::to_string(completed_),
                                 std::to_string(total_),
                                 std::to_string(current_cell_),

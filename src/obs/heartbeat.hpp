@@ -1,13 +1,13 @@
 // Periodic heartbeat files: the liveness signal for unattended sweeps.
 //
 // A Heartbeat owns a background thread that, every `interval_seconds`,
-// appends one JSON line — shard coordinates, completed/total replicate
-// counts, the most recently started (cell, replicate), the process RSS
-// high-water and the flush wall-clock timestamp — and commits the WHOLE
-// file through write_durable_file (support/durable_file.hpp), so a reader
-// (the fleet coordinator deciding whether a lease owner is alive, or a
-// human tailing a remote run) never observes a torn line: every line of
-// the file parses, always.
+// appends one JSON line — completed/total replicate counts, the most
+// recently started (cell, replicate), the process RSS high-water and the
+// flush wall-clock timestamp — and commits the WHOLE file through
+// write_durable_file (support/durable_file.hpp), so a reader (the fleet
+// coordinator deciding whether a lease owner is alive, or a human
+// tailing a remote run) never observes a torn line: every line of the
+// file parses, always.
 //
 // Heartbeats are observability, not results: a beat failure (full disk,
 // revoked mount) is retried with bounded backoff, then logged and
@@ -17,7 +17,9 @@
 // the simulation's hot path.
 //
 // Schema: one object per line carrying the keys of kHeartbeatKeys, in
-// that order (README "Observability" shows a line).  Fleet workers add
+// that order (README "Observability" shows a line).  "shard_index" and
+// "shard_count" are always 0 and 1: they stay so that readers of older
+// files and of newer ones see one key set.  Fleet workers add
 // two optional keys before "seq": "worker" (the stable worker id) and
 // "leases" (every lease currently held, in claim order, e.g.
 // ["batch-3.g2","batch-4.g0"] while one batch drains and the next has
@@ -69,8 +71,6 @@ class Heartbeat {
     std::string path;
     double interval_seconds = 5.0;
     std::string scenario;
-    std::uint32_t shard_index = 0;
-    std::uint32_t shard_count = 1;
     /// Replicates this process is expected to account for (owned tasks).
     /// Fleet workers start at 0 and add_total() per leased batch.
     std::uint64_t total_replicates = 0;

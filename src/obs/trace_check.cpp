@@ -216,20 +216,22 @@ std::vector<std::string> trace_violations(const Trace& trace) {
     }
   }
   // Greedy routing scans the CSR row until a graph's routed hops reach
-  // the switch threshold, so a sweep that routes little builds no mirror.
-  // Its counters say so: every routed hop was an unmirrored one.  A trace
-  // whose counters do not say so still owes a nested routing_mirror span,
-  // and so does one that has any.
+  // the switch threshold, so a sweep that routes little (or not at all)
+  // builds no mirror.  Every trace carries the routing counters, zeros
+  // included; a mirror span is owed once a hop ran on a mirror
+  // (routing.hops > routing.unmirrored_hops), by a trace that lacks the
+  // counters, and by one that has a mirror span at all.
   const auto hops = trace.counters.find("routing.hops");
   const auto unmirrored = trace.counters.find("routing.unmirrored_hops");
-  const bool csr_only = hops != trace.counters.end() &&
-                        unmirrored != trace.counters.end() &&
-                        hops->second == unmirrored->second;
+  const bool mirrored_hops = hops == trace.counters.end() ||
+                             unmirrored == trace.counters.end() ||
+                             hops->second > unmirrored->second;
   const bool mirror_owed =
-      !csr_only || std::any_of(trace.spans.begin(), trace.spans.end(),
-                               [](const TraceSpan& span) {
-                                 return span.name == "routing_mirror";
-                               });
+      mirrored_hops ||
+      std::any_of(trace.spans.begin(), trace.spans.end(),
+                  [](const TraceSpan& span) {
+                    return span.name == "routing_mirror";
+                  });
   for (const std::string_view phase : {"graph_build", "routing_mirror"}) {
     if (phase == "routing_mirror" && !mirror_owed) continue;
     const bool nested = std::any_of(

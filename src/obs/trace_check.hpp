@@ -12,9 +12,10 @@
 //     the Runner recorded inconsistent times);
 //   - some "graph_build" span nests inside a replicate span of the same
 //     lane, and so does some "routing_mirror" span — unless the trace has
-//     none and its counters show every routed hop ran before a mirror
-//     existed (routing.unmirrored_hops == routing.hops): a sweep that
-//     routes too little to reach the switch threshold builds none.
+//     none and its counters show no hop ran on a mirror
+//     (routing.hops <= routing.unmirrored_hops; both are in every trace,
+//     zeros included): a sweep that routes too little to reach the switch
+//     threshold, or never routes, builds none.
 // heartbeat_violations checks a heartbeat file: every line is one
 // heartbeat (parse_heartbeat_line) with every schema key, `seq` counts
 // lines from 0, `completed` never exceeds `total` and never decreases,

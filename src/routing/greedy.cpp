@@ -33,6 +33,17 @@ namespace {
 /// path averaging about 1.2, and both switch early in the run.
 constexpr std::uint64_t kArcsPerSwitchHop = 2;
 
+// Registered when the program loads, not on the first route, so every
+// trace carries them, zeros included: a trace reader can tell a sweep
+// that never routed (or never routed on a mirror) from one that lost its
+// routing_mirror span.
+const obs::CounterId c_routes = obs::counter("routing.routes");
+const obs::CounterId c_hops = obs::counter("routing.hops");
+const obs::CounterId c_unmirrored = obs::counter("routing.unmirrored_hops");
+const obs::CounterId c_pruned = obs::counter("routing.pruned_candidates");
+const obs::CounterId c_dead = obs::counter("routing.dead_ends");
+const obs::CounterId c_budget = obs::counter("routing.hop_budget_exceeded");
+
 /// Single greedy step: the neighbour strictly closest to `target` (closer
 /// than `current` itself), or `current` when none is — the sentinel avoids
 /// std::optional in the per-hop loop.  Endpoints are validated and the
@@ -157,12 +168,6 @@ void finish_route(const GeometricGraph& g, const RouteResult& result,
                   bool mirrored, std::uint64_t pruned) {
   if (!mirrored) g.add_unmirrored_hops(result.hops);
   if (!obs::enabled()) return;
-  static const auto c_routes = obs::counter("routing.routes");
-  static const auto c_hops = obs::counter("routing.hops");
-  static const auto c_unmirrored = obs::counter("routing.unmirrored_hops");
-  static const auto c_pruned = obs::counter("routing.pruned_candidates");
-  static const auto c_dead = obs::counter("routing.dead_ends");
-  static const auto c_budget = obs::counter("routing.hop_budget_exceeded");
   obs::add(c_routes);
   obs::add(c_hops, result.hops);
   if (!mirrored) obs::add(c_unmirrored, result.hops);

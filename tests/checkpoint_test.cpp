@@ -1,8 +1,9 @@
 // Tests for the resumable-sweep checkpoint layer (src/exp/checkpoint.*):
 // record round-trips through JsonLinesSink::write_replicate, the documented
 // fault-tolerance policy (torn tails, malformed lines, duplicates,
-// conflicts, foreign records, empty files), the round-robin shard partition
-// helpers, and the crash-safety contract of the sink itself.
+// conflicts, foreign records, empty files), the reader under mutation of
+// a real sweep's records, the round-robin shard partition the fleet's
+// batches use, and the crash-safety contract of the sink itself.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,10 +13,13 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "exp/checkpoint.hpp"
 #include "exp/sink.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace geogossip::exp {
 namespace {
@@ -87,7 +91,7 @@ TEST(Checkpoint, RoundTripsNonFiniteValuesAndTreatsNaNDuplicatesAsEqual) {
   // NaN-propagating trackers and arbitrary probe metrics can persist
   // non-finite doubles; the sink writes NaN/Infinity/-Infinity tokens and
   // the reader must load them — a permanently unloadable record would
-  // re-run (and re-append) forever and block --merge-only.
+  // re-run (and re-append) forever and block a fleet merge.
   ReplicateResult result;
   result.seed = 5;
   result.converged = false;
@@ -309,29 +313,110 @@ TEST(Sharding, RoundRobinTouchesEveryCellWhenShardsFitReplicates) {
   }
 }
 
-TEST(Sharding, ShardPathInsertsTagBeforeExtension) {
-  EXPECT_EQ(shard_path("out.jsonl", 0, 2), "out.shard-0-of-2.jsonl");
-  EXPECT_EQ(shard_path("runs/e5.records.jsonl", 1, 3),
-            "runs/e5.shard-1-of-3.records.jsonl");
-  EXPECT_EQ(shard_path("noext", 2, 4), "noext.shard-2-of-4");
-  // Dots in directories do not count as extensions.
-  EXPECT_EQ(shard_path("v1.2/out", 0, 2), "v1.2/out.shard-0-of-2");
-  // Unsharded paths pass through untouched.
-  EXPECT_EQ(shard_path("out.jsonl", 0, 1), "out.jsonl");
+// ------------------------------------------------------------- mutation ----
+// The reader on the records a real sweep streamed (the pinned e5-quick
+// records), cut at every byte, with seeded bit flips and with seeded
+// splices.  A mutant either loads or is refused with ArgumentError (a
+// conflicting record or a foreign schema stamp); any other exception, or
+// a crash, fails.  The sanitizer build runs these too.
+
+constexpr std::uint64_t kE5MasterSeed = 1;
+
+const std::string& e5_records() {
+  static const std::string text = [] {
+    std::ifstream in(std::string(GEOGOSSIP_TEST_EXAMPLES_DIR) +
+                         "/e5-quick.records.jsonl",
+                     std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  }();
+  return text;
 }
 
-TEST(Sharding, ShardPathHonorsPlaceholder) {
-  EXPECT_EQ(shard_path("out-{shard}.jsonl", 1, 4), "out-1-of-4.jsonl");
-  EXPECT_EQ(shard_path("{shard}/{shard}.jsonl", 0, 2),
-            "0-of-2/0-of-2.jsonl");
-  // Placeholder substitution applies even unsharded, keeping scripted
-  // paths stable across k.
-  EXPECT_EQ(shard_path("out-{shard}.jsonl", 0, 1), "out-0-of-1.jsonl");
+/// Loads `text` as e5-quick's checkpoint; false when the reader refused it
+/// with ArgumentError.  Any other exception escapes and fails the test.
+bool loads(const std::string& text) {
+  Checkpoint checkpoint("e5-quick", kE5MasterSeed);
+  try {
+    checkpoint.load(text);
+    return true;
+  } catch (const ArgumentError&) {
+    return false;
+  }
 }
 
-TEST(Sharding, ShardPathValidatesCoordinates) {
-  EXPECT_THROW(shard_path("out.jsonl", 2, 2), ArgumentError);
-  EXPECT_THROW(shard_path("out.jsonl", 0, 0), ArgumentError);
+TEST(CheckpointMutation, ACutAtEveryByteLoadsExactlyTheWholeRecords) {
+  const std::string& text = e5_records();
+  Checkpoint full("e5-quick", kE5MasterSeed);
+  full.load(text);
+  ASSERT_EQ(full.size(), 60u);
+  ASSERT_EQ(full.stats().accepted, 60u);
+  // The file is in (cell_index, replicate) order, one record a line, so
+  // line i holds the i-th record of the map; ends[i] is its newline.
+  std::vector<const std::pair<const Checkpoint::Key, ReplicateResult>*>
+      records;
+  for (const auto& entry : full.records()) records.push_back(&entry);
+  std::vector<std::size_t> ends;
+  for (std::size_t at = text.find('\n'); at != std::string::npos;
+       at = text.find('\n', at + 1)) {
+    ends.push_back(at);
+  }
+  ASSERT_EQ(ends.size(), records.size());
+
+  std::size_t whole = 0;  // records whose bytes all precede the cut
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    while (whole < ends.size() && ends[whole] <= cut) ++whole;
+    Checkpoint checkpoint("e5-quick", kE5MasterSeed);
+    ASSERT_NO_THROW(checkpoint.load(std::string_view(text).substr(0, cut)))
+        << "cut " << cut;
+    ASSERT_EQ(checkpoint.size(), whole) << "cut " << cut;
+    for (std::size_t i = 0; i < whole; ++i) {
+      const ReplicateResult* got =
+          checkpoint.find(records[i]->first.first, records[i]->first.second);
+      ASSERT_NE(got, nullptr) << "cut " << cut << " record " << i;
+      ASSERT_TRUE(results_equal(*got, records[i]->second))
+          << "cut " << cut << " record " << i;
+    }
+    EXPECT_EQ(checkpoint.stats().malformed, 0u) << "cut " << cut;
+    // Only a cut inside a line, short of its last byte, tears it.
+    const bool torn = cut > 0 && text[cut - 1] != '\n' &&
+                      cut < text.size() && text[cut] != '\n';
+    EXPECT_EQ(checkpoint.stats().torn_tail, torn) << "cut " << cut;
+  }
+}
+
+TEST(CheckpointMutation, BitFlipsLoadOrAreRefusedWithAnArgumentError) {
+  const std::string& text = e5_records();
+  ASSERT_TRUE(loads(text));
+  Rng rng(2101);
+  int loaded = 0;
+  int refused = 0;
+  for (int flip = 0; flip < 2000; ++flip) {
+    std::string mutant = text;
+    const std::size_t at = rng.below(mutant.size());
+    mutant[at] = static_cast<char>(mutant[at] ^ (1 << rng.below(8)));
+    (loads(mutant) ? loaded : refused) += 1;
+  }
+  // Both outcomes occur, or the flips are not reaching the reader.
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(refused, 0);
+}
+
+TEST(CheckpointMutation, SplicesLoadOrAreRefusedWithAnArgumentError) {
+  const std::string& text = e5_records();
+  Rng rng(2102);
+  int loaded = 0;
+  int refused = 0;
+  for (int splice = 0; splice < 2000; ++splice) {
+    // A prefix of the file joined to a suffix of it: records repeated,
+    // dropped, or glued mid-line to another record's tail.
+    const std::size_t head = rng.below(text.size() + 1);
+    const std::size_t tail = rng.below(text.size() + 1);
+    (loads(text.substr(0, head) + text.substr(tail)) ? loaded : refused) += 1;
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(refused, 0);
 }
 
 // -------------------------------------------------------- sink crash-safety ----

@@ -1,11 +1,14 @@
 // Runs the sweep harness in-process on an argument list, the way a
-// driver's main does, capturing what it prints.
+// driver's main does, capturing what it prints; and puts the replicate
+// records a run streams into the order a merge writes them.
 #ifndef GEOGOSSIP_TESTS_CLI_RUNNER_HPP
 #define GEOGOSSIP_TESTS_CLI_RUNNER_HPP
 
+#include <algorithm>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/scenario.hpp"
@@ -41,6 +44,25 @@ inline CliOutcome run_sweep_cli(const std::vector<std::string>& args,
   std::cerr.rdbuf(saved);
   outcome.stderr_text = captured.str();
   return outcome;
+}
+
+/// The record lines of `text` sorted by (cell_index, replicate).
+inline std::string sorted_by_key(const std::string& text) {
+  const auto field = [](const std::string& line, const std::string& key) {
+    const std::size_t at = line.find("\"" + key + "\":");
+    return std::stoull(line.substr(at + key.size() + 3));
+  };
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::sort(lines.begin(), lines.end(),
+            [&](const std::string& a, const std::string& b) {
+              return std::pair(field(a, "cell_index"), field(a, "replicate")) <
+                     std::pair(field(b, "cell_index"), field(b, "replicate"));
+            });
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
 }
 
 }  // namespace geogossip

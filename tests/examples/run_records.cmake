@@ -1,18 +1,19 @@
 # Pins a sweep's replicate records byte for byte: runs parallel_sweep on
-# SCENARIO with --json-replicates, puts the records in canonical order
-# with --merge-only, and requires exactly EXPECTED's bytes.
+# SCENARIO as a one-worker fleet, writes the canonical records with
+# --fleet-merge, and requires exactly EXPECTED's bytes.
 #
 #   cmake -DEXE=<parallel_sweep> -DSCENARIO=<name> -DTHREADS=<n>
 #         -DEXPECTED=<records file> -DWORK_DIR=<dir> -P run_records.cmake
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
-set(raw "${WORK_DIR}/records.jsonl")
+set(fleet "${WORK_DIR}/fleet")
 set(canonical "${WORK_DIR}/canonical.jsonl")
 foreach(step run merge)
   if(step STREQUAL "run")
-    set(args --threads=${THREADS} --json-replicates=${raw})
+    set(args --fleet-dir=${fleet} --fleet-batches=4 --threads=${THREADS})
   else()
-    set(args --merge-only --resume=${raw} --json-replicates=${canonical})
+    set(args --fleet-dir=${fleet} --fleet-merge
+             --json-replicates=${canonical})
   endif()
   execute_process(COMMAND "${EXE}" --scenario=${SCENARIO} ${args}
                   OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)

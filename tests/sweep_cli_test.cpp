@@ -1,6 +1,7 @@
 // Misuse of the sweep harness flags must end in exit code 1 with a
 // message — never an abort, and never after the sweep has already run —
-// and --merge-only folds record files into the canonical merged file.
+// and --fleet-merge folds a fleet's record files into the canonical
+// merged file.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "exp/scenario.hpp"
 #include "exp/schema.hpp"
 #include "exp/sweep_cli.hpp"
+#include "fleet/plan.hpp"
 
 namespace geogossip {
 namespace {
@@ -91,10 +93,13 @@ TEST(SweepCliMisuse, ExitsOneWithAMessageBeforeAnyWork) {
       {"fleet merge without a plan",
        {"--fleet-dir=" + root.string(), "--fleet-merge"},
        "holds no plan.json"},
-      {"merge-only with a heartbeat",
-       {"--merge-only", "--resume=" + (root / "a.jsonl").string(),
-        "--heartbeat=" + (root / "hb.jsonl").string()},
-       "--merge-only runs nothing"},
+      {"fleet merge with a trace",
+       {"--fleet-dir=" + root.string(), "--fleet-merge",
+        "--trace=" + (root / "trace.json").string()},
+       "--fleet-merge runs nothing"},
+      // Not flags: the fleet splits a sweep and --fleet-merge merges it.
+      {"retired --shard", {"--shard=0/2"}, "unknown flag --shard"},
+      {"retired --merge-only", {"--merge-only"}, "unknown flag --merge-only"},
   };
   for (const MisuseCase& c : cases) {
     SCOPED_TRACE(c.name);
@@ -131,10 +136,10 @@ TEST(SweepCliMisuse, WritableOutputsStillRunAndProbesLeaveNoFile) {
 }
 
 // ------------------------------------------------------------ merging ----
-// --merge-only --json-replicates is the one merge path: it folds record
-// files under Checkpoint's tolerance policy and writes the canonical
-// merged file.  Each test below names the case of the retired Python
-// merge tool's self-test it carries over.
+// --fleet-merge --json-replicates is the one merge path: on a complete
+// fleet it folds every record file under Checkpoint's tolerance policy
+// and writes the canonical merged file.  Each test below names the case
+// of the retired Python merge tool's self-test it carries over.
 
 /// Three cells of seed-derived results; the n = 64 cell's final error is
 /// NaN, so merged records must round-trip non-finite values too.
@@ -165,25 +170,9 @@ std::string slurp(const std::string& path) {
   return buffer.str();
 }
 
-/// The record lines of `text` sorted by (cell_index, replicate).
-std::string sorted_by_key(const std::string& text) {
-  const auto field = [](const std::string& line, const std::string& key) {
-    const std::size_t at = line.find("\"" + key + "\":");
-    return std::stoull(line.substr(at + key.size() + 3));
-  };
-  std::vector<std::string> lines;
-  std::istringstream in(text);
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  std::sort(lines.begin(), lines.end(),
-            [&](const std::string& a, const std::string& b) {
-              return std::pair(field(a, "cell_index"), field(a, "replicate")) <
-                     std::pair(field(b, "cell_index"), field(b, "replicate"));
-            });
-  std::string out;
-  for (const std::string& line : lines) out += line + "\n";
-  return out;
-}
-
+/// The merge step, which runs nothing: a complete fleet directory folded
+/// by --fleet-merge.  Batch b of B runs as shard b/B, so the record file
+/// of each batch of a one-worker fleet is that shard's records.
 class MergeOnly : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -191,42 +180,78 @@ class MergeOnly : public ::testing::Test {
     fs::create_directories(root_);
     clean_ = sorted_by_key(records({}));
     ASSERT_EQ(std::count(clean_.begin(), clean_.end(), '\n'), 9);
-    shard0_ = records({"--shard=0/2"});
-    shard1_ = records({"--shard=1/2"});
+    const std::vector<std::string> halves = batch_records(2);
+    ASSERT_EQ(halves.size(), 2u);
+    batch0_ = halves[0];
+    batch1_ = halves[1];
   }
 
-  /// The replicate records a run with `args` streams.
+  /// The replicate records a plain run with `args` streams.
   std::string records(std::vector<std::string> args) {
     const std::string path = (root_ / "run.jsonl").string();
     args.push_back("--json-replicates=" + path);
     args.push_back("--threads=2");
     const CliOutcome outcome = run_cli(args, merge_scenario());
     EXPECT_EQ(outcome.exit_code, 0) << outcome.stderr_text;
-    // A sharded run writes "run.shard-<i>-of-<k>.jsonl".
-    for (const auto& entry : fs::directory_iterator(root_)) {
-      if (entry.path().filename().string().rfind("run.", 0) == 0) {
-        std::string text = slurp(entry.path().string());
-        fs::remove(entry.path());
-        return text;
-      }
-    }
-    return "";
+    std::string text = slurp(path);
+    fs::remove(path);
+    return text;
   }
 
-  /// Writes each of `contents` to its own file and merges them.
-  CliOutcome merge(const std::vector<std::string>& contents) {
-    std::string resume = "--resume=";
+  /// The record file of each batch of a one-worker fleet of `batches`
+  /// batches (batch b runs as shard b/batches), in batch order.
+  std::vector<std::string> batch_records(std::uint32_t batches) {
+    const std::string dir =
+        (root_ / ("worker-" + std::to_string(batches))).string();
+    const CliOutcome outcome =
+        run_cli({"--fleet-dir=" + dir,
+                 "--fleet-batches=" + std::to_string(batches),
+                 "--fleet-worker=solo", "--threads=2"},
+                merge_scenario());
+    EXPECT_EQ(outcome.exit_code, 0) << outcome.stderr_text;
+    std::vector<std::string> out;
+    for (std::uint32_t b = 0; b < batches; ++b) {
+      const std::vector<std::string> files =
+          fleet::batch_record_files(dir, b);
+      EXPECT_EQ(files.size(), 1u) << "batch " << b;
+      out.push_back(files.empty() ? "" : slurp(files.front()));
+    }
+    return out;
+  }
+
+  /// Lays out a complete fleet of `batches` batches with the fleet's own
+  /// writers — the plan, no ticket left, a done marker per batch — whose
+  /// record file i holds contents[i] and belongs to batch i % batches,
+  /// then merges it with --fleet-merge, --json-replicates and `extra`.
+  CliOutcome merge(const std::vector<std::string>& contents,
+                   std::uint32_t batches = 2,
+                   const std::vector<std::string>& extra = {}) {
+    const std::string dir = (root_ / "fleet").string();
+    fs::remove_all(dir);
+    fleet::ensure_plan(dir, merge_scenario(), batches);
+    for (std::uint32_t b = 0; b < batches; ++b) {
+      fs::remove(fleet::queue_ticket_path(dir, b));
+    }
     for (std::size_t i = 0; i < contents.size(); ++i) {
-      const std::string path = (root_ / ("in" + std::to_string(i))).string();
-      std::ofstream(path, std::ios::binary) << contents[i];
-      resume += (i == 0 ? "" : ",") + path;
+      const auto batch = static_cast<std::uint32_t>(i % batches);
+      const auto generation = static_cast<std::uint32_t>(i / batches);
+      std::ofstream(fleet::records_path(dir, batch, generation, "solo"),
+                    std::ios::binary)
+          << contents[i];
     }
-    return run_cli({"--merge-only", resume, "--json-replicates=" + merged()},
-                   merge_scenario());
+    for (std::uint32_t b = 0; b < batches; ++b) {
+      fleet::write_done_marker(dir, b, "solo",
+                               fleet::records_path(dir, b, 0, "solo"), 0);
+    }
+    std::vector<std::string> args{"--fleet-dir=" + dir, "--fleet-merge",
+                                  "--json-replicates=" + merged()};
+    args.insert(args.end(), extra.begin(), extra.end());
+    return run_cli(args, merge_scenario());
   }
 
-  void expect_merges_to_clean(const std::vector<std::string>& contents) {
-    const CliOutcome outcome = merge(contents);
+  void expect_merges_to_clean(const std::vector<std::string>& contents,
+                              std::uint32_t batches = 2) {
+    const CliOutcome outcome = merge(contents, batches);
     EXPECT_EQ(outcome.exit_code, 0) << outcome.stderr_text;
     EXPECT_EQ(slurp(merged()), clean_);
   }
@@ -246,29 +271,23 @@ class MergeOnly : public ::testing::Test {
       (std::string("ggsweepcli_merge_") +
        ::testing::UnitTest::GetInstance()->current_test_info()->name());
   std::string clean_;
-  std::string shard0_;
-  std::string shard1_;
+  std::string batch0_;
+  std::string batch1_;
 };
 
 // merge_sorted
 TEST_F(MergeOnly, ShardFilesMergeToTheUnshardedRecordsSortedByKey) {
-  for (const std::uint32_t k : {2u, 3u}) {
-    SCOPED_TRACE(k);
-    std::vector<std::string> shards;
-    for (std::uint32_t i = 0; i < k; ++i) {
-      shards.push_back(records(
-          {"--shard=" + std::to_string(i) + "/" + std::to_string(k)}));
-    }
-    expect_merges_to_clean({shards.rbegin(), shards.rend()});
+  for (const std::uint32_t batches : {2u, 3u}) {
+    SCOPED_TRACE(batches);
+    const std::vector<std::string> files = batch_records(batches);
+    expect_merges_to_clean({files.rbegin(), files.rend()}, batches);
   }
   // The merged file alone merges to itself, with byte-identical summaries.
   const std::string csv_clean = (root_ / "clean.csv").string();
   const std::string csv_merged = (root_ / "merged.csv").string();
   ASSERT_EQ(run_cli({"--csv=" + csv_clean}, merge_scenario()).exit_code, 0);
   const CliOutcome again =
-      run_cli({"--merge-only", "--resume=" + merged(),
-               "--json-replicates=" + merged(), "--csv=" + csv_merged},
-              merge_scenario());
+      merge({slurp(merged())}, 1, {"--csv=" + csv_merged});
   EXPECT_EQ(again.exit_code, 0) << again.stderr_text;
   EXPECT_EQ(slurp(merged()), clean_);
   EXPECT_EQ(slurp(csv_merged), slurp(csv_clean));
@@ -276,75 +295,76 @@ TEST_F(MergeOnly, ShardFilesMergeToTheUnshardedRecordsSortedByKey) {
 
 // duplicate_collapses
 TEST_F(MergeOnly, DuplicateRecordsCollapse) {
-  expect_merges_to_clean({shard0_, shard1_, shard0_});
+  expect_merges_to_clean({batch0_, batch1_, batch0_});
 }
 
 // nan_duplicate_collapses
 TEST_F(MergeOnly, DuplicateNaNRecordsCollapse) {
   ASSERT_NE(clean_.find("\"final_error\":NaN"), std::string::npos);
-  expect_merges_to_clean({shard0_, shard1_, shard1_, shard0_});
+  expect_merges_to_clean({batch0_, batch1_, batch1_, batch0_});
 }
 
 // conflict_errors
 TEST_F(MergeOnly, ConflictingRecordsExitOne) {
-  // The first record of shard 0 again, with its convergence flag flipped.
-  std::string conflicting = shard0_.substr(0, shard0_.find('\n') + 1);
+  // The first record of batch 0 again, with its convergence flag flipped.
+  std::string conflicting = batch0_.substr(0, batch0_.find('\n') + 1);
   const std::size_t at = conflicting.find("\"converged\":") + 12;
   const bool was_true = conflicting[at] == 't';
   conflicting.replace(at, was_true ? 4 : 5, was_true ? "false" : "true");
-  expect_merge_fails({shard0_, shard1_, conflicting}, "conflicting");
+  expect_merge_fails({batch0_, batch1_, conflicting}, "conflicting");
 }
 
 // schema_current_and_legacy
 TEST_F(MergeOnly, StamplessLegacyRecordsMergeWithStampedOnes) {
   const std::string stamp =
       "\"schema\":" + std::to_string(exp::kSchemaVersion) + ",";
-  std::string legacy = shard0_;
+  std::string legacy = batch0_;
   for (std::size_t at; (at = legacy.find(stamp)) != std::string::npos;) {
     legacy.erase(at, stamp.size());
   }
-  expect_merges_to_clean({legacy, shard1_});
+  expect_merges_to_clean({legacy, batch1_});
 }
 
 // schema_mismatch_errors
 TEST_F(MergeOnly, AForeignSchemaStampExitsOne) {
-  std::string future = shard0_;
-  const std::string stamp = "\"schema\":" + std::to_string(exp::kSchemaVersion);
+  std::string future = batch0_;
+  const std::string stamp =
+      "\"schema\":" + std::to_string(exp::kSchemaVersion);
   future.replace(future.find(stamp), stamp.size(), "\"schema\":999");
-  expect_merge_fails({future, shard1_}, "schema");
+  expect_merge_fails({future, batch1_}, "schema");
 }
 
 // torn_tail
 TEST_F(MergeOnly, ATornFinalLineIsTolerated) {
-  expect_merges_to_clean({shard0_ + shard1_.substr(0, 20), shard1_});
+  expect_merges_to_clean({batch0_ + batch1_.substr(0, 20), batch1_});
 }
 
 // complete_tail_kept
 TEST_F(MergeOnly, AFinalRecordMissingOnlyItsNewlineIsKept) {
-  expect_merges_to_clean({shard0_.substr(0, shard0_.size() - 1), shard1_});
+  expect_merges_to_clean({batch0_.substr(0, batch0_.size() - 1), batch1_});
 }
 
 // interior_garbage
 TEST_F(MergeOnly, InteriorGarbageLinesAreSkipped) {
-  const std::size_t first_end = shard0_.find('\n') + 1;
-  expect_merges_to_clean({shard0_.substr(0, first_end) + "not json\n" +
-                              shard0_.substr(first_end),
-                          shard1_});
+  const std::size_t first_end = batch0_.find('\n') + 1;
+  expect_merges_to_clean({batch0_.substr(0, first_end) + "not json\n" +
+                              batch0_.substr(first_end),
+                          batch1_});
 }
 
 // selector_filters
 TEST_F(MergeOnly, AnotherSweepsRecordsAreSkipped) {
-  std::string other = shard1_;
+  std::string other = batch1_;
   for (std::size_t at;
        (at = other.find("sweep-cli-merge")) != std::string::npos;) {
     other.replace(at, 15, "another-sweep");
   }
-  expect_merges_to_clean({shard0_ + other, shard1_});
+  expect_merges_to_clean({batch0_ + other, batch1_});
 }
 
 // missing_errors
 TEST_F(MergeOnly, AHoleInTheGridExitsOne) {
-  expect_merge_fails({shard0_}, "replicates missing");
+  expect_merge_fails({batch0_}, "replicates missing");
   EXPECT_FALSE(fs::exists(merged()));
 }
 
@@ -357,7 +377,7 @@ TEST_F(MergeOnly, ARecordOutsideTheGridExitsOne) {
 
 // empty_file
 TEST_F(MergeOnly, AnEmptyFileMergesAsNothing) {
-  expect_merges_to_clean({"", shard0_, shard1_});
+  expect_merges_to_clean({"", batch0_, batch1_});
 }
 
 // summary_lines_ignored
@@ -366,7 +386,7 @@ TEST_F(MergeOnly, CellSummaryLinesAreIgnored) {
   ASSERT_EQ(run_cli({"--json=" + json}, merge_scenario()).exit_code, 0);
   const std::string summaries = slurp(json);
   ASSERT_FALSE(summaries.empty());
-  expect_merges_to_clean({summaries + shard0_, shard1_});
+  expect_merges_to_clean({summaries + batch0_, batch1_});
 }
 
 }  // namespace

@@ -200,22 +200,30 @@ TEST(TraceSummary, MissingPhaseFails) {
 
 TEST(TraceSummary, MirrorSpanIsOwedOnlyOnceAHopRanOnAMirror) {
   // A sweep whose every hop scanned the CSR row (routing.unmirrored_hops
-  // equals routing.hops) built no mirror and owes no routing_mirror span;
-  // one mirrored hop makes the span owed again.
+  // equals routing.hops), or that never routed (both counters written as
+  // zero), built no mirror and owes no routing_mirror span; mirrored hops
+  // make the span owed again.
   std::vector<std::string> events;
   for (const std::string& event : valid_events()) {
     if (!contains(event, "routing_mirror")) events.push_back(event);
   }
-  const Outcome csr_only = summarize(
-      trace_of(events, "\"routing.hops\":42,\"routing.unmirrored_hops\":42"),
-      validate_top(10));
-  EXPECT_EQ(csr_only.code, 0) << csr_only.err;
-  const Outcome one_mirrored = summarize(
-      trace_of(events, "\"routing.hops\":42,\"routing.unmirrored_hops\":41"),
-      validate_top(10));
-  EXPECT_EQ(one_mirrored.code, 1);
-  EXPECT_TRUE(contains(one_mirrored.err, "routing_mirror"))
-      << one_mirrored.err;
+  for (const char* counters :
+       {"\"routing.hops\":42,\"routing.unmirrored_hops\":42",
+        "\"routing.routes\":0,\"routing.hops\":0,"
+        "\"routing.unmirrored_hops\":0"}) {
+    const Outcome csr_only =
+        summarize(trace_of(events, counters), validate_top(10));
+    EXPECT_EQ(csr_only.code, 0) << counters << ": " << csr_only.err;
+  }
+  for (const char* counters :
+       {"\"routing.hops\":42,\"routing.unmirrored_hops\":41",
+        "\"routing.routes\":3,\"routing.hops\":42,"
+        "\"routing.unmirrored_hops\":0"}) {
+    const Outcome mirrored =
+        summarize(trace_of(events, counters), validate_top(10));
+    EXPECT_EQ(mirrored.code, 1) << counters;
+    EXPECT_TRUE(contains(mirrored.err, "routing_mirror")) << mirrored.err;
+  }
   // A mirror span that exists must still nest inside a replicate.
   std::vector<std::string> escaped = events;
   escaped.push_back(span("routing_mirror", 2000, 40, 1, "\"n\":64"));
