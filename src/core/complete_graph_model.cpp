@@ -114,32 +114,4 @@ double lemma2_failure_probability(std::size_t n, double a) {
   return std::min(1.0, 5.0 / std::pow(static_cast<double>(n), a));
 }
 
-std::vector<std::pair<std::uint64_t, double>> mean_norm_trajectory(
-    const CompleteGraphConfig& config, const std::vector<double>& x0,
-    std::uint64_t steps, std::uint64_t sample_every, std::uint32_t trials,
-    std::uint64_t seed) {
-  GG_CHECK_ARG(sample_every >= 1, "sample_every >= 1");
-  GG_CHECK_ARG(trials >= 1, "trials >= 1");
-
-  const std::uint64_t samples = steps / sample_every + 1;
-  std::vector<std::pair<std::uint64_t, double>> out(samples);
-  for (std::uint64_t s = 0; s < samples; ++s) {
-    out[s] = {s * sample_every, 0.0};
-  }
-
-  for (std::uint32_t trial = 0; trial < trials; ++trial) {
-    Rng rng(derive_seed(seed, trial));
-    CompleteGraphModel model(config, x0, rng);
-    out[0].second += model.norm_squared();
-    for (std::uint64_t s = 1; s < samples; ++s) {
-      model.run(sample_every);
-      out[s].second += model.norm_squared();
-    }
-  }
-  for (auto& [t, norm_sq] : out) {
-    norm_sq /= static_cast<double>(trials);
-  }
-  return out;
-}
-
 }  // namespace geogossip::core

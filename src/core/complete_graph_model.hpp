@@ -79,14 +79,6 @@ double lemma2_envelope(std::size_t n, std::uint64_t t, double a,
 /// Failure probability of the Lemma 2 envelope: 5 / n^a.
 double lemma2_failure_probability(std::size_t n, double a);
 
-/// Runs `trials` independent simulations of `steps` steps from x0 and
-/// returns the empirical mean of ||x(t)||^2 at each sampled step multiple.
-/// Output: (t, mean ||x(t)||^2) pairs at t = 0, sample_every, 2*sample_every...
-std::vector<std::pair<std::uint64_t, double>> mean_norm_trajectory(
-    const CompleteGraphConfig& config, const std::vector<double>& x0,
-    std::uint64_t steps, std::uint64_t sample_every, std::uint32_t trials,
-    std::uint64_t seed);
-
 }  // namespace geogossip::core
 
 #endif  // GEOGOSSIP_CORE_COMPLETE_GRAPH_MODEL_HPP

@@ -27,7 +27,7 @@ MultilevelAffineGossip::MultilevelAffineGossip(
       leaf_charge_[id] = charged_leaf_cost(
           config_.leaf_cost, square.members.size(),
           square.rect.width() / graph_->radius(),
-          schedule_.eps(static_cast<int>(id)), config_.leaf_constant);
+          schedule_.eps(static_cast<int>(id)));
     }
   }
 }

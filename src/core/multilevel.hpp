@@ -52,8 +52,6 @@ struct MultilevelConfig : ScheduleConfig {
   /// alpha = beta/m exceed 1 and the update amplifies; kExpected remains
   /// available for ablation E10 and the instability tests.
   BetaMode beta_mode = BetaMode::kActualHarmonic;
-  /// Constant of the charged leaf-averaging models.
-  double leaf_constant = 1.0;
   /// Absolute bound of the noise injected after each idealized leaf
   /// averaging (Lemma 2 in vivo); 0 = perfect leaf averaging.
   double leaf_noise = 0.0;

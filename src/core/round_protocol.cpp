@@ -53,11 +53,9 @@ double exchange_beta(BetaMode mode, double expected_occupancy,
 }
 
 std::uint64_t charged_leaf_cost(LeafCostModel model, std::size_t m,
-                                double side_over_radius, double eps,
-                                double constant) {
+                                double side_over_radius, double eps) {
   GG_CHECK_ARG(m >= 1, "charged_leaf_cost: m >= 1");
   GG_CHECK_ARG(eps > 0.0 && eps < 1.0, "charged_leaf_cost: eps in (0,1)");
-  GG_CHECK_ARG(constant > 0.0, "charged_leaf_cost: constant > 0");
   if (m == 1) return 0;  // nothing to average
 
   const double mm = static_cast<double>(m);
@@ -66,11 +64,11 @@ std::uint64_t charged_leaf_cost(LeafCostModel model, std::size_t m,
   switch (model) {
     case LeafCostModel::kGrgMixing: {
       const double mixing = std::max(1.0, side_over_radius * side_over_radius);
-      exchanges = constant * mm * mixing * log_term;
+      exchanges = mm * mixing * log_term;
       break;
     }
     case LeafCostModel::kQuadratic:
-      exchanges = constant * mm * mm * log_term;
+      exchanges = mm * mm * log_term;
       break;
     case LeafCostModel::kMeasured:
       throw ArgumentError(

@@ -53,8 +53,7 @@ double exchange_beta(BetaMode mode, double expected_occupancy,
 /// side-to-radius ratio is `side_over_radius`, to accuracy `eps`, under the
 /// analytic models (kMeasured is handled by the caller running Near).
 std::uint64_t charged_leaf_cost(LeafCostModel model, std::size_t m,
-                                double side_over_radius, double eps,
-                                double constant);
+                                double side_over_radius, double eps);
 
 /// Memoized greedy-route hop counts between node pairs, keyed on the
 /// unordered pair packed as (min << 32) | max.  A route that greedy

@@ -221,7 +221,9 @@ void Checkpoint::load(std::string_view text) {
 
 void Checkpoint::load_file(const std::string& path) {
   const std::optional<std::string> text = read_file(path);
-  GG_CHECK_ARG(text.has_value(), "Checkpoint: cannot read '" + path + "'");
+  // A missing or unreadable --resume file is a user mistake: a plain
+  // message, not a check expression.
+  if (!text) throw ArgumentError("Checkpoint: cannot read '" + path + "'");
   load(*text);
 }
 

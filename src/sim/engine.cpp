@@ -19,19 +19,11 @@ namespace {
 constexpr std::string_view kEnginePayloadTag = "geogossip-engine-run/2";
 constexpr std::string_view kModelTimePayloadTag = "geogossip-engine-run";
 
+/// Tick protocols poll the wall clock for the seconds cadence only every
+/// this many ticks, keeping clock syscalls off the per-tick hot path.
+constexpr std::uint64_t kWallPollTicks = 8192;
+
 }  // namespace
-
-void GossipProtocol::snapshot(SnapshotWriter&) const {
-  throw CheckError("GossipProtocol::snapshot: protocol '" +
-                   std::string(name()) +
-                   "' does not implement the Snapshot/Restore contract");
-}
-
-void GossipProtocol::restore(SnapshotReader&) {
-  throw CheckError("GossipProtocol::restore: protocol '" +
-                   std::string(name()) +
-                   "' does not implement the Snapshot/Restore contract");
-}
 
 double deviation_norm(std::span<const double> values) {
   GG_CHECK_ARG(!values.empty(), "deviation_norm: empty span");
@@ -46,11 +38,6 @@ double deviation_norm(std::span<const double> values) {
 double relative_error(std::span<const double> values, double initial_norm) {
   GG_CHECK_ARG(initial_norm > 0.0, "relative_error: initial norm must be > 0");
   return deviation_norm(values) / initial_norm;
-}
-
-double GossipProtocol::deviation_sq() const {
-  const double norm = deviation_norm(values());
-  return norm * norm;
 }
 
 std::string RunResult::to_string() const {
@@ -131,23 +118,13 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     }
   }
 
-  // Tracking protocols get per-tick checks for free (deviation_sq() is
-  // O(1)); for the exact-recompute fallback keep the historical
-  // every-n-ticks amortization.
-  const std::uint64_t check_every =
-      config.check_interval != 0
-          ? config.check_interval
-          : (protocol.tracks_deviation() ? 1 : n);
   // The criterion err <= epsilon compares squared quantities, sqrt-free.
   const double target_dev_sq =
       config.epsilon * config.epsilon * initial_dev_sq;
 
   const bool rounds = protocol.steps_are_rounds();
   const bool snapshotting = checkpoints.enabled();
-  const std::uint64_t wall_poll =
-      rounds ? 1
-             : (checkpoints.wall_poll_ticks > 0 ? checkpoints.wall_poll_ticks
-                                                : 8192);
+  const std::uint64_t wall_poll = rounds ? 1 : kWallPollTicks;
   auto last_snapshot = std::chrono::steady_clock::now();
   const auto take_snapshot = [&] {
     SnapshotWriter w;
@@ -170,23 +147,18 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     const Tick tick = rounds ? clock.next_round() : clock.next();
     protocol.on_tick(tick);
 
-    const bool checkpoint = (tick.index + 1) % check_every == 0;
-    const bool trace_point =
-        config.trace_interval != 0 &&
-        (tick.index + 1) % config.trace_interval == 0;
-    if (checkpoint || trace_point) {
-      const double dev_sq = protocol.deviation_sq();
-      if (trace_point) {
-        result.trace.emplace_back(protocol.meter().total(),
-                                  std::sqrt(dev_sq / initial_dev_sq));
-      }
-      if (checkpoint && dev_sq <= target_dev_sq) {
-        result.converged = true;
-        result.ticks = clock.ticks_elapsed();
-        result.final_error = std::sqrt(dev_sq / initial_dev_sq);
-        result.transmissions = protocol.meter().snapshot();
-        return result;
-      }
+    const double dev_sq = protocol.deviation_sq();
+    if (config.trace_interval != 0 &&
+        (tick.index + 1) % config.trace_interval == 0) {
+      result.trace.emplace_back(protocol.meter().total(),
+                                std::sqrt(dev_sq / initial_dev_sq));
+    }
+    if (dev_sq <= target_dev_sq) {
+      result.converged = true;
+      result.ticks = clock.ticks_elapsed();
+      result.final_error = std::sqrt(dev_sq / initial_dev_sq);
+      result.transmissions = protocol.meter().snapshot();
+      return result;
     }
 
     if (!snapshotting) continue;

@@ -1,5 +1,6 @@
 // Gossip engine: drives any protocol step by step until the
-// epsilon-averaging criterion ||x - mean|| <= eps ||x(0) - mean|| is met.
+// epsilon-averaging criterion ||x - mean|| <= eps ||x(0) - mean|| is met,
+// checked after every step, so a reported convergence step is exact.
 // A step is one Poisson clock tick, or one synchronous round for a
 // protocol whose steps are rounds (GossipProtocol::steps_are_rounds).
 #ifndef GEOGOSSIP_SIM_ENGINE_HPP
@@ -40,11 +41,9 @@ class GossipProtocol {
   virtual const TxMeter& meter() const = 0;
 
   /// Squared deviation ||x - mean(x)||^2 as the convergence criterion
-  /// reads it.  The default recomputes exactly (O(n)); protocols that
-  /// maintain it incrementally override with an O(1) version and return
-  /// true from tracks_deviation() so the engine can check every tick.
-  virtual double deviation_sq() const;
-  virtual bool tracks_deviation() const { return false; }
+  /// reads it.  The engine reads it after every step, so it must be cheap
+  /// (gossip::ValueProtocol tracks it incrementally in O(1)).
+  virtual double deviation_sq() const = 0;
 
   /// True when one engine step is one synchronous round of the whole
   /// protocol rather than one node's Poisson tick (the paper's §3 round
@@ -59,12 +58,9 @@ class GossipProtocol {
   /// configuration (same graph, x0 and RNG seed — construction-time
   /// randomness is deterministic per seed) and overwrites that state, after
   /// which the run continues bit-identically once the engine clock and the
-  /// RNG are restored alongside.  The defaults refuse: a protocol must opt
-  /// in by overriding all three, so a family that grows trajectory state
-  /// without serializing it fails loudly instead of resuming subtly wrong.
-  virtual bool snapshot_supported() const { return false; }
-  virtual void snapshot(SnapshotWriter& w) const;
-  virtual void restore(SnapshotReader& r);
+  /// RNG are restored alongside.
+  virtual void snapshot(SnapshotWriter& w) const = 0;
+  virtual void restore(SnapshotReader& r) = 0;
 };
 
 /// Mid-run checkpoint cadence for run_to_epsilon.  Snapshots are pure
@@ -80,10 +76,9 @@ struct CheckpointPolicy {
   /// Snapshot when this much wall time passed since the previous snapshot
   /// (or the run start).  0 = no wall cadence.
   double every_seconds = 0.0;
-  /// The wall clock is polled only every `wall_poll_ticks` ticks so the
-  /// per-tick hot path stays free of clock syscalls.  Round-driven
-  /// protocols are polled every round.
-  std::uint64_t wall_poll_ticks = 8192;
+  /// Tick protocols poll the wall clock only every few thousand ticks
+  /// (kWallPollTicks in engine.cpp), keeping clock syscalls off the hot
+  /// path; round-driven protocols poll it every round.
   std::function<void(std::string_view payload, std::uint64_t ticks)> persist;
 
   bool enabled() const noexcept {
@@ -99,12 +94,6 @@ struct RunConfig {
   /// 10^7 * n heuristic is NOT applied; treat 0 as "caller must set" and
   /// checked).
   std::uint64_t max_ticks = 0;
-  /// Convergence is tested every `check_interval` ticks.  0 = automatic:
-  /// every tick when the protocol tracks its deviation incrementally
-  /// (deviation_sq() is O(1) — all in-tree protocols), else every n ticks.
-  /// Per-tick checks make reported convergence tick counts exact; the old
-  /// every-n default overestimated them by up to n - 1 ticks.
-  std::uint64_t check_interval = 0;
   /// When > 0, (transmissions, error) samples are recorded every
   /// `trace_interval` ticks into RunResult::trace.
   std::uint64_t trace_interval = 0;

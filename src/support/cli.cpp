@@ -52,19 +52,29 @@ const ArgParser::Flag* ArgParser::find(const std::string& name) const noexcept {
 }
 
 void ArgParser::assign(const Flag& flag, const std::string& value) {
-  switch (flag.kind) {
-    case Kind::kInt:
-      *static_cast<std::int64_t*>(flag.target) = parse_int(value);
-      return;
-    case Kind::kDouble:
-      *static_cast<double*>(flag.target) = parse_double(value);
-      return;
-    case Kind::kString:
-      *static_cast<std::string*>(flag.target) = value;
-      return;
-    case Kind::kBool:
-      *static_cast<bool*>(flag.target) = parse_bool(value);
-      return;
+  try {
+    switch (flag.kind) {
+      case Kind::kInt:
+        *static_cast<std::int64_t*>(flag.target) = parse_int(value);
+        return;
+      case Kind::kDouble:
+        *static_cast<double*>(flag.target) = parse_double(value);
+        return;
+      case Kind::kString:
+        *static_cast<std::string*>(flag.target) = value;
+        return;
+      case Kind::kBool:
+        *static_cast<bool*>(flag.target) = parse_bool(value);
+        return;
+    }
+  } catch (const ArgumentError&) {
+    // A malformed value is the user's mistake: name the flag and the
+    // value, not the parser's internal check.
+    const char* expected = flag.kind == Kind::kInt      ? "an integer"
+                           : flag.kind == Kind::kDouble ? "a number"
+                                                        : "true or false";
+    throw ArgumentError("flag --" + flag.name + " expects " + expected +
+                        ", got '" + value + "'");
   }
 }
 
@@ -93,7 +103,7 @@ ParseResult ArgParser::parse(int argc, const char* const* argv) {
         name = name.substr(0, eq);
       }
       const Flag* flag = find(name);
-      GG_CHECK_ARG(flag != nullptr, "unknown flag --" + name);
+      if (flag == nullptr) throw ArgumentError("unknown flag --" + name);
       if (inline_value) {
         assign(*flag, *inline_value);
         continue;
@@ -104,7 +114,9 @@ ParseResult ArgParser::parse(int argc, const char* const* argv) {
         *static_cast<bool*>(flag->target) = true;
         continue;
       }
-      GG_CHECK_ARG(i + 1 < argc, "flag --" + name + " expects a value");
+      if (i + 1 >= argc) {
+        throw ArgumentError("flag --" + name + " expects a value");
+      }
       assign(*flag, argv[++i]);
     }
   } catch (const ArgumentError& error) {

@@ -8,6 +8,8 @@
 #include "core/affine.hpp"
 #include "core/complete_graph_model.hpp"
 #include "core/expected_contraction.hpp"
+#include "exp/probes.hpp"
+#include "exp/runner.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -111,52 +113,68 @@ TEST(CompleteGraphModel, AlphasRespectMode) {
   for (const double a : convex.alphas()) EXPECT_DOUBLE_EQ(a, 0.5);
 }
 
+/// The E1 scenario's cells of one alpha mode at size n, each replicated
+/// `replicates` times from the antipodal spike pair (||x0||^2 = 2).
+exp::Scenario e1_cells(std::size_t n, AlphaMode mode,
+                       std::uint32_t replicates, std::uint64_t seed) {
+  auto scenario = exp::make_e1_contraction({n}, replicates, seed);
+  std::erase_if(scenario.cells, [](const exp::Cell& cell) {
+    return cell.param("alpha_mode") !=
+           static_cast<double>(AlphaMode::kPaperFixed);
+  });
+  for (auto& cell : scenario.cells) {
+    cell.params["alpha_mode"] = static_cast<double>(mode);
+  }
+  return scenario;
+}
+
 TEST(CompleteGraphModel, Lemma1ContractionHolds) {
   // Zero-sum start; the empirical mean of ||x(t)||^2 must sit below the
-  // Lemma 1 bound (up to sampling noise at the tail).
+  // Lemma 1 bound (up to sampling noise at the tail) at every horizon.
   constexpr std::size_t kN = 64;
-  CompleteGraphConfig config;
-  config.n = kN;
-  std::vector<double> x0(kN, 0.0);
-  x0[0] = 1.0;
-  x0[1] = -1.0;  // zero-sum spike pair, ||x0||^2 = 2
-
-  const std::uint64_t steps = 8 * kN;
-  const auto trajectory =
-      mean_norm_trajectory(config, x0, steps, kN, 96, 504);
-  ASSERT_GE(trajectory.size(), 3u);
-  for (const auto& [t, mean_norm_sq] : trajectory) {
-    if (t == 0) {
-      EXPECT_NEAR(mean_norm_sq, 2.0, 1e-12);
-      continue;
-    }
-    const double bound = 2.0 * lemma1_bound(kN, t);
+  const auto summary = exp::Runner().run(
+      e1_cells(kN, AlphaMode::kPaperFixed, 96, 504));
+  ASSERT_EQ(summary.cells.size(), 5u);
+  for (const auto& cell : summary.cells) {
+    const double t = cell.cell.param("t");
+    const double mean_norm_sq = cell.metric_mean("norm_sq");
+    const double bound = 2.0 * lemma1_bound(kN, static_cast<std::uint64_t>(t));
+    EXPECT_EQ(cell.metrics.at("bound").median, bound);
     EXPECT_LT(mean_norm_sq, bound * 1.25)
         << "t=" << t << " mean=" << mean_norm_sq << " bound=" << bound;
   }
-  // The trajectory contracts substantially overall.
-  EXPECT_LT(trajectory.back().second, 0.2 * trajectory.front().second);
+  // The trajectory contracts substantially overall (||x0||^2 = 2).
+  EXPECT_LT(summary.cells.back().metric_mean("norm_sq"), 0.2 * 2.0);
 }
 
 TEST(CompleteGraphModel, PerStepAlphaModeAlsoContracts) {
   constexpr std::size_t kN = 48;
-  CompleteGraphConfig config;
-  config.n = kN;
-  config.alpha_mode = AlphaMode::kPaperPerStep;
-  std::vector<double> x0(kN, 0.0);
-  x0[0] = 1.0;
-  x0[kN - 1] = -1.0;
-  const auto trajectory =
-      mean_norm_trajectory(config, x0, 6 * kN, 3 * kN, 48, 505);
-  EXPECT_LT(trajectory.back().second, 0.4 * trajectory.front().second);
+  const auto summary = exp::Runner().run(
+      e1_cells(kN, AlphaMode::kPaperPerStep, 48, 505));
+  bool checked = false;
+  for (const auto& cell : summary.cells) {
+    if (cell.cell.param("t") != 6.0 * kN) continue;
+    EXPECT_LT(cell.metric_mean("norm_sq"), 0.4 * 2.0);
+    checked = true;
+  }
+  EXPECT_TRUE(checked) << "no E1 horizon at t = 6n";
 }
 
 TEST(CompleteGraphModel, BoundsFormulas) {
   EXPECT_NEAR(lemma1_bound(10, 0), 1.0, 1e-15);
   EXPECT_NEAR(lemma1_bound(10, 20), std::pow(0.95, 20), 1e-12);
+  EXPECT_LT(lemma1_bound(50, 40), lemma1_bound(50, 20));  // geometric decay
+  EXPECT_LT(corollary_tail_bound(50, 1000, 0.1), 1.0);
   EXPECT_DOUBLE_EQ(corollary_tail_bound(10, 0, 2.0), 0.25);
   EXPECT_DOUBLE_EQ(corollary_tail_bound(10, 0, 0.1), 1.0);  // capped
   EXPECT_GT(lemma2_envelope(100, 0, 1.0, 1.0, 0.0), 1.0);
+  // At huge t the envelope approaches its noise floor
+  // n^(a/2) 8 sqrt(2) n^1.5 eps.
+  const double floor = std::pow(64.0, 0.5) * 8.0 * std::sqrt(2.0) *
+                       std::pow(64.0, 1.5) * 1e-6;
+  EXPECT_NEAR(lemma2_envelope(64, 1'000'000, 1.0, 1.0, 1e-6), floor,
+              floor * 0.01);
+  EXPECT_GT(lemma2_envelope(64, 0, 1.0, 1.0, 1e-6), floor);
   EXPECT_NEAR(lemma2_failure_probability(10, 1.0), 0.5, 1e-12);
   EXPECT_NEAR(lemma2_failure_probability(100, 2.0), 5e-4, 1e-15);
   EXPECT_THROW(lemma1_bound(1, 5), ArgumentError);

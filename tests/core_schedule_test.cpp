@@ -325,29 +325,29 @@ TEST(ExchangeBeta, ModesProduceDocumentedGains) {
 TEST(ChargedLeafCost, ModelsScaleAsDocumented) {
   // GRG-mixing: linear in m when the square is ~1 radius across.
   const auto linear_small =
-      charged_leaf_cost(LeafCostModel::kGrgMixing, 32, 1.0, 1e-3, 1.0);
+      charged_leaf_cost(LeafCostModel::kGrgMixing, 32, 1.0, 1e-3);
   const auto linear_large =
-      charged_leaf_cost(LeafCostModel::kGrgMixing, 64, 1.0, 1e-3, 1.0);
+      charged_leaf_cost(LeafCostModel::kGrgMixing, 64, 1.0, 1e-3);
   EXPECT_GT(linear_large, linear_small);
   EXPECT_LT(linear_large, 3 * linear_small);  // ~2x plus the log factor
 
   // Quadratic model: 2x members -> ~4x cost.
   const auto quad_small =
-      charged_leaf_cost(LeafCostModel::kQuadratic, 32, 1.0, 1e-3, 1.0);
+      charged_leaf_cost(LeafCostModel::kQuadratic, 32, 1.0, 1e-3);
   const auto quad_large =
-      charged_leaf_cost(LeafCostModel::kQuadratic, 64, 1.0, 1e-3, 1.0);
+      charged_leaf_cost(LeafCostModel::kQuadratic, 64, 1.0, 1e-3);
   EXPECT_GT(quad_large, 3 * quad_small);
   EXPECT_LT(quad_large, 5 * quad_small);
 
   // Side/radius ratio quadratically inflates the mixing model.
   const auto wide =
-      charged_leaf_cost(LeafCostModel::kGrgMixing, 32, 4.0, 1e-3, 1.0);
+      charged_leaf_cost(LeafCostModel::kGrgMixing, 32, 4.0, 1e-3);
   EXPECT_NEAR(static_cast<double>(wide) / linear_small, 16.0, 1.0);
 
   // Single node costs nothing; measured model cannot be charged.
-  EXPECT_EQ(charged_leaf_cost(LeafCostModel::kGrgMixing, 1, 1.0, 1e-3, 1.0),
+  EXPECT_EQ(charged_leaf_cost(LeafCostModel::kGrgMixing, 1, 1.0, 1e-3),
             0u);
-  EXPECT_THROW(charged_leaf_cost(LeafCostModel::kMeasured, 32, 1.0, 1e-3, 1.0),
+  EXPECT_THROW(charged_leaf_cost(LeafCostModel::kMeasured, 32, 1.0, 1e-3),
                ArgumentError);
 }
 

@@ -1,11 +1,12 @@
 // Tests for the O(1) incremental convergence tracking: DeviationTracker
 // drift bounds, the ValueProtocol update API, the periodic exact-refresh
-// cadence, and the engine's per-tick check semantics.
+// cadence, and the engine's per-step check semantics.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
+#include "core/multilevel.hpp"
 #include "gossip/base.hpp"
 #include "gossip/pairwise.hpp"
 #include "graph/geometric_graph.hpp"
@@ -149,51 +150,61 @@ TEST(ValueProtocol, RefreshCadenceIsHonored) {
   EXPECT_THROW(protocol.set_tracker_refresh_interval(0), ArgumentError);
 }
 
-TEST(Engine, DefaultCheckIntervalEqualsExplicitPerTickChecks) {
-  // Tracking protocols default to per-tick checks; an explicit
-  // check_interval = 1 must be bit-identical (checks draw no randomness).
-  const auto run_once = [](std::uint64_t check_interval) {
-    Rng rng(45);
-    const auto graph = graph::GeometricGraph::sample(256, 2.0, rng);
-    auto x0 = sim::gaussian_field(256, rng);
-    sim::center_and_normalize(x0);
-    gossip::PairwiseGossip protocol(graph, x0, rng);
-    sim::RunConfig config;
-    config.epsilon = 1e-2;
-    config.max_ticks = 10'000'000;
-    config.check_interval = check_interval;
-    return sim::run_to_epsilon(protocol, rng, config);
-  };
-  const auto by_default = run_once(0);
-  const auto explicit_one = run_once(1);
-  ASSERT_TRUE(by_default.converged);
-  EXPECT_EQ(by_default.ticks, explicit_one.ticks);
-  EXPECT_EQ(by_default.final_error, explicit_one.final_error);
-  EXPECT_EQ(by_default.transmissions.total(),
-            explicit_one.transmissions.total());
+/// Runs a fresh protocol from seed `seed` (graph, field, then protocol on
+/// one stream) to eps = 1e-2 with a step budget of `max_steps`; 0 keeps
+/// the protocol's default budget.
+template <typename Protocol, typename... Config>
+sim::RunResult run_from_seed(std::uint64_t seed, std::size_t n,
+                             std::uint64_t max_steps, const Config&... config) {
+  Rng rng(seed);
+  const auto graph = graph::GeometricGraph::sample(n, 2.0, rng);
+  auto x0 = sim::gaussian_field(n, rng);
+  sim::center_and_normalize(x0);
+  Protocol protocol(graph, x0, rng, config...);
+  sim::RunConfig run_config;
+  run_config.epsilon = 1e-2;
+  run_config.max_ticks = max_steps != 0 ? max_steps : 10'000'000;
+  if constexpr (requires { protocol.step_cap(max_steps); }) {
+    run_config.max_ticks = protocol.step_cap(max_steps);
+  }
+  return sim::run_to_epsilon(protocol, rng, run_config);
+}
+
+/// The engine checks convergence after every step, so the reported step T
+/// is exact: one step less never converges, and a budget of exactly T
+/// converges at T.
+template <typename Protocol, typename... Config>
+void expect_exact_convergence_step(std::uint64_t seed, std::size_t n,
+                                   const Config&... config) {
+  const auto free_run = run_from_seed<Protocol>(seed, n, 0, config...);
+  ASSERT_TRUE(free_run.converged);
+  const std::uint64_t t = free_run.ticks;
+  ASSERT_GE(t, 2u);
+
+  const auto short_run = run_from_seed<Protocol>(seed, n, t - 1, config...);
+  EXPECT_FALSE(short_run.converged);
+  EXPECT_EQ(short_run.ticks, t - 1);
+  EXPECT_GT(short_run.final_error, 1e-2);
+
+  const auto exact_run = run_from_seed<Protocol>(seed, n, t, config...);
+  EXPECT_TRUE(exact_run.converged);
+  EXPECT_EQ(exact_run.ticks, t);
+  EXPECT_EQ(exact_run.final_error, free_run.final_error);
+  EXPECT_EQ(exact_run.transmissions.total(), free_run.transmissions.total());
 }
 
 TEST(Engine, PerTickChecksReportExactConvergenceTick) {
-  // A coarse interval can only stop at its multiples; the per-tick
-  // default must never report later than any coarser cadence.
-  const auto ticks_with = [](std::uint64_t check_interval) {
-    Rng rng(46);
-    const auto graph = graph::GeometricGraph::sample(200, 2.0, rng);
-    auto x0 = sim::gaussian_field(200, rng);
-    sim::center_and_normalize(x0);
-    gossip::PairwiseGossip protocol(graph, x0, rng);
-    sim::RunConfig config;
-    config.epsilon = 1e-2;
-    config.max_ticks = 10'000'000;
-    config.check_interval = check_interval;
-    const auto result = sim::run_to_epsilon(protocol, rng, config);
-    EXPECT_TRUE(result.converged);
-    return result.ticks;
-  };
-  const auto exact = ticks_with(0);
-  const auto coarse = ticks_with(1000);
-  EXPECT_LE(exact, coarse);
-  EXPECT_EQ(coarse % 1000, 0u);
+  {
+    SCOPED_TRACE("tick protocol: pairwise gossip");
+    expect_exact_convergence_step<gossip::PairwiseGossip>(45, 256);
+  }
+  {
+    SCOPED_TRACE("round protocol: multilevel affine gossip");
+    core::MultilevelConfig config;
+    config.eps = 1e-2;
+    expect_exact_convergence_step<core::MultilevelAffineGossip>(46, 1024,
+                                                                config);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Edge-case and failure-path coverage that the per-module suites leave
-// open: degenerate deployments, zero-convergence aggregation, file-backed
-// CSV, protocol behaviour on pathological graphs.
+// open: degenerate deployments, file-backed CSV, protocol behaviour on
+// pathological graphs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -56,18 +56,6 @@ TEST(EdgeCases, SingleNodeSpanningTree) {
   EXPECT_DOUBLE_EQ(tree.mean, 42.0);
   EXPECT_EQ(tree.transmissions.total(), 0u);
   EXPECT_EQ(gossip::spanning_tree_floor(1), 0u);
-}
-
-// -------------------------------------------------- zero-convergence agg ----
-
-TEST(EdgeCases, SweepPointHandlesTotalNonConvergence) {
-  core::TrialOptions options;
-  options.eps = 1e-9;
-  options.max_ticks = 100;  // hopeless
-  const auto point = core::sweep_point(core::ProtocolKind::kBoydPairwise,
-                                       256, 2.0, 3, 2001, options);
-  EXPECT_DOUBLE_EQ(point.converged_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(point.median_tx, 0.0);
 }
 
 // ------------------------------------------------------- file-backed CSV ----
@@ -179,32 +167,6 @@ TEST(EdgeCases, HierarchyWithAllPointsInOneCorner) {
     run.max_ticks = protocol.step_cap(0);
     EXPECT_TRUE(sim::run_to_epsilon(protocol, rng, run).converged);
   }
-}
-
-TEST(EdgeCases, EngineCheckIntervalControlsDetectionGranularity) {
-  Rng rng(2006);
-  const auto g = GeometricGraph::sample(128, 2.0, rng);
-  auto x0 = sim::gaussian_field(g.node_count(), rng);
-  sim::center_and_normalize(x0);
-
-  gossip::PairwiseGossip fine(g, x0, rng);
-  sim::RunConfig config;
-  config.epsilon = 5e-2;
-  config.max_ticks = 10'000'000;
-  config.check_interval = 1;  // every tick
-  const auto fine_result = sim::run_to_epsilon(fine, rng, config);
-
-  Rng rng2(2006);
-  (void)GeometricGraph::sample(128, 2.0, rng2);  // burn the same stream
-  gossip::PairwiseGossip coarse(g, x0, rng2);
-  config.check_interval = 100000;
-  const auto coarse_result = sim::run_to_epsilon(coarse, rng2, config);
-
-  ASSERT_TRUE(fine_result.converged);
-  ASSERT_TRUE(coarse_result.converged);
-  // Coarse checking can only stop at multiples of the interval.
-  EXPECT_EQ(coarse_result.ticks % 100000, 0u);
-  EXPECT_LE(fine_result.ticks, coarse_result.ticks);
 }
 
 }  // namespace

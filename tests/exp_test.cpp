@@ -221,6 +221,11 @@ TEST(Runner, AggregatesExpectedReplicateCountPerCell) {
         static_cast<double>(cs.converged) / kReplicates);
     // Tiny dense deployments at eps=1e-2 must actually average.
     EXPECT_GT(cs.converged, 0u);
+    EXPECT_GT(cs.median_tx, 0.0);
+    EXPECT_LE(cs.q25_tx, cs.median_tx);
+    EXPECT_LE(cs.median_tx, cs.q75_tx);
+    EXPECT_GE(cs.mean_control_share, 0.0);
+    EXPECT_LT(cs.mean_control_share, 1.0);
     for (std::uint32_t r = 0; r < kReplicates; ++r) {
       EXPECT_EQ(cs.raw[r].seed,
                 replicate_seed(summary.master_seed, cs.cell_index, r));

@@ -360,23 +360,39 @@ TEST(Cli, BoolExplicitValueForm) {
 }
 
 TEST(Cli, RejectsUnknownFlagAndMissingValueWithKError) {
+  // A bad command line is the user's mistake: the message names the flag
+  // and never leaks a check expression or a source path.
   std::int64_t n = 0;
+  double eps = 0.0;
+  bool verbose = false;
+  std::string csv;
   ArgParser parser("prog", "test");
   parser.add_flag("n", &n, "count");
-  const char* bad[] = {"prog", "--bogus=1"};
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(parser.parse(2, bad), ParseResult::kError);
-  EXPECT_NE(testing::internal::GetCapturedStderr().find("--bogus"),
-            std::string::npos);
-  const char* missing[] = {"prog", "--n"};
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(parser.parse(2, missing), ParseResult::kError);
-  EXPECT_NE(testing::internal::GetCapturedStderr().find("expects a value"),
-            std::string::npos);
-  const char* malformed[] = {"prog", "--n=abc"};
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(parser.parse(2, malformed), ParseResult::kError);
-  testing::internal::GetCapturedStderr();
+  parser.add_flag("eps", &eps, "accuracy");
+  parser.add_flag("verbose", &verbose, "chatty");
+  parser.add_flag("csv", &csv, "output");
+  const std::vector<std::pair<std::vector<const char*>, std::string>> cases =
+      {
+          {{"prog", "--bogus=1"}, "unknown flag --bogus"},
+          {{"prog", "--shard=0/2"}, "unknown flag --shard"},
+          {{"prog", "--n"}, "flag --n expects a value"},
+          {{"prog", "--csv"}, "flag --csv expects a value"},
+          {{"prog", "--n=abc"}, "flag --n expects an integer, got 'abc'"},
+          {{"prog", "--n", "1.5"}, "flag --n expects an integer, got '1.5'"},
+          {{"prog", "--eps=x"}, "flag --eps expects a number, got 'x'"},
+          {{"prog", "--verbose=maybe"},
+           "flag --verbose expects true or false, got 'maybe'"},
+      };
+  for (const auto& [argv, message] : cases) {
+    SCOPED_TRACE(message);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(parser.parse(static_cast<int>(argv.size()), argv.data()),
+              ParseResult::kError);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(message), std::string::npos) << err;
+    EXPECT_EQ(err.find("GG_CHECK"), std::string::npos) << err;
+    EXPECT_EQ(err.find("cli.cpp"), std::string::npos) << err;
+  }
 }
 
 TEST(Cli, ExitCodesDistinguishHelpFromError) {

@@ -108,6 +108,9 @@ TEST(SweepCliMisuse, ExitsOneWithAMessageBeforeAnyWork) {
     EXPECT_EQ(outcome.exit_code, 1);
     EXPECT_NE(outcome.stderr_text.find(c.message), std::string::npos)
         << "stderr: " << outcome.stderr_text;
+    // A user mistake never surfaces as an internal check expression.
+    EXPECT_EQ(outcome.stderr_text.find("GG_CHECK"), std::string::npos)
+        << "stderr: " << outcome.stderr_text;
     EXPECT_EQ(g_trials.load(), 0) << "work ran before the misuse surfaced";
   }
   // The refused fleet directories were not created.
