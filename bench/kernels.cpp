@@ -8,9 +8,10 @@
 //                          adjacent pairs of an n-value array
 //   rng_below              one bounded draw Rng::below(n)
 //   poisson_tick           one AsyncClock::next() over n sensors
-//   graph_build            GeometricGraph::sample — two-pass CSR straight
-//                          from the bucket grid, NO routing mirror (the
-//                          non-routing-workload build cost)
+//   graph_build            GeometricGraph::sample plus its first
+//                          adjacency() read — the lazy two-pass CSR
+//                          straight from the bucket grid, NO routing
+//                          mirror (the neighbour-gossip build cost)
 //   graph_build_mt         same, node ranges fanned across a hardware-wide
 //                          ThreadPool (equals graph_build on 1 core)
 //   graph_build_routing    same + eager routing-ordered mirror (the cost a
@@ -318,7 +319,10 @@ int main(int argc, char** argv) {
     gg::Rng build_rng(0x5eed0 + n);
 
     // graph_build: one op = one full G(n, r) construction (CSR only; a
-    // non-routing workload never pays more than this).
+    // non-routing workload never pays more than this).  The CSR is built
+    // on the first adjacency() read, so every build kernel reads it inside
+    // its timed region: the ops time the same work as the BENCH_pr4.json
+    // trajectory, which predates the lazy CSR.
     h.run("graph_build", n, [&] {
       const auto graph = sample_graph(n, kRadiusMultiplier, build_rng);
       g_sink = g_sink + static_cast<double>(graph.adjacency().edge_count());

@@ -8,7 +8,7 @@ namespace geogossip::geometry {
 
 BucketGrid::BucketGrid(const std::vector<Vec2>& points, const Rect& region,
                        double cell_size)
-    : points_(&points), region_(region) {
+    : points_(points), region_(region) {
   GG_CHECK_ARG(cell_size > 0.0, "BucketGrid: cell_size must be positive");
   const double extent = std::max(region.width(), region.height());
   side_ = std::max(1, static_cast<int>(std::floor(extent / cell_size)));
@@ -61,7 +61,7 @@ std::vector<std::uint32_t> BucketGrid::within(Vec2 p, double radius) const {
 }
 
 std::optional<std::uint32_t> BucketGrid::nearest(Vec2 p) const {
-  if (points_->empty()) return std::nullopt;
+  if (points_.empty()) return std::nullopt;
   const int pcol = col_of(p);
   const int prow = row_of(p);
 
@@ -73,7 +73,7 @@ std::optional<std::uint32_t> BucketGrid::nearest(Vec2 p) const {
     const auto b = static_cast<std::size_t>(row * side_ + col);
     for (std::uint32_t e = bucket_start_[b]; e < bucket_start_[b + 1]; ++e) {
       const std::uint32_t idx = entries_[e];
-      const double d_sq = distance_sq((*points_)[idx], p);
+      const double d_sq = distance_sq(points_[idx], p);
       if (d_sq < best_sq || (d_sq == best_sq && found && idx < best)) {
         best_sq = d_sq;
         best = idx;
@@ -118,7 +118,7 @@ std::optional<std::uint32_t> BucketGrid::nearest_in_rect(
   std::uint32_t best = 0;
   bool found = false;
   for (const std::uint32_t idx : points_in_rect(rect)) {
-    const double d_sq = distance_sq((*points_)[idx], p);
+    const double d_sq = distance_sq(points_[idx], p);
     if (d_sq < best_sq || (d_sq == best_sq && found && idx < best)) {
       best_sq = d_sq;
       best = idx;
@@ -147,7 +147,7 @@ std::vector<std::uint32_t> BucketGrid::points_in_rect(const Rect& rect) const {
       for (std::uint32_t e = bucket_start_[b]; e < bucket_start_[b + 1];
            ++e) {
         const std::uint32_t idx = entries_[e];
-        const Vec2 p = (*points_)[idx];
+        const Vec2 p = points_[idx];
         const bool in_x =
             p.x >= rect.lo().x &&
             (p.x < rect.hi().x || (closed_x && p.x == rect.hi().x));

@@ -27,14 +27,16 @@ namespace geogossip::geometry {
 
 class BucketGrid {
  public:
-  /// Indexes `points` (referenced, must outlive the index) over `region`
-  /// with square buckets of size >= cell_size.  Requires cell_size > 0 and
-  /// all points inside the closed region.
+  /// Indexes `points` over `region` with square buckets of size >=
+  /// cell_size.  Requires cell_size > 0 and all points inside the closed
+  /// region.  The index references the vector's element buffer, which
+  /// must outlive it unchanged; moving the vector keeps the buffer, so an
+  /// owner that holds both (GeometricGraph) stays movable.
   BucketGrid(const std::vector<Vec2>& points, const Rect& region,
              double cell_size);
 
-  std::size_t size() const noexcept { return points_->size(); }
-  const std::vector<Vec2>& points() const noexcept { return *points_; }
+  std::size_t size() const noexcept { return points_.size(); }
+  std::span<const Vec2> points() const noexcept { return points_; }
 
   /// Invokes fn(run) once per bucket row of the window a range query of
   /// `radius` around p scans, in row-major order.  Each row's buckets are
@@ -44,20 +46,38 @@ class BucketGrid {
   /// candidates scan the runs themselves, branch-free.
   template <typename Fn>
   void for_each_window_run(Vec2 p, double radius, Fn&& fn) const {
+    const Window w = window(p, radius);
+    for (int row = w.row_lo; row <= w.row_hi; ++row) {
+      fn(run(row, w.col_lo, w.col_hi));
+    }
+  }
+
+  /// The buckets a range query of `radius` around p scans: rows row_lo..
+  /// row_hi by columns col_lo..col_hi, inclusive.  Every range query and
+  /// the CSR build scan exactly this window, so a caller that scans it
+  /// bucket by bucket (greedy routing's cold path) sees the same
+  /// candidates.
+  struct Window {
+    int row_lo, row_hi, col_lo, col_hi;
+  };
+  Window window(Vec2 p, double radius) const {
     GG_CHECK_ARG(radius >= 0.0, "range query: radius must be >= 0");
     const int reach = static_cast<int>(std::ceil(radius / cell_size_));
     const int pcol = col_of(p);
     const int prow = row_of(p);
-    const int col_lo = std::max(0, pcol - reach);
-    const int col_hi = std::min(side_ - 1, pcol + reach);
-    for (int row = std::max(0, prow - reach);
-         row <= std::min(side_ - 1, prow + reach); ++row) {
-      const auto lo = static_cast<std::size_t>(row * side_ + col_lo);
-      const auto hi = static_cast<std::size_t>(row * side_ + col_hi);
-      fn(std::span<const std::uint32_t>(entries_.data() + bucket_start_[lo],
-                                        entries_.data() +
-                                            bucket_start_[hi + 1]));
-    }
+    return {std::max(0, prow - reach), std::min(side_ - 1, prow + reach),
+            std::max(0, pcol - reach), std::min(side_ - 1, pcol + reach)};
+  }
+
+  /// Point indices of buckets (row, col_lo) .. (row, col_hi): adjacent in
+  /// the bucket CSR, so one contiguous slice, no copy.  Unchecked: the
+  /// buckets must come from window().
+  std::span<const std::uint32_t> run(int row, int col_lo,
+                                     int col_hi) const noexcept {
+    const auto lo = static_cast<std::size_t>(row * side_ + col_lo);
+    const auto hi = static_cast<std::size_t>(row * side_ + col_hi);
+    return {entries_.data() + bucket_start_[lo],
+            entries_.data() + bucket_start_[hi + 1]};
   }
 
   /// Invokes fn(index) for every point with distance(p, point) <= radius.
@@ -67,7 +87,7 @@ class BucketGrid {
   template <typename Visitor>
   void for_each_within(Vec2 p, double radius, Visitor&& fn) const {
     const double r_sq = radius * radius;
-    const Vec2* const points = points_->data();
+    const Vec2* const points = points_.data();
     for_each_window_run(p, radius, [&](std::span<const std::uint32_t> run) {
       for (const std::uint32_t idx : run) {
         if (distance_sq(points[idx], p) <= r_sq) fn(idx);
@@ -85,7 +105,7 @@ class BucketGrid {
   /// candidates pass, so a kept/dropped branch mispredicts constantly.
   std::size_t count_within(Vec2 p, double radius) const {
     const double r_sq = radius * radius;
-    const Vec2* const points = points_->data();
+    const Vec2* const points = points_.data();
     std::size_t count = 0;
     for_each_window_run(p, radius, [&](std::span<const std::uint32_t> run) {
       for (const std::uint32_t idx : run) {
@@ -150,7 +170,7 @@ class BucketGrid {
                       0, side_ - 1);
   }
 
-  const std::vector<Vec2>* points_;
+  std::span<const Vec2> points_;
   Rect region_;
   double cell_size_;
   int side_;

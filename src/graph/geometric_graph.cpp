@@ -14,6 +14,15 @@
 
 namespace geogossip::graph {
 
+namespace {
+
+// Registered when the program loads, so every trace carries it, zeros
+// included: a sweep whose replicates never read a neighbour list reads 0.
+const obs::CounterId c_adjacency_builds =
+    obs::counter("graph.adjacency_builds");
+
+}  // namespace
+
 GeometricGraph::GeometricGraph(std::vector<geometry::Vec2> points, double r,
                                const geometry::Rect& region,
                                const BuildOptions& options)
@@ -21,82 +30,94 @@ GeometricGraph::GeometricGraph(std::vector<geometry::Vec2> points, double r,
       r_(r),
       region_(region),
       pool_(options.pool),
-      mirror_(std::make_unique<RoutingMirror>()) {
+      lazy_(std::make_unique<Lazy>()) {
   GG_CHECK_ARG(!points_.empty(), "GeometricGraph: no points");
   GG_CHECK_ARG(r > 0.0, "GeometricGraph: radius must be positive");
   CsrGraph::check_node_count(points_.size());
-  obs::Span span("graph_build", "n",
-                 static_cast<std::int64_t>(points_.size()));
-  index_ = std::make_unique<geometry::BucketGrid>(points_, region_, r_);
-
-  // Two-pass CSR build straight from the bucket grid.  No edge-list
-  // intermediate and no global sort: each node's row is a pure function
-  // of the (fixed) point set, so the per-node passes parallelize freely
-  // and the output is bit-identical at any thread count.
-  const std::size_t n = points_.size();
-  const geometry::BucketGrid& grid = *index_;
-
-  // Pass 1: per-node degree counts into the (future) offset array.
-  std::vector<std::uint64_t> offsets(n + 1, 0);
-  parallel_ranges(pool_, n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      // count_within reports node i itself too; every other in-range
-      // index is a neighbour (coincident points included, as before).
-      offsets[i + 1] = grid.count_within(points_[i], r_) - 1;
-    }
-  });
-  // Exclusive prefix-sum: offsets[v] becomes the start of node v's row.
-  for (std::size_t v = 1; v <= n; ++v) offsets[v] += offsets[v - 1];
-
-  // Pass 2: fill each row.  Every candidate of the scan window is written
-  // to a per-range scratch row and the cursor advances only past the kept
-  // ones — branch-free, since about a third of the candidates pass and a
-  // kept/dropped branch mispredicts constantly.  The row then moves into
-  // its CSR slice (scratch, because the one slot written past a row's end
-  // may belong to another range's row).  The grid visits candidates in
-  // bucket row-major order, which for spatially renumbered samples is
-  // already ascending id order — the per-row sort then degenerates to the
-  // is_sorted check; arbitrary point sets pay an O(deg log deg) sort.
-  // Each finished row then gets CsrGraph::from_parts' row checks.
-  std::vector<NodeId> targets(offsets.back());
-  const double r_sq = r_ * r_;
-  parallel_ranges(pool_, n, [&](std::size_t begin, std::size_t end) {
-    std::vector<NodeId> row;  // per-range scratch, grown to the widest window
-    for (std::size_t i = begin; i < end; ++i) {
-      const geometry::Vec2 p = points_[i];
-      std::size_t kept = 0;
-      grid.for_each_window_run(p, r_, [&](std::span<const std::uint32_t> run) {
-        if (row.size() < kept + run.size()) row.resize(kept + run.size());
-        NodeId* const out = row.data();
-        for (const std::uint32_t j : run) {
-          out[kept] = j;
-          kept += static_cast<std::size_t>(
-                      geometry::distance_sq(points_[j], p) <= r_sq) &
-                  static_cast<std::size_t>(j != i);
-        }
-      });
-      GG_CHECK_ARG(offsets[i] <= offsets[i + 1],
-                   "from_parts: offsets must be non-decreasing");
-      GG_CHECK(kept == offsets[i + 1] - offsets[i],
-               "GeometricGraph: pass 2 disagrees with pass 1's degree");
-      const auto row_end = row.begin() + static_cast<std::ptrdiff_t>(kept);
-      if (!std::is_sorted(row.begin(), row_end)) {
-        std::sort(row.begin(), row_end);
-      }
-      CsrGraph::check_row(static_cast<NodeId>(i), {row.data(), kept}, n);
-      std::copy(row.begin(), row_end,
-                targets.begin() + static_cast<std::ptrdiff_t>(offsets[i]));
-    }
-  });
-  // Every row and offset was checked above, on the pool, while the row was
-  // in cache; adopting skips from_parts' serial re-scan of the whole CSR.
-  csr_ = CsrGraph::adopt_checked(std::move(offsets), std::move(targets));
-
+  {
+    obs::Span span("graph_build", "n",
+                   static_cast<std::int64_t>(points_.size()));
+    index_ = std::make_unique<geometry::BucketGrid>(points_, region_, r_);
+  }
   if (options.eager_routing_mirror) ensure_routing_mirror();
 }
 
+void GeometricGraph::build_adjacency() const {
+  std::call_once(lazy_->csr_once, [this] {
+    obs::Span span("graph_build", "n",
+                   static_cast<std::int64_t>(points_.size()));
+    obs::add(c_adjacency_builds);
+    // Two-pass CSR build straight from the bucket grid.  No edge-list
+    // intermediate and no global sort: each node's row is a pure function
+    // of the (fixed) point set, so the per-node passes parallelize freely
+    // and the output is bit-identical at any thread count.
+    const std::size_t n = points_.size();
+    const geometry::BucketGrid& grid = *index_;
+
+    // Pass 1: per-node degree counts into the (future) offset array.
+    std::vector<std::uint64_t> offsets(n + 1, 0);
+    parallel_ranges(pool_, n, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        // count_within reports node i itself too; every other in-range
+        // index is a neighbour (coincident points included, as before).
+        offsets[i + 1] = grid.count_within(points_[i], r_) - 1;
+      }
+    });
+    // Exclusive prefix-sum: offsets[v] becomes the start of node v's row.
+    for (std::size_t v = 1; v <= n; ++v) offsets[v] += offsets[v - 1];
+
+    // Pass 2: fill each row.  Every candidate of the scan window is
+    // written to a per-range scratch row and the cursor advances only past
+    // the kept ones — branch-free, since about a third of the candidates
+    // pass and a kept/dropped branch mispredicts constantly.  The row then
+    // moves into its CSR slice (scratch, because the one slot written past
+    // a row's end may belong to another range's row).  The grid visits
+    // candidates in bucket row-major order, which for spatially renumbered
+    // samples is already ascending id order — the per-row sort then
+    // degenerates to the is_sorted check; arbitrary point sets pay an
+    // O(deg log deg) sort.  Each finished row then gets
+    // CsrGraph::from_parts' row checks.
+    std::vector<NodeId> targets(offsets.back());
+    const double r_sq = r_ * r_;
+    parallel_ranges(pool_, n, [&](std::size_t begin, std::size_t end) {
+      std::vector<NodeId> row;  // per-range scratch, grown to the widest window
+      for (std::size_t i = begin; i < end; ++i) {
+        const geometry::Vec2 p = points_[i];
+        std::size_t kept = 0;
+        grid.for_each_window_run(
+            p, r_, [&](std::span<const std::uint32_t> run) {
+              if (row.size() < kept + run.size()) row.resize(kept + run.size());
+              NodeId* const out = row.data();
+              for (const std::uint32_t j : run) {
+                out[kept] = j;
+                kept += static_cast<std::size_t>(
+                            geometry::distance_sq(points_[j], p) <= r_sq) &
+                        static_cast<std::size_t>(j != i);
+              }
+            });
+        GG_CHECK_ARG(offsets[i] <= offsets[i + 1],
+                     "from_parts: offsets must be non-decreasing");
+        GG_CHECK(kept == offsets[i + 1] - offsets[i],
+                 "GeometricGraph: pass 2 disagrees with pass 1's degree");
+        const auto row_end = row.begin() + static_cast<std::ptrdiff_t>(kept);
+        if (!std::is_sorted(row.begin(), row_end)) {
+          std::sort(row.begin(), row_end);
+        }
+        CsrGraph::check_row(static_cast<NodeId>(i), {row.data(), kept}, n);
+        std::copy(row.begin(), row_end,
+                  targets.begin() + static_cast<std::ptrdiff_t>(offsets[i]));
+      }
+    });
+    // Every row and offset was checked above, on the pool, while the row
+    // was in cache; adopting skips from_parts' serial re-scan of the CSR.
+    csr_ = CsrGraph::adopt_checked(std::move(offsets), std::move(targets));
+    lazy_->csr_built.store(true, std::memory_order_release);
+  });
+}
+
 void GeometricGraph::ensure_routing_mirror() const {
-  std::call_once(mirror_->once, [this] { build_routing_mirror(); });
+  ensure_adjacency();
+  std::call_once(lazy_->mirror_once, [this] { build_routing_mirror(); });
 }
 
 void GeometricGraph::build_routing_mirror() const {
@@ -133,10 +154,10 @@ void GeometricGraph::build_routing_mirror() const {
   // offsets.back() == total arc count; exact even for a (contract-
   // violating) asymmetric adjacency, where 2 * edge_count() would round
   // an odd arc count down and the fill loop would overrun by one.
-  mirror_->ids.resize(offsets.back());
-  mirror_->radii.resize(offsets.back());
-  NodeId* const ids = mirror_->ids.data();
-  float* const radii = mirror_->radii.data();
+  lazy_->ids.resize(offsets.back());
+  lazy_->radii.resize(offsets.back());
+  NodeId* const ids = lazy_->ids.data();
+  float* const radii = lazy_->radii.data();
   parallel_ranges(pool_, points_.size(), [&](std::size_t begin,
                                              std::size_t end) {
     std::vector<std::uint8_t> annulus_of;  // per-range scratch, reused
@@ -175,7 +196,7 @@ void GeometricGraph::build_routing_mirror() const {
       }
     }
   });
-  mirror_->built.store(true, std::memory_order_release);
+  lazy_->mirror_built.store(true, std::memory_order_release);
 }
 
 GeometricGraph GeometricGraph::sample(std::size_t n, double radius_multiplier,
@@ -229,10 +250,11 @@ NodeId GeometricGraph::nearest_node(geometry::Vec2 position) const {
 
 std::string GeometricGraph::summary() const {
   std::ostringstream os;
+  const CsrGraph& csr = adjacency();
   os << "G(n=" << points_.size() << ", r=" << format_fixed(r_, 5)
-     << "): " << csr_.edge_count() << " edges, degree min/mean/max = "
-     << csr_.min_degree() << '/' << format_fixed(csr_.mean_degree(), 1) << '/'
-     << csr_.max_degree();
+     << "): " << csr.edge_count() << " edges, degree min/mean/max = "
+     << csr.min_degree() << '/' << format_fixed(csr.mean_degree(), 1) << '/'
+     << csr.max_degree();
   return os.str();
 }
 

@@ -1,10 +1,20 @@
 // Geometric random graph G(n, r): the paper's network model.
 //
-// GeometricGraph bundles the sampled positions, the connectivity radius and
-// the CSR adjacency, plus the bucket-grid index reused by routing and by the
-// protocols for nearest-node queries.
+// GeometricGraph bundles the sampled positions, the connectivity radius,
+// the bucket-grid index (cell size r) reused by routing and by the
+// protocols for nearest-node queries, and the CSR adjacency.
 //
-// Construction is a two-pass CSR build straight from the bucket grid: pass 1
+// Construction builds only the points and the bucket grid.  The CSR is
+// built on the first adjacency() / neighbors() / degree() call, once,
+// under std::call_once: a node of the paper's
+// model knows positions only, and the affine protocols exchange values
+// between square representatives over greedy routes, which scan the
+// bucket grid (routing/greedy.hpp) — so their replicates never allocate
+// the CSR's 4 bytes/arc + 8 bytes/node.  Protocols that gossip with
+// neighbours (Boyd et al., the §4.2 Near ticks, measured leaves, flooding)
+// build it on their first read.
+//
+// The CSR build is two passes straight from the bucket grid: pass 1
 // counts each node's degree, an exclusive prefix-sum lays out the offsets,
 // pass 2 fills each node's (sorted) neighbour slice and runs CsrGraph's
 // row checks on it while it is in cache, so the finished CSR is adopted
@@ -17,21 +27,20 @@
 // path at any thread count (each node's slice is a pure function of the
 // point set).
 //
-// The routing-ordered adjacency mirror that greedy routing scans is built
-// only once a graph's routing pays for it.  Until then the greedy routers
-// scan the plain CSR row and add each finished route's hops to a per-graph
-// tally (add_unmirrored_hops); once that tally reaches the break-even
-// threshold (routing::mirror_switch_hops, half a routed hop per arc) the
-// next route calls ensure_routing_mirror(), which builds it — in parallel
-// when a pool is attached.  Workloads that never route or route little
-// (spectral probes, connectivity sweeps, the paper's affine protocols,
-// whose few routes join square representatives) never pay its build time
-// or its 8 bytes/arc; routing-heavy ones (Dimakis et al.'s geographic
-// gossip) switch within their first few percent of hops.
-// Each neighbour's annulus is guessed from its distance and settled by
-// exact comparisons with the annulus edges, then a counting sort groups
-// the row.  Pass BuildOptions::eager_routing_mirror to front-load it
-// instead.
+// The routing-ordered adjacency mirror that greedy routing scans once a
+// graph's routing pays for it is built lazily too.  Until then the greedy
+// routers scan the bucket-grid window and add each finished route's hops
+// to a per-graph tally (add_unmirrored_hops); once that tally reaches the
+// break-even threshold (routing::mirror_switch_hops) the next route calls
+// ensure_routing_mirror(), which builds the CSR if needed and then the
+// mirror — in parallel when a pool is attached.  Workloads that never
+// route or route little (spectral probes, connectivity sweeps, the
+// paper's affine protocols) never pay its build time or its 8 bytes/arc;
+// routing-heavy ones (Dimakis et al.'s geographic gossip) switch within
+// their first few percent of hops.  Each neighbour's annulus is guessed
+// from its distance and settled by exact comparisons with the annulus
+// edges, then a counting sort groups the row.  Pass
+// BuildOptions::eager_routing_mirror to front-load CSR and mirror instead.
 #ifndef GEOGOSSIP_GRAPH_GEOMETRIC_GRAPH_HPP
 #define GEOGOSSIP_GRAPH_GEOMETRIC_GRAPH_HPP
 
@@ -52,17 +61,18 @@
 
 namespace geogossip::graph {
 
-/// Construction knobs.  The defaults reproduce the historical behaviour
-/// for non-routing workloads: serial build, no routing mirror until the
-/// graph's routing pays for one.
+/// Construction knobs.  The defaults build serially, the CSR on the first
+/// neighbour read and the routing mirror once the graph's routing pays
+/// for one.
 struct BuildOptions {
-  /// Pool the two-pass CSR build (and any later routing-mirror build)
-  /// fans node ranges across; nullptr builds serially.  The pool is only
-  /// borrowed — it must outlive the graph if the routing mirror may be
-  /// built lazily after construction.
+  /// Pool the two-pass CSR build and the routing-mirror build fan node
+  /// ranges across; nullptr builds serially.  The pool is only borrowed —
+  /// both are built lazily after construction, so it must outlive every
+  /// call that may build them.
   const ThreadPool* pool = nullptr;
-  /// Build the routing-ordered adjacency mirror during construction
-  /// instead of when the routed hops reach the switch threshold.
+  /// Build the CSR and the routing-ordered adjacency mirror during
+  /// construction instead of when the routed hops reach the switch
+  /// threshold.
   /// Routing-heavy workloads (E6, geographic gossip) amortize it;
   /// measurement workloads should leave it off.
   bool eager_routing_mirror = false;
@@ -104,34 +114,46 @@ class GeometricGraph {
     return points_;
   }
 
-  const CsrGraph& adjacency() const noexcept { return csr_; }
-  std::span<const NodeId> neighbors(NodeId node) const {
-    return csr_.neighbors(node);
+  /// The CSR adjacency, built on the first call of this, neighbors() or
+  /// degree() — once, under std::call_once, so concurrent first readers
+  /// share one build and all see its bytes; after that the cost is one
+  /// acquire load.  Uses the construction-time pool when one was attached.
+  const CsrGraph& adjacency() const {
+    ensure_adjacency();
+    return csr_;
   }
-  std::size_t degree(NodeId node) const { return csr_.degree(node); }
+  std::span<const NodeId> neighbors(NodeId node) const {
+    return adjacency().neighbors(node);
+  }
+  std::size_t degree(NodeId node) const { return adjacency().degree(node); }
+
+  /// Whether the CSR has been materialized.
+  bool adjacency_built() const noexcept {
+    return lazy_->csr_built.load(std::memory_order_acquire);
+  }
 
   /// Annuli per routing-ordered adjacency list (see routing_ids()).
   static constexpr int kRoutingAnnuli = 32;
 
-  /// Builds the routing-ordered mirror if it does not exist yet.  Safe to
-  /// call concurrently (std::call_once); the greedy routers call it at
-  /// route entry once unmirrored_hops() reaches their switch threshold,
-  /// so plain library users never need to.  Uses the construction-time
-  /// pool when one was attached.
+  /// Builds the CSR (if needed), then the routing-ordered mirror if it
+  /// does not exist yet.  Safe to call concurrently (std::call_once); the
+  /// greedy routers call it at route entry once unmirrored_hops() reaches
+  /// their switch threshold, so plain library users never need to.  Uses
+  /// the construction-time pool when one was attached.
   void ensure_routing_mirror() const;
   /// Whether the mirror has been materialized (eagerly or lazily).
   bool routing_mirror_built() const noexcept {
-    return mirror_->built.load(std::memory_order_acquire);
+    return lazy_->mirror_built.load(std::memory_order_acquire);
   }
 
-  /// Hops routed on this graph by the plain CSR scan, i.e. while it had
-  /// no mirror: the tally the greedy routers' switch reads.  Relaxed and
-  /// added to once per finished route, never per hop.
+  /// Hops routed on this graph while it had no mirror: the tally the
+  /// greedy routers' switch reads.  Relaxed and added to once per
+  /// finished route, never per hop.
   std::uint64_t unmirrored_hops() const noexcept {
-    return mirror_->unmirrored_hops.load(std::memory_order_relaxed);
+    return lazy_->unmirrored_hops.load(std::memory_order_relaxed);
   }
   void add_unmirrored_hops(std::uint64_t hops) const noexcept {
-    mirror_->unmirrored_hops.fetch_add(hops, std::memory_order_relaxed);
+    lazy_->unmirrored_hops.fetch_add(hops, std::memory_order_relaxed);
   }
 
   /// Routing-ordered adjacency (ids unchecked — they must come from this
@@ -143,9 +165,10 @@ class GeometricGraph {
   /// already rules out every remaining (nearer-to-node) neighbour — for
   /// far targets that prunes most of the list, exactly.  The row layout
   /// mirrors the CSR exactly (same per-node counts), so the CSR offsets
-  /// slice both arrays.  Self-ensuring: the first call materializes the
-  /// mirror whatever the routed-hop tally; the steady-state cost is one
-  /// relaxed call_once check, noise against the row scan that follows.
+  /// slice both arrays (a built mirror implies a built CSR).
+  /// Self-ensuring: the first call materializes the mirror whatever the
+  /// routed-hop tally; the steady-state cost is one relaxed call_once
+  /// check, noise against the row scan that follows.
   std::span<const NodeId> routing_ids(NodeId node) const {
     ensure_routing_mirror();
     return routing_ids_unchecked(node);
@@ -161,14 +184,14 @@ class GeometricGraph {
   /// neighbors_unchecked with a foreign id.
   std::span<const NodeId> routing_ids_unchecked(NodeId node) const noexcept {
     const auto offsets = csr_.offsets();
-    return {mirror_->ids.data() + offsets[node],
-            mirror_->ids.data() + offsets[node + 1]};
+    return {lazy_->ids.data() + offsets[node],
+            lazy_->ids.data() + offsets[node + 1]};
   }
   std::span<const float> routing_radii_unchecked(
       NodeId node) const noexcept {
     const auto offsets = csr_.offsets();
-    return {mirror_->radii.data() + offsets[node],
-            mirror_->radii.data() + offsets[node + 1]};
+    return {lazy_->radii.data() + offsets[node],
+            lazy_->radii.data() + offsets[node + 1]};
   }
 
   /// Bucket-grid index over the node positions (cell size == r).
@@ -180,27 +203,40 @@ class GeometricGraph {
   std::string summary() const;
 
  private:
-  // Lazily-built routing mirror and the routed-hop tally that decides
-  // when to build it; boxed so the graph stays movable (the
-  // once_flag/atomics inside are neither copyable nor movable).
-  struct RoutingMirror {
-    std::once_flag once;
-    std::atomic<bool> built{false};
+  // Build-once state of the lazy CSR and the lazy routing mirror, and the
+  // routed-hop tally that decides when to build the mirror; boxed so the
+  // graph stays movable (the once_flags/atomics inside are neither
+  // copyable nor movable).  The CSR itself stays a direct member, so the
+  // mirrored hop's offsets read is one load.
+  struct Lazy {
+    std::once_flag csr_once;
+    std::atomic<bool> csr_built{false};
+    std::once_flag mirror_once;
+    std::atomic<bool> mirror_built{false};
     std::atomic<std::uint64_t> unmirrored_hops{0};
     std::vector<NodeId> ids;
     std::vector<float> radii;
   };
 
+  /// Builds the CSR if it does not exist yet: once, under std::call_once,
+  /// so concurrent first readers share one build and all see its bytes.
+  /// The steady-state cost is one acquire load.  Uses the construction-
+  /// time pool when one was attached.
+  void ensure_adjacency() const {
+    if (!lazy_->csr_built.load(std::memory_order_acquire)) build_adjacency();
+  }
+  void build_adjacency() const;
   void build_routing_mirror() const;
 
   std::vector<geometry::Vec2> points_;
   double r_;
   geometry::Rect region_;
   std::unique_ptr<geometry::BucketGrid> index_;
-  CsrGraph csr_;
+  /// Written once, inside lazy_->csr_once; read only after csr_built.
+  mutable CsrGraph csr_;
   /// Borrowed build pool (see BuildOptions::pool); nullptr = serial.
   const ThreadPool* pool_ = nullptr;
-  std::unique_ptr<RoutingMirror> mirror_;
+  std::unique_ptr<Lazy> lazy_;
 };
 
 }  // namespace geogossip::graph

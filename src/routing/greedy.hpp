@@ -11,17 +11,23 @@
 // Failure mode: a node with no neighbour closer to p is a dead end (possible
 // on sparse or clustered deployments); results report it rather than loop.
 //
-// Two scans pick the next hop.  Until a graph's routed hops reach
-// mirror_switch_hops() a route scans the plain CSR row; after that it scans
-// the routing-ordered mirror, which prunes far neighbours unscanned.  Both
-// return the strictly-closer neighbour of least squared distance, so they
-// agree hop for hop — except on an EXACT tie in squared distance between
-// two candidates, where the CSR scan keeps the least id and the mirror
-// scan the first in annulus order, lanes merged by least id.  Random
-// deployments never produce such a tie (coincident points would), so the
-// switch point never changes a route there, and every byte pin holds on
-// either side of it.  The mirror scan stays tie-oblivious on purpose:
-// making it break ties by id doubles its cost per hop.
+// Three scans pick the next hop, chosen once per route from the graph's
+// state.  Until a graph's routed hops reach mirror_switch_hops() a route
+// scans the bucket-grid window around the node — the window the CSR build
+// scans, with the CSR build's range predicate — or, when something else
+// has already built the graph's CSR, the plain CSR row; neither scan
+// builds anything, so a graph that only routes a little (the paper's
+// affine protocols) never allocates its CSR.  After the switch a route
+// builds the CSR if needed and the routing-ordered mirror, and scans the
+// mirror, which prunes far neighbours unscanned.  All three return the
+// strictly-closer neighbour of least squared distance, so they agree hop
+// for hop — except on an EXACT tie in squared distance between two
+// candidates, where the grid and CSR scans take the least id and the
+// mirror scan the first in annulus order, lanes merged by least id.
+// Random deployments never produce such a tie (coincident points would),
+// so the switch point never changes a route there, and every byte pin
+// holds on either side of it.  The mirror scan stays tie-oblivious on
+// purpose: making it break ties by id doubles its cost per hop.
 #ifndef GEOGOSSIP_ROUTING_GREEDY_HPP
 #define GEOGOSSIP_ROUTING_GREEDY_HPP
 
@@ -75,12 +81,14 @@ RouteResult route_to_position(const graph::GeometricGraph& g,
                               graph::NodeId source, geometry::Vec2 target,
                               const RouteOptions& options = {});
 
-/// Routed hops after which greedy routing on `g` stops scanning the plain
-/// CSR row and builds and scans the routing-ordered mirror instead
-/// (GeometricGraph::ensure_routing_mirror): half a hop per arc, the
-/// measured break-even of the mirror's build cost against its per-hop
-/// saving.  The routers read the graph's unmirrored_hops() tally once
-/// per route and choose the scan for the whole route there.
+/// Routed hops after which greedy routing on `g` stops scanning the grid
+/// (or CSR row) and builds and scans the routing-ordered mirror instead
+/// (GeometricGraph::ensure_routing_mirror): an eighth of a hop per
+/// expected arc, the measured break-even of the CSR and mirror build cost
+/// against the mirror's per-hop saving over the grid scan.  Computed from n and
+/// the expected degree (graph/radius.hpp), so it never reads the CSR.
+/// The routers read the graph's unmirrored_hops() tally once per route
+/// and choose the scan for the whole route there.
 std::uint64_t mirror_switch_hops(const graph::GeometricGraph& g) noexcept;
 
 /// Default hop budget used when RouteOptions::max_hops == 0.

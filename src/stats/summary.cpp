@@ -98,8 +98,17 @@ double Quantiles::quantile(double q) const {
 double Quantiles::mean() const {
   GG_CHECK_ARG(!sample_.empty(), "mean of empty sample");
   double total = 0.0;
-  for (const double v : sample_) total += v;
-  return total / static_cast<double>(sample_.size());
+  double lo = sample_.front();
+  double hi = sample_.front();
+  for (const double v : sample_) {
+    total += v;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  // The rounded sum can carry the quotient past the sample's extremes (96
+  // copies of one value need not average to it); the mean lies in
+  // [min, max], so clamp.  A NaN mean passes through.
+  return std::clamp(total / static_cast<double>(sample_.size()), lo, hi);
 }
 
 const std::vector<double>& Quantiles::sorted() const {

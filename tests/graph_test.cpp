@@ -1,13 +1,16 @@
 // Unit + property tests for the graph module: CSR, G(n,r) construction,
-// connectivity, radius helpers, and the CSR and routing-mirror kernels
-// against brute-force references and pinned bytes.
+// connectivity, radius helpers, the lazy CSR and routing mirror, and their
+// kernels against brute-force references and pinned bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <latch>
 #include <limits>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "geometry/sampling.hpp"
@@ -15,6 +18,7 @@
 #include "graph/csr.hpp"
 #include "graph/geometric_graph.hpp"
 #include "graph/radius.hpp"
+#include "obs/telemetry.hpp"
 #include "routing/greedy.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -337,6 +341,30 @@ void expect_identical_graphs(const GeometricGraph& a,
   }
 }
 
+/// FNV-1a over the CSR offsets and targets and the mirror's ids and radii.
+std::uint64_t graph_digest(const GeometricGraph& g) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      hash ^= p[i];
+      hash *= 1099511628211ull;
+    }
+  };
+  const auto offsets = g.adjacency().offsets();
+  mix(offsets.data(), offsets.size_bytes());
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    mix(g.neighbors(v).data(), g.neighbors(v).size_bytes());
+  }
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    mix(g.routing_ids(v).data(), g.routing_ids(v).size_bytes());
+  }
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    mix(g.routing_radii(v).data(), g.routing_radii(v).size_bytes());
+  }
+  return hash;
+}
+
 TEST(GeometricGraph, ParallelBuildBitIdenticalToSerialAcrossSeeds) {
   // The acceptance property of the two-pass build: any thread count
   // produces byte-identical CSR and routing-mirror arrays.  1 vs 4
@@ -508,6 +536,120 @@ TEST(GeometricGraph, ConcurrentRoutesCrossTheSwitchOnce) {
     ASSERT_EQ(results[k].final_node, expected.final_node) << "route " << k;
   }
   expect_identical_graphs(lazy, eager);
+}
+
+TEST(GeometricGraph, CsrIsBuiltOnTheFirstNeighbourRead) {
+  // Construction builds the points and the bucket grid only; routing below
+  // the mirror switch scans the grid, and nearest-node queries use it, so
+  // neither builds the CSR.  The first neighbour read does, once, with the
+  // bytes an eagerly built graph has.
+  Rng rng(90);
+  const auto g = GeometricGraph::sample(2000, 1.2, rng);
+  EXPECT_FALSE(g.adjacency_built());
+  Rng pick(91);
+  for (int k = 0; k < 50; ++k) {
+    const auto src = static_cast<NodeId>(pick.below(2000));
+    (void)routing::route_to_node(
+        g, src, static_cast<NodeId>(pick.below_excluding(2000, src)));
+    (void)routing::route_to_position(g, src,
+                                     {pick.next_double(), pick.next_double()});
+  }
+  (void)g.nearest_node({0.25, 0.75});
+  EXPECT_FALSE(g.adjacency_built());
+  EXPECT_FALSE(g.routing_mirror_built());
+  EXPECT_GT(g.unmirrored_hops(), 0u);
+
+  const CsrGraph& csr = g.adjacency();
+  EXPECT_TRUE(g.adjacency_built());
+  EXPECT_EQ(&g.adjacency(), &csr);
+  EXPECT_EQ(g.neighbors(7).data(), csr.neighbors(7).data());
+  EXPECT_FALSE(g.routing_mirror_built());
+  Rng eager_rng(90);
+  const auto eager = GeometricGraph::sample(2000, 1.2, eager_rng,
+                                            {.eager_routing_mirror = true});
+  EXPECT_TRUE(eager.adjacency_built());
+  expect_identical_graphs(g, eager);
+}
+
+TEST(GeometricGraph, ConcurrentFirstReadsBuildTheCsrOnce) {
+  // Four threads hit a fresh shared graph at once: neighbour reads, the
+  // whole adjacency and greedy routes (which scan the grid until the CSR
+  // exists, then its rows).  The CSR is built once — one build counter
+  // tick, one address — and every thread reads the same bytes, those of a
+  // graph read on one thread.  A race here is a ThreadSanitizer finding.
+  struct ObsOn {
+    ObsOn() {
+      obs::reset();
+      obs::set_enabled(true);
+    }
+    ~ObsOn() {
+      obs::set_enabled(false);
+      obs::reset();
+    }
+  };
+  Rng rng(92);
+  const auto shared = GeometricGraph::sample(6000, 1.2, rng);
+  Rng reference_rng(92);
+  const auto reference = GeometricGraph::sample(6000, 1.2, reference_rng);
+  const std::uint64_t expected = graph_digest(reference);
+
+  constexpr int kThreads = 4;
+  std::vector<const CsrGraph*> seen(kThreads, nullptr);
+  std::vector<std::uint64_t> digests(kThreads, 0);
+  std::vector<std::vector<routing::RouteResult>> routes(kThreads);
+  std::uint64_t builds = 0;
+  {
+    const ObsOn obs_on;
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        Rng pick(93 + static_cast<std::uint64_t>(t));
+        for (int k = 0; k < 40; ++k) {
+          const auto src = static_cast<NodeId>(pick.below(6000));
+          routes[t].push_back(routing::route_to_node(
+              shared, src,
+              static_cast<NodeId>(pick.below_excluding(6000, src))));
+          if (k == t) (void)shared.neighbors(src);
+        }
+        seen[t] = &shared.adjacency();
+        digests[t] = graph_digest(shared);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    builds = obs::counter_totals().at("graph.adjacency_builds");
+  }
+#if !defined(GEOGOSSIP_OBS_DISABLE)
+  EXPECT_EQ(builds, 1u);
+#endif
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+    EXPECT_EQ(digests[t], expected) << "thread " << t;
+    Rng pick(93 + static_cast<std::uint64_t>(t));
+    for (const routing::RouteResult& got : routes[t]) {
+      const auto src = static_cast<NodeId>(pick.below(6000));
+      const auto want = routing::route_to_node(
+          reference, src,
+          static_cast<NodeId>(pick.below_excluding(6000, src)));
+      ASSERT_EQ(got.status, want.status) << "thread " << t;
+      ASSERT_EQ(got.hops, want.hops) << "thread " << t;
+      ASSERT_EQ(got.final_node, want.final_node) << "thread " << t;
+    }
+  }
+}
+
+TEST(GeometricGraph, MovedGraphKeepsItsIndex) {
+  // The bucket grid references the point buffer, which a move keeps: a
+  // graph moved to the heap before its first neighbour read still builds
+  // its CSR from the right points and answers nearest-node queries.
+  Rng rng_a(94);
+  Rng rng_b(94);
+  const auto in_place = GeometricGraph::sample(700, 1.2, rng_a);
+  const auto moved =
+      std::make_unique<GeometricGraph>(GeometricGraph::sample(700, 1.2, rng_b));
+  EXPECT_EQ(moved->nearest_node({0.3, 0.7}), in_place.nearest_node({0.3, 0.7}));
+  expect_identical_graphs(*moved, in_place);
 }
 
 TEST(GeometricGraph, NonRoutingUseNeverBuildsTheMirror) {
@@ -694,30 +836,6 @@ TEST(GeometricGraph, RoutingMirrorMatchesItsDefinition) {
       EXPECT_GE(g.degree(0), 6u * kAnnuli - 4) << "r = " << r;
     }
   }
-}
-
-/// FNV-1a over the CSR offsets and targets and the mirror's ids and radii.
-std::uint64_t graph_digest(const GeometricGraph& g) {
-  std::uint64_t hash = 14695981039346656037ull;
-  const auto mix = [&hash](const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      hash ^= p[i];
-      hash *= 1099511628211ull;
-    }
-  };
-  const auto offsets = g.adjacency().offsets();
-  mix(offsets.data(), offsets.size_bytes());
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    mix(g.neighbors(v).data(), g.neighbors(v).size_bytes());
-  }
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    mix(g.routing_ids(v).data(), g.routing_ids(v).size_bytes());
-  }
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    mix(g.routing_radii(v).data(), g.routing_radii(v).size_bytes());
-  }
-  return hash;
 }
 
 TEST(GeometricGraph, BuildAndMirrorBytesArePinned) {

@@ -181,6 +181,38 @@ TEST(Telemetry, UnmirroredHopsCountOnlyRoutesBeforeTheMirror) {
   EXPECT_LT(csr_hops, hops);
 }
 
+TEST(Telemetry, OnlyProtocolsThatReadNeighboursBuildTheCsr) {
+  // A node of the paper's model knows positions only: the affine round
+  // protocols exchange values between square representatives over greedy
+  // routes, which scan the bucket grid, so their replicates never build
+  // the CSR.  Protocols that gossip with neighbours build it once.
+  ObsGuard guard;
+  gg::obs::set_enabled(true);
+  struct Case {
+    gg::core::ProtocolKind kind;
+    std::size_t n;
+    std::uint64_t builds;
+  };
+  for (const Case c : {Case{gg::core::ProtocolKind::kAffineOneLevel, 4096, 0},
+                       Case{gg::core::ProtocolKind::kAffineMultilevel, 4096, 0},
+                       Case{gg::core::ProtocolKind::kBoydPairwise, 256, 1},
+                       Case{gg::core::ProtocolKind::kAffineAsync, 256, 1},
+                       Case{gg::core::ProtocolKind::kAffineDecentralized, 256,
+                            1}}) {
+    const std::string name(gg::core::protocol_kind_name(c.kind));
+    gg::obs::reset();
+    gg::exp::Cell cell;
+    cell.kind = c.kind;
+    cell.n = c.n;
+    (void)gg::exp::run_replicate(cell, 11);
+    const auto counters = gg::obs::counter_totals();
+    EXPECT_EQ(counters.at("graph.adjacency_builds"), c.builds) << name;
+    if (c.builds == 0) {
+      EXPECT_GT(counters.at("routing.hops"), 0u) << name;
+    }
+  }
+}
+
 TEST(Telemetry, JoinedPoolThreadsKeepTheirEventsInATrimmedBuffer) {
   ObsGuard guard;
   gg::obs::set_enabled(true);

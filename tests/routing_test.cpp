@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "geometry/sampling.hpp"
 #include "graph/connectivity.hpp"
@@ -74,9 +75,9 @@ TEST(GreedyRouting, SelfRouteIsZeroHops) {
 
 TEST(GreedyRouting, CsrScanTakesTheLeastIdOnAnExactTieAndNeverAnEqualHop) {
   // Dyadic coordinates make the two candidates' squared distances to the
-  // target exactly equal.  Before the switch a route scans the CSR row:
-  // the tie goes to the least id, and a neighbour no closer than the
-  // current node (1 and 2 are equidistant) is never a hop.
+  // target exactly equal.  Before the switch a route on a graph with a
+  // CSR scans its row: the tie goes to the least id, and a neighbour no
+  // closer than the current node (1 and 2 are equidistant) is never a hop.
   const std::vector<Vec2> points{{0.125, 0.5}, {0.25, 0.625}, {0.25, 0.375}};
   const GeometricGraph g(points, 0.25);
   ASSERT_TRUE(g.adjacency().has_edge(1, 2));
@@ -85,6 +86,102 @@ TEST(GreedyRouting, CsrScanTakesTheLeastIdOnAnExactTieAndNeverAnEqualHop) {
   EXPECT_EQ(route.status, RouteStatus::kArrived);
   EXPECT_EQ(route.final_node, 1u);
   EXPECT_EQ(route.hops, 1u);
+}
+
+/// The CSR-row reference hop: the neighbour strictly closer to `target`
+/// than `current` with the least squared distance, the least id on an
+/// exact tie; `current` when none is.
+NodeId csr_reference_hop(const GeometricGraph& g, NodeId current,
+                         Vec2 target) {
+  const auto positions = g.positions();
+  double best_sq = geometry::distance_sq(positions[current], target);
+  NodeId best = current;
+  for (const NodeId u : g.neighbors(current)) {
+    const double d_sq = geometry::distance_sq(positions[u], target);
+    if (d_sq < best_sq || (d_sq == best_sq && best != current && u < best)) {
+      best_sq = d_sq;
+      best = u;
+    }
+  }
+  return best;
+}
+
+/// Checks a traced route on `lazy` (routed by the grid scan: no CSR, no
+/// mirror) hop for hop against the CSR-row reference on `reference`.
+void expect_route_matches_reference(const GeometricGraph& reference,
+                                    const std::vector<NodeId>& trace,
+                                    const RouteResult& result, Vec2 target) {
+  ASSERT_EQ(trace.size(), result.hops + 1u);
+  for (std::size_t h = 0; h + 1 < trace.size(); ++h) {
+    ASSERT_EQ(csr_reference_hop(reference, trace[h], target), trace[h + 1])
+        << "hop " << h;
+  }
+  if (result.status != RouteStatus::kHopBudget) {
+    EXPECT_EQ(csr_reference_hop(reference, trace.back(), target),
+              trace.back());
+  }
+}
+
+TEST(GreedyRouting, GridScanMatchesTheCsrRowHopForHop) {
+  // Before a graph has a CSR, routes scan its bucket-grid window; every
+  // hop must be the CSR row's, for node and position targets alike.
+  for (const std::size_t n : {std::size_t{1024}, std::size_t{32768}}) {
+    SCOPED_TRACE(testing::Message() << "n = " << n);
+    Rng rng_lazy(95);
+    Rng rng_reference(95);
+    const auto lazy = GeometricGraph::sample(n, 1.2, rng_lazy);
+    const auto reference = GeometricGraph::sample(n, 1.2, rng_reference);
+    Rng pick(96);
+    std::vector<NodeId> trace;
+    RouteOptions options;
+    options.trace = &trace;
+    for (int k = 0; k < 150; ++k) {
+      const auto src = static_cast<NodeId>(pick.below(n));
+      trace.clear();
+      if (k % 2 == 0) {
+        const auto dst = static_cast<NodeId>(pick.below_excluding(n, src));
+        const auto result = route_to_node(lazy, src, dst, options);
+        expect_route_matches_reference(reference, trace, result,
+                                       lazy.position(dst));
+      } else {
+        const Vec2 target{pick.next_double(), pick.next_double()};
+        const auto result = route_to_position(lazy, src, target, options);
+        expect_route_matches_reference(reference, trace, result, target);
+      }
+    }
+    EXPECT_FALSE(lazy.adjacency_built());
+    EXPECT_FALSE(lazy.routing_mirror_built());
+  }
+}
+
+TEST(GreedyRouting, GridScanKeepsTheTieRuleAndTheClosedBallOnUnsortedIds) {
+  // Cells are 0.25 wide and the points sit on cell edges.  Ids are not in
+  // bucket order: D (id 0) lies in the column the scan visits after E's.
+  // D and E are exactly equidistant from (0.5, 1) (dyadic coordinates), so
+  // the hop from S must take the least id, D; C lies exactly r = 0.25
+  // below S, so the closed ball makes it S's hop towards (0.5, 0).
+  const std::vector<Vec2> points{{0.375, 0.625},  // 0: D
+                                 {0.5, 0.25},     // 1: C
+                                 {0.625, 0.625},  // 2: E
+                                 {0.5, 0.5}};     // 3: S
+  const Vec2 up{0.5, 1.0};
+  const Vec2 down{0.5, 0.0};
+  const GeometricGraph reference(points, 0.25);
+  ASSERT_TRUE(reference.adjacency().has_edge(3, 1));
+  ASSERT_EQ(geometry::distance_sq(points[0], up),
+            geometry::distance_sq(points[2], up));
+  for (const Vec2 target : {up, down}) {
+    const GeometricGraph lazy(points, 0.25);
+    std::vector<NodeId> trace;
+    RouteOptions options;
+    options.trace = &trace;
+    const auto result = route_to_position(lazy, 3, target, options);
+    EXPECT_FALSE(lazy.adjacency_built());
+    EXPECT_EQ(result.status, RouteStatus::kArrived);
+    EXPECT_EQ(result.hops, 1u);
+    EXPECT_EQ(result.final_node, target == up ? 0u : 1u);
+    expect_route_matches_reference(reference, trace, result, target);
+  }
 }
 
 TEST(GreedyRouting, HopsBoundedByBudgetHeuristic) {

@@ -108,6 +108,21 @@ TEST(Quantiles, PushInvalidatesCache) {
   EXPECT_DOUBLE_EQ(q.median(), 2.0);
 }
 
+TEST(Quantiles, MeanOfAConstantSampleIsThatValue) {
+  // The E1 Lemma 1 bound at n = 64, t = 2n, the same in all 96
+  // replicates: the rounded sum / 96 lands at ...378, outside the sample.
+  const double bound = 0.73287543184407455;
+  double plain = 0.0;
+  for (int i = 0; i < 96; ++i) plain += bound;
+  ASSERT_NE(plain / 96.0, bound);
+  const Quantiles q(std::vector<double>(96, bound));
+  EXPECT_EQ(q.mean(), bound);
+  // A mean inside the range is the plain quotient, unclamped.
+  const Quantiles spread({1.0, 2.0, 4.0});
+  EXPECT_EQ(spread.mean(), 7.0 / 3.0);
+  EXPECT_TRUE(std::isnan(Quantiles({1.0, std::nan(""), 2.0}).mean()));
+}
+
 TEST(Quantiles, Validation) {
   Quantiles empty;
   EXPECT_THROW(empty.median(), ArgumentError);
