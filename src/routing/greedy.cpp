@@ -25,19 +25,28 @@ std::uint32_t default_hop_budget(const GeometricGraph& g) {
 
 namespace {
 
-/// mirror_switch_hops() is one routed hop per kArcsPerSwitchHop expected
-/// arcs: the break-even of the mirror, its build cost per arc over what it
-/// saves per hop.  Measured on sample(n, 1.2) graphs (gcc 12 Release,
-/// 4-vCPU Xeon): a graph without a CSR pays 12-14 ns per arc for the CSR
-/// and 11-13 ns for the mirror; a mirrored hop costs 63-136 ns at
-/// n = 2048..32768, a grid-scan hop 200-240 ns between random pairs
-/// (median of 7 graphs) and about 280 ns inside a path-averaging
-/// replicate at n = 4096, so the pair repays itself after 0.11-0.25
-/// routed hops per arc.  Per replicate, the paper's affine protocols
-/// route at most 0.085 hops per expected arc (n = 256..32768, 12 seeds)
-/// and never build it; Dimakis et al.'s gossip routes 20-100 and path
-/// averaging about 1, and both switch early in the run.
-constexpr std::uint64_t kArcsPerSwitchHop = 8;
+/// mirror_switch_hops() is one routed hop per kArcsPerSwitchHop* expected
+/// arcs: the break-even of what the switch builds, per arc, over what the
+/// mirror saves per hop against the scan it replaces.  Measured on
+/// sample(n, 1.2) graphs (gcc 12 Release, 4-vCPU Xeon): the CSR costs
+/// 12-14 ns per arc and the mirror 11-13 ns; a mirrored hop costs 63-136
+/// ns at n = 2048..32768, a CSR-row hop 77-142 ns and a grid-scan hop
+/// 200-240 ns between random pairs (median of 7 graphs), about 280 ns
+/// inside a path-averaging replicate at n = 4096.
+///  * No CSR yet: the switch builds CSR and mirror and replaces grid-scan
+///    hops, and repays itself after 0.11-0.25 routed hops per arc.  Per
+///    replicate, the paper's affine round protocols route at most 0.085
+///    hops per expected arc (n = 256..32768) and never reach it; Dimakis
+///    et al.'s gossip routes 20-100 and path averaging about 1, and both
+///    switch early in the run.
+///  * CSR already built (a protocol that also gossips with neighbours):
+///    the switch builds the mirror only and replaces CSR-row hops; a
+///    mirrored hop saves 19-32 ns over a CSR-row hop, so the mirror
+///    repays itself after 0.4-0.6 routed hops per arc.  Decentralized
+///    replicates route 0.2-32 hops per expected arc at n = 4096 and
+///    almost all stay below it.
+constexpr std::uint64_t kArcsPerSwitchHopFromGrid = 8;
+constexpr std::uint64_t kArcsPerSwitchHopFromCsr = 2;
 
 // Registered when the program loads, not on the first route, so every
 // trace carries them, zeros included: a trace reader can tell a sweep
@@ -143,7 +152,10 @@ void finish_route(const GeometricGraph& g, const RouteResult& result,
 /// greedy_step's contract on the plain CSR row, for routes on a graph that
 /// has a CSR but no mirror yet: the strictly-closer neighbour of least
 /// squared distance, or `current`.  Ascending ids, strict `<` and a
-/// branch-free select, so an exact tie goes to the least id.
+/// branch-free select, so an exact tie goes to the least id.  A CSR-row
+/// hop costs 26-60% of a grid-scan hop (n = 256..32768); decentralized
+/// replicates at n = 4096, which build the CSR and route below the
+/// switch, ran about 1.6x as long on the grid scan.
 struct CsrStep {
   const graph::CsrGraph& adjacency;
 
@@ -182,7 +194,8 @@ inline double rank_distance(Rank rank) noexcept {
 struct GridStep {
   /// Rows (and columns) of a scan window: the grid's cells are at least r
   /// wide, so a window reaches one bucket each way, or two when rounding
-  /// makes a cell an ulp narrower than r.
+  /// makes a cell an ulp narrower than r; a radius wider than the region
+  /// makes the grid a single bucket.
   static constexpr int kMaxSpan = 5;
 
   explicit GridStep(const GeometricGraph& g)
@@ -191,7 +204,11 @@ struct GridStep {
         r_sq(g.radius() * g.radius()),
         lo(grid.region().lo()),
         cell(grid.cell_size()) {
-    GG_CHECK(std::ceil(r / cell) <= (kMaxSpan - 1) / 2,
+    // The widest window window() can return: 2 * reach + 1 buckets, clamped
+    // to the grid's side.
+    const double reach = std::ceil(r / cell);
+    GG_CHECK(std::min(static_cast<double>(grid.side()), 2.0 * reach + 1.0) <=
+                 kMaxSpan,
              "grid scan: bucket cells narrower than the radius");
     // Bucket membership is decided by a rounded division, so a point may
     // sit a few ulps outside its bucket's nominal edges; widening every
@@ -394,15 +411,19 @@ RouteResult walk_to_position(const GeometricGraph& g, Step& step,
 
 std::uint64_t mirror_switch_hops(const GeometricGraph& g) noexcept {
   // The expected arc count from n and the expected degree, so the switch
-  // never reads (or builds) the CSR.  The degree is capped at n - 1 for
-  // radii that cover the whole region.
+  // never reads (or builds) the CSR; only whether one exists picks the
+  // divisor.  The degree is capped at n - 1 for radii that cover the
+  // whole region.
   const auto n = static_cast<double>(g.node_count());
   const double degree =
       std::min(n - 1.0, graph::expected_interior_degree(g.node_count(),
                                                         g.radius()) /
                             g.region().area());
+  const std::uint64_t arcs_per_hop = g.adjacency_built()
+                                         ? kArcsPerSwitchHopFromCsr
+                                         : kArcsPerSwitchHopFromGrid;
   return static_cast<std::uint64_t>(
-      std::ceil(n * degree / static_cast<double>(kArcsPerSwitchHop)));
+      std::ceil(n * degree / static_cast<double>(arcs_per_hop)));
 }
 
 RouteResult route_to_node(const GeometricGraph& g, NodeId source,

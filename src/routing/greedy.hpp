@@ -83,12 +83,15 @@ RouteResult route_to_position(const graph::GeometricGraph& g,
 
 /// Routed hops after which greedy routing on `g` stops scanning the grid
 /// (or CSR row) and builds and scans the routing-ordered mirror instead
-/// (GeometricGraph::ensure_routing_mirror): an eighth of a hop per
-/// expected arc, the measured break-even of the CSR and mirror build cost
-/// against the mirror's per-hop saving over the grid scan.  Computed from n and
-/// the expected degree (graph/radius.hpp), so it never reads the CSR.
-/// The routers read the graph's unmirrored_hops() tally once per route
-/// and choose the scan for the whole route there.
+/// (GeometricGraph::ensure_routing_mirror): the measured break-even of
+/// what the switch builds against the mirror's per-hop saving over the
+/// scan it replaces.  That is an eighth of a hop per expected arc while
+/// `g` has no CSR (the switch builds CSR and mirror and replaces grid-scan
+/// hops) and half a hop per expected arc once it has one (the mirror
+/// alone, replacing CSR-row hops).  Computed from n and the expected
+/// degree (graph/radius.hpp), so it never reads the CSR.  The routers
+/// read the graph's unmirrored_hops() tally once per route and choose
+/// the scan for the whole route there.
 std::uint64_t mirror_switch_hops(const graph::GeometricGraph& g) noexcept;
 
 /// Default hop budget used when RouteOptions::max_hops == 0.

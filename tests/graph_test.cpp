@@ -499,6 +499,31 @@ TEST(GeometricGraph, RoutingMirrorIsLazyAndEagerOptionForcesIt) {
   }
 }
 
+TEST(GeometricGraph, MirrorSwitchWaitsLongerOnceTheGraphHasACsr) {
+  // Without a CSR the switch replaces grid-scan hops and builds CSR and
+  // mirror: an eighth of a hop per expected arc.  Once a neighbour read
+  // has built the CSR it replaces CSR-row hops and builds the mirror
+  // alone: half a hop per expected arc, and no mirror before that.
+  constexpr std::size_t kN = 2048;
+  Rng rng(81);
+  const auto g = GeometricGraph::sample(kN, 1.2, rng);
+  const double arcs = static_cast<double>(kN) *
+                      expected_interior_degree(kN, g.radius());
+  EXPECT_EQ(routing::mirror_switch_hops(g),
+            static_cast<std::uint64_t>(std::ceil(arcs / 8.0)));
+  ASSERT_GT(g.degree(0), 0u);  // builds the CSR
+  const std::uint64_t switch_hops = routing::mirror_switch_hops(g);
+  EXPECT_EQ(switch_hops, static_cast<std::uint64_t>(std::ceil(arcs / 2.0)));
+  Rng pick(82);
+  for (bool below = true; below;) {
+    below = g.unmirrored_hops() < switch_hops;
+    const auto src = static_cast<NodeId>(pick.below(kN));
+    routing::route_to_node(g, src,
+                           static_cast<NodeId>(pick.below_excluding(kN, src)));
+    ASSERT_EQ(g.routing_mirror_built(), !below);
+  }
+}
+
 TEST(GeometricGraph, ConcurrentRoutesCrossTheSwitchOnce) {
   // Replicates route on their own graph, but the graph is shared-const:
   // routes from several threads may read the tally, scan the CSR row and
@@ -512,6 +537,9 @@ TEST(GeometricGraph, ConcurrentRoutesCrossTheSwitchOnce) {
                                             {.eager_routing_mirror = true});
   constexpr std::size_t kChunks = 16;
   constexpr std::size_t kPerChunk = 600;
+  // Read before the routes: once the switch has built the CSR, the
+  // threshold is the one for a graph with a CSR.
+  const std::uint64_t switch_hops = routing::mirror_switch_hops(lazy);
   std::vector<std::pair<NodeId, NodeId>> pairs(kChunks * kPerChunk);
   Rng pick(78);
   for (auto& [src, dst] : pairs) {
@@ -527,7 +555,7 @@ TEST(GeometricGraph, ConcurrentRoutesCrossTheSwitchOnce) {
     }
   });
   EXPECT_TRUE(lazy.routing_mirror_built());
-  EXPECT_GE(lazy.unmirrored_hops(), routing::mirror_switch_hops(lazy));
+  EXPECT_GE(lazy.unmirrored_hops(), switch_hops);
   for (std::size_t k = 0; k < pairs.size(); ++k) {
     const auto expected =
         routing::route_to_node(eager, pairs[k].first, pairs[k].second);

@@ -184,6 +184,29 @@ TEST(GreedyRouting, GridScanKeepsTheTieRuleAndTheClosedBallOnUnsortedIds) {
   }
 }
 
+TEST(GreedyRouting, GridScanRoutesWhenTheRadiusSpansTheRegion) {
+  // r = 3 on the unit square: the grid is one bucket narrower than r, and
+  // every node is every other's neighbour, so each route is one hop.
+  Rng rng(97);
+  const auto points = geometry::sample_unit_square(64, rng);
+  const GeometricGraph lazy(points, 3.0);
+  const GeometricGraph reference(points, 3.0);
+  ASSERT_EQ(lazy.index().side(), 1);
+  std::vector<NodeId> trace;
+  RouteOptions options;
+  options.trace = &trace;
+  for (NodeId src = 0; src < 64; src += 7) {
+    const NodeId dst = (src + 31) % 64;
+    trace.clear();
+    const auto result = route_to_node(lazy, src, dst, options);
+    EXPECT_EQ(result.status, RouteStatus::kArrived);
+    EXPECT_EQ(result.hops, 1u);
+    expect_route_matches_reference(reference, trace, result,
+                                   lazy.position(dst));
+  }
+  EXPECT_FALSE(lazy.adjacency_built());
+}
+
 TEST(GreedyRouting, HopsBoundedByBudgetHeuristic) {
   const auto g = dense_graph(2000, 46);
   Rng rng(47);
