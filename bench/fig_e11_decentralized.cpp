@@ -12,6 +12,7 @@
 // 2(n-1).
 #include <cmath>
 #include <iostream>
+#include <sstream>
 #include <utility>
 
 #include "core/convergence.hpp"
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
   std::int64_t master_seed = 9;
   double eps = 1e-3;
   double radius_multiplier = 1.2;
-  std::string separations = "0.05,0.25,1,4,8";
+  std::vector<double> separations{0.05, 0.25, 1, 4, 8};
 
   gg::exp::SweepCli cli(
       "fig_e11_decentralized",
@@ -55,11 +56,11 @@ int main(int argc, char** argv) {
   scenario.replicates = static_cast<std::uint32_t>(seeds);
   scenario.master_seed = static_cast<std::uint64_t>(master_seed);
 
-  for (const auto& sep_text : gg::split(separations, ',')) {
-    const double sep = gg::parse_double(sep_text);
-    auto& cell = scenario.add("decentralized | separation " +
-                                  gg::trim(sep_text),
-                              ProtocolKind::kAffineDecentralized, nn);
+  for (const double sep : separations) {
+    std::ostringstream label;
+    label << "decentralized | separation " << sep;
+    auto& cell = scenario.add(label.str(), ProtocolKind::kAffineDecentralized,
+                              nn);
     cell.radius_multiplier = radius_multiplier;
     cell.field = gg::exp::CellField::kGaussian;
     cell.options.eps = eps;

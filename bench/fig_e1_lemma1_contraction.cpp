@@ -24,20 +24,15 @@ using gg::core::AlphaMode;
 int main(int argc, char** argv) {
   std::int64_t trials = 96;
   std::int64_t seed = 11;
-  std::string sizes = "32,128,512";
+  std::vector<std::size_t> ns{32, 128, 512};
 
   gg::exp::SweepCli cli("fig_e1_lemma1_contraction",
                         "E1: Lemma 1 contraction on the complete graph");
   cli.parser().add_flag("trials", &trials,
                         "independent runs per configuration");
   cli.parser().add_flag("seed", &seed, "master seed");
-  cli.parser().add_flag("sizes", &sizes, "comma-separated n values");
+  cli.parser().add_flag("sizes", &ns, "comma-separated n values");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
-
-  std::vector<std::size_t> ns;
-  for (const auto& size_text : gg::split(sizes, ',')) {
-    ns.push_back(static_cast<std::size_t>(gg::parse_int(size_text)));
-  }
 
   std::cout << "=== E1: Lemma 1 — mean ||x(t)||^2 vs (1-1/2n)^t bound ===\n\n";
 

@@ -24,22 +24,18 @@ int main(int argc, char** argv) {
   std::int64_t n = 256;
   std::int64_t trials = 600;
   std::int64_t seed = 21;
-  std::string epsilons = "0.5,0.3,0.1";
+  std::vector<double> eps_values{0.5, 0.3, 0.1};
 
   gg::exp::SweepCli cli("fig_e2_tail_bound",
                         "E2: Corollary 1 tail probability vs Markov bound");
   cli.parser().add_flag("n", &n, "complete-graph size");
   cli.parser().add_flag("trials", &trials, "independent runs per t");
   cli.parser().add_flag("seed", &seed, "master seed");
-  cli.parser().add_flag("epsilons", &epsilons,
+  cli.parser().add_flag("epsilons", &eps_values,
                         "comma-separated eps thresholds");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
   const auto nn = static_cast<std::size_t>(n);
-  std::vector<double> eps_values;
-  for (const auto& e : gg::split(epsilons, ',')) {
-    eps_values.push_back(gg::parse_double(e));
-  }
 
   std::cout << "=== E2: tail P(||x(t)|| > eps) on K_" << nn << " (trials="
             << trials << ") ===\n\n";

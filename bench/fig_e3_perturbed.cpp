@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   std::int64_t trials = 300;
   std::int64_t seed = 31;
   double a = 1.0;
-  std::string noises = "1e-6,1e-5,1e-4";
+  std::vector<double> noise_values{1e-6, 1e-5, 1e-4};
 
   gg::exp::SweepCli cli("fig_e3_perturbed",
                         "E3: Lemma 2 perturbed-averaging envelope");
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
                         "independent runs per configuration");
   cli.parser().add_flag("seed", &seed, "master seed");
   cli.parser().add_flag("a", &a, "Lemma 2 exponent a");
-  cli.parser().add_flag("noises", &noises,
+  cli.parser().add_flag("noises", &noise_values,
                         "comma-separated noise bounds eps");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
@@ -42,11 +42,6 @@ int main(int argc, char** argv) {
             << ", allowed failure 5/n^a = "
             << gg::format_fixed(gg::core::lemma2_failure_probability(nn, a), 4)
             << ") ===\n\n";
-
-  std::vector<double> noise_values;
-  for (const auto& noise_text : gg::split(noises, ',')) {
-    noise_values.push_back(gg::parse_double(noise_text));
-  }
 
   const auto scenario = gg::exp::make_e3_perturbed(
       nn, a, noise_values, static_cast<std::uint32_t>(trials),

@@ -23,19 +23,14 @@ int main(int argc, char** argv) {
   // Coefficient draws per (n, family); the harness --replicates flag
   // overrides the scenario count, so the dedicated flag is gone.
   const std::int64_t replicates = 3;
-  std::string sizes = "8,16,32,64,128,256,512";
+  std::vector<std::size_t> ns{8, 16, 32, 64, 128, 256, 512};
 
   gg::exp::SweepCli cli("fig_e4_spectral",
                         "E4: contraction spectrum of E[A^T A]");
   cli.parser().add_flag("seed", &seed, "master seed");
   cli.parser().add_flag("iterations", &iterations, "power-iteration steps");
-  cli.parser().add_flag("sizes", &sizes, "comma-separated n values");
+  cli.parser().add_flag("sizes", &ns, "comma-separated n values");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
-
-  std::vector<std::size_t> ns;
-  for (const auto& size_text : gg::split(sizes, ',')) {
-    ns.push_back(static_cast<std::size_t>(gg::parse_int(size_text)));
-  }
 
   std::cout << "=== E4: lambda_max of E[A^T A] on the zero-sum subspace ===\n\n";
 

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   // Fresh graphs per n; the harness --replicates flag overrides this.
   const std::int64_t replicates = 3;
   double radius_multiplier = 1.2;
-  std::string sizes = "1024,2048,4096,8192,16384,32768,65536";
+  std::vector<std::size_t> ns{1024, 2048, 4096, 8192, 16384, 32768, 65536};
 
   gg::exp::SweepCli cli("fig_e6_routing_hops",
                         "E6: greedy routing hop scaling");
@@ -34,13 +34,8 @@ int main(int argc, char** argv) {
   cli.parser().add_flag("seed", &seed, "master seed");
   cli.parser().add_flag("radius-mult", &radius_multiplier,
                         "radius multiplier");
-  cli.parser().add_flag("sizes", &sizes, "comma-separated n values");
+  cli.parser().add_flag("sizes", &ns, "comma-separated n values");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
-
-  std::vector<std::size_t> ns;
-  for (const auto& size_text : gg::split(sizes, ',')) {
-    ns.push_back(static_cast<std::size_t>(gg::parse_int(size_text)));
-  }
 
   std::cout << "=== E6: greedy geographic routing hops (r = "
             << radius_multiplier << " sqrt(log n / n)) ===\n\n";

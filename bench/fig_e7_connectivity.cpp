@@ -22,26 +22,17 @@ namespace gg = geogossip;
 int main(int argc, char** argv) {
   std::int64_t trials = 60;
   std::int64_t seed = 61;
-  std::string sizes = "500,2000,8000";
-  std::string multipliers = "0.6,0.8,1.0,1.2,1.5,2.0";
+  std::vector<std::size_t> ns{500, 2000, 8000};
+  std::vector<double> cs_values{0.6, 0.8, 1.0, 1.2, 1.5, 2.0};
 
   gg::exp::SweepCli cli("fig_e7_connectivity",
                         "E7: connectivity threshold of G(n, r)");
   cli.parser().add_flag("trials", &trials, "graphs per (n, c)");
   cli.parser().add_flag("seed", &seed, "master seed");
-  cli.parser().add_flag("sizes", &sizes, "comma-separated n values");
-  cli.parser().add_flag("multipliers", &multipliers,
+  cli.parser().add_flag("sizes", &ns, "comma-separated n values");
+  cli.parser().add_flag("multipliers", &cs_values,
                         "comma-separated c values in r = c sqrt(log n / n)");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
-
-  std::vector<std::size_t> ns;
-  for (const auto& size_text : gg::split(sizes, ',')) {
-    ns.push_back(static_cast<std::size_t>(gg::parse_int(size_text)));
-  }
-  std::vector<double> cs_values;
-  for (const auto& mult_text : gg::split(multipliers, ',')) {
-    cs_values.push_back(gg::parse_double(mult_text));
-  }
 
   std::cout << "=== E7: P(connected) and giant-component size vs radius ===\n"
             << "(sharp threshold at r* = sqrt(log n / (pi n)), i.e. c* = "

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   // Fresh graphs per cell; the harness --replicates flag overrides this.
   const std::int64_t replicates = 3;
   double radius_multiplier = 1.2;
-  std::string sizes = "1024,4096";
+  std::vector<std::size_t> ns{1024, 4096};
 
   gg::exp::SweepCli cli("fig_e9_rejection",
                         "E9: target-node uniformity via rejection sampling");
@@ -32,13 +32,8 @@ int main(int argc, char** argv) {
   cli.parser().add_flag("seed", &seed, "master seed");
   cli.parser().add_flag("radius-mult", &radius_multiplier,
                         "radius multiplier");
-  cli.parser().add_flag("sizes", &sizes, "comma-separated n values");
+  cli.parser().add_flag("sizes", &ns, "comma-separated n values");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
-
-  std::vector<std::size_t> ns;
-  for (const auto& size_text : gg::split(sizes, ',')) {
-    ns.push_back(static_cast<std::size_t>(gg::parse_int(size_text)));
-  }
 
   std::cout << "=== E9: sampled-target uniformity (TV distance, chi^2/df) "
                "===\n\n";

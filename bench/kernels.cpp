@@ -14,8 +14,9 @@
 //                          mirror (the neighbour-gossip build cost)
 //   graph_build_mt         same, node ranges fanned across a hardware-wide
 //                          ThreadPool (equals graph_build on 1 core)
-//   graph_build_routing    same + eager routing-ordered mirror (the cost a
-//                          routing workload amortizes)
+//   graph_build_routing    same + the routing-ordered mirror, forced right
+//                          after construction (the cost a routing
+//                          workload amortizes)
 //   nearest_query          expanding-ring nearest-node lookup
 //   route_to_node          greedy geographic route between random pairs
 //   gossip_tick_pairwise   one Boyd tick (neighbour pick + pair average)
@@ -120,30 +121,28 @@ double engine_check(const Protocol& protocol, double initial_norm) {
   }
 }
 
-/// Samples G(n, r), threading BuildOptions (pool, eager mirror) through
-/// when the library version exposes them — the dependent-name probe keeps
-/// this harness buildable against the pre-PR-4 checkout, where the build
-/// is serial and the mirror is always eager, so before/after numbers come
+/// Samples G(n, r), threading BuildOptions (the build pool) through when
+/// the library version exposes them — the dependent-name probe keeps this
+/// harness buildable against the pre-PR-4 checkout, where the build is
+/// serial and the mirror is always eager, so before/after numbers come
 /// from the same harness source.
 template <typename Graph = gg::graph::GeometricGraph>
 Graph sample_graph(std::size_t n, double mult, gg::Rng& rng,
-                   const gg::ThreadPool* pool = nullptr,
-                   bool eager_mirror = false) {
+                   const gg::ThreadPool* pool = nullptr) {
   if constexpr (requires { typename Graph::BuildOptions; }) {
     typename Graph::BuildOptions options;
     options.pool = pool;
-    options.eager_routing_mirror = eager_mirror;
     return Graph::sample(n, mult, rng, options);
   } else {
     (void)pool;
-    (void)eager_mirror;
     return Graph::sample(n, mult, rng);
   }
 }
 
 /// Forces the routing mirror into existence (no-op on library versions
 /// that build it during construction), so route kernels measure mirrored
-/// routing, not the mirror build or the CSR scan that precedes it.
+/// routing, not the mirror build or the CSR scan that precedes it, and
+/// graph_build_routing times the mirror build with the graph's.
 template <typename Graph>
 void warm_routing_mirror(const Graph& graph) {
   if constexpr (requires { graph.ensure_routing_mirror(); }) {
@@ -339,8 +338,8 @@ int main(int argc, char** argv) {
 
     gg::Rng build_rt_rng(0x5eed2 + n);
     h.run("graph_build_routing", n, [&] {
-      const auto graph = sample_graph(n, kRadiusMultiplier, build_rt_rng,
-                                      nullptr, /*eager_mirror=*/true);
+      const auto graph = sample_graph(n, kRadiusMultiplier, build_rt_rng);
+      warm_routing_mirror(graph);
       g_sink = g_sink + static_cast<double>(graph.adjacency().edge_count());
       return std::uint64_t{1};
     });
@@ -591,8 +590,8 @@ int main(int argc, char** argv) {
       // (name, n) point must keep one configuration across the whole
       // trajectory; graph_build_mt is the pooled point.
       h.run("graph_build_routing", n, [&] {
-        const auto graph = sample_graph(n, kRadiusMultiplier, build_rt_rng,
-                                        nullptr, /*eager_mirror=*/true);
+        const auto graph = sample_graph(n, kRadiusMultiplier, build_rt_rng);
+        warm_routing_mirror(graph);
         g_sink = g_sink + static_cast<double>(graph.adjacency().edge_count());
         return std::uint64_t{1};
       });
@@ -600,9 +599,8 @@ int main(int argc, char** argv) {
     if (h.selected("run_to_epsilon_geographic_xl")) {
       const std::size_t n = std::size_t{1} << 20;
       gg::Rng rng(0xe2e1 + n);
-      const auto graph =
-          sample_graph(n, kRadiusMultiplier, rng, &hw_pool,
-                       /*eager_mirror=*/true);
+      const auto graph = sample_graph(n, kRadiusMultiplier, rng, &hw_pool);
+      warm_routing_mirror(graph);
       h.run("run_to_epsilon_geographic_xl", n, [&] {
         gg::gossip::GeographicGossip protocol(graph, make_field(n, rng),
                                               rng);

@@ -23,31 +23,17 @@
 namespace gg = geogossip;
 using gg::core::ProtocolKind;
 
-namespace {
-
-std::vector<std::size_t> parse_sizes(const std::string& csv) {
-  std::vector<std::size_t> out;
-  for (const auto& part : gg::split(csv, ',')) {
-    if (!gg::trim(part).empty()) {
-      out.push_back(static_cast<std::size_t>(gg::parse_int(part)));
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   std::int64_t seeds = 4;
   std::int64_t master_seed = 1;
   double eps = 1e-3;
   double radius_multiplier = 1.2;
-  std::string boyd_ns = "512,1024,2048,4096,8192";
-  std::string dimakis_ns = "512,1024,2048,4096,8192,16384";
-  std::string pathavg_ns = "512,1024,2048,4096,8192,16384";
-  std::string one_level_ns = "512,2048,8192,32768,131072";
-  std::string multi_ns = "2048,8192,32768,131072";
-  std::string decentral_ns = "1024,4096,16384";
+  std::vector<std::size_t> boyd_ns{512, 1024, 2048, 4096, 8192};
+  std::vector<std::size_t> dimakis_ns{512, 1024, 2048, 4096, 8192, 16384};
+  std::vector<std::size_t> pathavg_ns{512, 1024, 2048, 4096, 8192, 16384};
+  std::vector<std::size_t> one_level_ns{512, 2048, 8192, 32768, 131072};
+  std::vector<std::size_t> multi_ns{2048, 8192, 32768, 131072};
+  std::vector<std::size_t> decentral_ns{1024, 4096, 16384};
   bool quick = false;
 
   gg::exp::SweepCli cli("tab_e5_scaling",
@@ -72,16 +58,16 @@ int main(int argc, char** argv) {
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
   if (quick) {
-    boyd_ns = "256,512,1024";
-    dimakis_ns = "512,1024,2048";
-    pathavg_ns = "512,1024,2048";
-    one_level_ns = "512,2048,8192";
-    multi_ns = "512,2048,8192";
-    decentral_ns = "512,2048";
+    boyd_ns = {256, 512, 1024};
+    dimakis_ns = {512, 1024, 2048};
+    pathavg_ns = {512, 1024, 2048};
+    one_level_ns = {512, 2048, 8192};
+    multi_ns = {512, 2048, 8192};
+    decentral_ns = {512, 2048};
     seeds = std::min<std::int64_t>(seeds, 3);
   }
 
-  const std::vector<std::pair<ProtocolKind, std::string>> plans{
+  const std::vector<std::pair<ProtocolKind, std::vector<std::size_t>>> plans{
       {ProtocolKind::kBoydPairwise, boyd_ns},
       {ProtocolKind::kDimakisGeographic, dimakis_ns},
       {ProtocolKind::kPathAveraging, pathavg_ns},
@@ -95,8 +81,8 @@ int main(int argc, char** argv) {
   scenario.description = "transmissions-to-eps scaling, all protocols";
   scenario.replicates = static_cast<std::uint32_t>(seeds);
   scenario.master_seed = static_cast<std::uint64_t>(master_seed);
-  for (const auto& [kind, ns_text] : plans) {
-    for (const std::size_t n : parse_sizes(ns_text)) {
+  for (const auto& [kind, ns] : plans) {
+    for (const std::size_t n : ns) {
       auto& cell = scenario.add(kind, n);
       cell.radius_multiplier = radius_multiplier;
       cell.options.eps = eps;
@@ -112,7 +98,7 @@ int main(int argc, char** argv) {
 
   // Fit tx ~ c n^p per protocol over the cells that mostly converged.
   std::vector<gg::analysis::ScalingReport> reports;
-  for (const auto& [kind, ns_text] : plans) {
+  for (const auto& [kind, planned_ns] : plans) {
     std::vector<double> ns;
     std::vector<double> medians;
     for (const auto& cs : summary.cells) {

@@ -51,14 +51,10 @@ DecentralizedAffineGossip::DecentralizedAffineGossip(
   }
   square_peers_.shrink_to_fit();  // only the in-square subset is kept
 
-  if (config.far_probability > 0.0) {
-    far_probability_ = std::min(1.0, config.far_probability);
-  } else {
-    const double m = static_cast<double>(n) /
-                     static_cast<double>(grid_.cell_count());
-    far_probability_ =
-        std::min(1.0, 1.0 / (config.separation * m * std::log(m + 1.0)));
-  }
+  const double m =
+      static_cast<double>(n) / static_cast<double>(grid_.cell_count());
+  far_probability_ =
+      std::min(1.0, 1.0 / (config.separation * m * std::log(m + 1.0)));
 }
 
 void DecentralizedAffineGossip::near(NodeId node) {
@@ -102,17 +98,14 @@ void DecentralizedAffineGossip::far(NodeId node) {
       grid_.cell_rect(static_cast<int>(target_square));
   const Vec2 target{rng_->uniform(target_rect.lo().x, target_rect.hi().x),
                     rng_->uniform(target_rect.lo().y, target_rect.hi().y)};
-  routing::RouteOptions options;
-  options.max_hops = config_.max_hops;
-  const auto there =
-      routing::route_to_position(*graph_, node, target, options);
+  const auto there = routing::route_to_position(*graph_, node, target);
   meter_.add(sim::TxCategory::kLongRange, there.hops);
   if (!there.arrived()) return;
   const NodeId peer = there.final_node;
   if (peer == node || square_of_[peer] == home) return;
 
   // Reply packet back to the initiator (position known from the request).
-  const auto back = routing::route_to_node(*graph_, peer, node, options);
+  const auto back = routing::route_to_node(*graph_, peer, node);
   meter_.add(sim::TxCategory::kLongRange, back.hops);
   if (!back.arrived()) return;  // atomic commit, as in the baselines
 

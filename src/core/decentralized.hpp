@@ -43,17 +43,13 @@
 namespace geogossip::core {
 
 struct DecentralizedConfig {
-  /// Per-tick probability of attempting a long-range affine exchange.
-  /// 0 = derive from `separation` (recommended).
-  double far_probability = 0.0;
-  /// When far_probability == 0: p_far = 1 / (separation * m * ln(m + 1)),
-  /// m = expected square occupancy — larger separation, more stability.
+  /// Sets the per-tick probability of attempting a long-range affine
+  /// exchange: p_far = min(1, 1 / (separation * m * ln(m + 1))), m =
+  /// expected square occupancy — larger separation, more stability.
   double separation = 4.0;
   /// Post-jump neighbourhood dilution (see header); disable to observe the
   /// raw instability.
   bool dilute_jumps = true;
-  /// Cap on routed hops per exchange (0 = default budget).
-  std::uint32_t max_hops = 0;
 };
 
 class DecentralizedAffineGossip final : public gossip::ValueProtocol {

@@ -9,6 +9,7 @@
 #include "sim/metrics.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
+#include "support/logging.hpp"
 #include "support/read_file.hpp"
 
 namespace geogossip::exp {
@@ -257,6 +258,25 @@ bool results_equal(const ReplicateResult& a,
     }
   }
   return true;
+}
+
+void log_checkpoint_anomalies(const CheckpointStats& stats,
+                              std::string_view context) {
+  if (stats.malformed > 0) {
+    log_warn(context, ": skipped ", stats.malformed,
+             " malformed line(s) — those replicates will re-run");
+  }
+  if (stats.foreign > 0) {
+    log_warn(context, ": ignored ", stats.foreign,
+             " record(s) from another (scenario, master_seed)");
+  }
+  if (stats.duplicate > 0) {
+    log_warn(context, ": collapsed ", stats.duplicate,
+             " duplicate record(s)");
+  }
+  if (stats.torn_tail) {
+    log_warn(context, ": tolerated a torn final line (killed writer)");
+  }
 }
 
 }  // namespace geogossip::exp

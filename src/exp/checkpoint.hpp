@@ -48,6 +48,15 @@ struct CheckpointStats {
   bool torn_tail = false;      ///< final line was crash debris
 };
 
+/// Logs each non-zero anomaly of `stats` as a warning led by `context`
+/// ("resume" for --resume, "fleet: batch 3" for a fleet batch's fold):
+/// malformed lines, foreign and duplicate records, and a torn tail.  The
+/// leveled logger, not bare stderr: unattended sweeps read these from
+/// piped logs, where the timestamp and severity prefix is what makes them
+/// correlatable with heartbeat files.
+void log_checkpoint_anomalies(const CheckpointStats& stats,
+                              std::string_view context);
+
 /// Completed-set of replicate records for ONE (scenario, master_seed).
 class Checkpoint {
  public:

@@ -52,26 +52,6 @@ std::uint64_t replicate_seed(std::uint64_t master_seed,
   return derive_seed(derive_seed(master_seed, cell_index), replicate);
 }
 
-Scenario make_protocol_sweep(std::string name, core::ProtocolKind kind,
-                             const std::vector<std::size_t>& sizes,
-                             std::uint32_t replicates,
-                             std::uint64_t master_seed,
-                             double radius_multiplier,
-                             const core::TrialOptions& options) {
-  GG_CHECK_ARG(!sizes.empty(), "make_protocol_sweep: at least one size");
-  GG_CHECK_ARG(replicates >= 1, "make_protocol_sweep: replicates >= 1");
-  Scenario scenario;
-  scenario.name = std::move(name);
-  scenario.replicates = replicates;
-  scenario.master_seed = master_seed;
-  for (const std::size_t n : sizes) {
-    Cell& cell = scenario.add(kind, n);
-    cell.radius_multiplier = radius_multiplier;
-    cell.options = options;
-  }
-  return scenario;
-}
-
 ScenarioRegistry& ScenarioRegistry::instance() {
   static ScenarioRegistry registry;
   return registry;

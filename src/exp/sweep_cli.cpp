@@ -1,6 +1,8 @@
 #include "exp/sweep_cli.hpp"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -42,50 +44,29 @@ bool same_file(const std::string& a, const std::string& b) {
   return ca == cb;
 }
 
-// Checkpoint anomalies go through the leveled logger, not bare stderr:
-// unattended sweeps read these from piped logs, where the timestamp and
-// severity prefix is what makes them correlatable with heartbeat files.
-void print_checkpoint_warnings(const CheckpointStats& stats) {
-  if (stats.malformed > 0) {
-    log_warn("resume: skipped ", stats.malformed,
-             " malformed line(s) — those replicates will re-run");
-  }
-  if (stats.foreign > 0) {
-    log_warn("resume: ignored ", stats.foreign,
-             " record(s) from another (scenario, master_seed)");
-  }
-  if (stats.duplicate > 0) {
-    log_warn("resume: collapsed ", stats.duplicate,
-             " duplicate record(s)");
-  }
-  if (stats.torn_tail) {
-    log_warn("resume: tolerated a torn final line (killed writer)");
-  }
-}
-
 /// Parses "--heartbeat=FILE,SECS" (",SECS" optional; split on the LAST
 /// comma so paths containing commas still work when an interval follows).
+/// A suffix that reads as a number (strtod's reading, so nan and inf too)
+/// is the interval and must be positive and finite; any other suffix
+/// belongs to the path.
 bool parse_heartbeat_spec(const std::string& spec, std::string* path,
                           double* interval_seconds) {
   *path = spec;
   *interval_seconds = 5.0;
   const std::size_t comma = spec.rfind(',');
   if (comma != std::string::npos) {
-    try {
-      const double secs = parse_double(spec.substr(comma + 1));
-      if (secs > 0.0) {
-        *path = spec.substr(0, comma);
-        *interval_seconds = secs;
-      }
-      // Non-positive interval: treat the whole spec as a path — but a
-      // parsed-yet-bogus interval is more likely a typo, reject it.
-      if (secs <= 0.0) {
+    const std::string suffix = trim(spec.substr(comma + 1));
+    char* end = nullptr;
+    const double secs = std::strtod(suffix.c_str(), &end);
+    if (!suffix.empty() && end == suffix.c_str() + suffix.size()) {
+      // A parsed-yet-bogus interval is more likely a typo than a path.
+      if (!std::isfinite(secs) || secs <= 0.0) {
         std::cerr << "--heartbeat=" << spec
-                  << ": interval must be positive seconds\n";
+                  << ": interval must be positive finite seconds\n";
         return false;
       }
-    } catch (const ArgumentError&) {
-      // No numeric suffix: the comma belongs to the path.
+      *path = spec.substr(0, comma);
+      *interval_seconds = secs;
     }
   }
   if (path->empty()) {
@@ -399,7 +380,7 @@ int SweepCli::run_checked(Scenario scenario, std::ostream& out) {
         resume_into_same_file = true;
       }
     }
-    print_checkpoint_warnings(checkpoint->stats());
+    log_checkpoint_anomalies(checkpoint->stats(), "resume");
     out << "resume: " << checkpoint->size()
         << " completed replicate(s) loaded\n";
     checkpoint_ = std::move(checkpoint);
@@ -533,7 +514,7 @@ int SweepCli::run_fleet_merge(const Scenario& scenario, std::ostream& out) {
   for (const std::string& path : fleet::all_record_files(fleet_dir_)) {
     checkpoint->load_file(path);
   }
-  print_checkpoint_warnings(checkpoint->stats());
+  log_checkpoint_anomalies(checkpoint->stats(), "fleet: merge");
   out << "merge: " << checkpoint->size() << " replicate(s) loaded\n";
 
   // The records must be exactly the scenario's grid: a hole is unfinished

@@ -86,18 +86,6 @@ class LeaseRenewer {
   std::thread thread_;
 };
 
-void print_checkpoint_anomalies(const exp::CheckpointStats& stats,
-                                std::uint32_t batch) {
-  if (stats.malformed > 0) {
-    log_warn("fleet: batch ", batch, " resume skipped ", stats.malformed,
-             " malformed record line(s) — those replicates re-run");
-  }
-  if (stats.torn_tail) {
-    log_warn("fleet: batch ", batch,
-             " resume tolerated a torn final line (killed writer)");
-  }
-}
-
 /// Trace lanes for the fleet_batch spans, one per batch held at once:
 /// overlapping batches never share a lane, so each lane nests cleanly.
 /// Far above the recording threads' lanes (numbered from 1).
@@ -335,7 +323,8 @@ class Worker {
            batch_record_files(options_.fleet_dir, held.batch)) {
         checkpoint->load_file(path);
       }
-      print_checkpoint_anomalies(checkpoint->stats(), held.batch);
+      exp::log_checkpoint_anomalies(
+          checkpoint->stats(), "fleet: batch " + std::to_string(held.batch));
       const std::string records = records_path(
           options_.fleet_dir, held.batch, held.generation, held.owner);
       batch->records = "records/" + fs::path(records).filename().string();

@@ -44,37 +44,6 @@ Rect SquareGrid::cell_rect(int cell) const {
   return region_.subsquare(cell, side_);
 }
 
-Vec2 SquareGrid::cell_center(int cell) const {
-  return cell_rect(cell).center();
-}
-
-std::pair<int, int> SquareGrid::cell_coords(int cell) const {
-  GG_CHECK_ARG(cell >= 0 && cell < cell_count(), "cell index out of range");
-  return {cell / side_, cell % side_};
-}
-
-int SquareGrid::cell_index(int row, int col) const {
-  GG_CHECK_ARG(row >= 0 && row < side_ && col >= 0 && col < side_,
-               "cell coords out of range");
-  return row * side_ + col;
-}
-
-std::vector<int> SquareGrid::neighbors_of(int cell) const {
-  const auto [row, col] = cell_coords(cell);
-  std::vector<int> out;
-  out.reserve(8);
-  for (int dr = -1; dr <= 1; ++dr) {
-    for (int dc = -1; dc <= 1; ++dc) {
-      if (dr == 0 && dc == 0) continue;
-      const int r = row + dr;
-      const int c = col + dc;
-      if (r < 0 || r >= side_ || c < 0 || c >= side_) continue;
-      out.push_back(cell_index(r, c));
-    }
-  }
-  return out;
-}
-
 std::vector<std::vector<std::uint32_t>> SquareGrid::assign(
     const std::vector<Vec2>& points) const {
   std::vector<std::vector<std::uint32_t>> members(

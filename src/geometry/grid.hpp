@@ -39,14 +39,6 @@ class SquareGrid {
   int cell_of(Vec2 p) const;
 
   Rect cell_rect(int cell) const;
-  Vec2 cell_center(int cell) const;
-
-  /// Row/col coordinates of a flat index.
-  std::pair<int, int> cell_coords(int cell) const;
-  int cell_index(int row, int col) const;
-
-  /// Flat indices of the (up to 8) adjacent cells.
-  std::vector<int> neighbors_of(int cell) const;
 
   /// Assigns each point to its cell; returns per-cell member lists.
   std::vector<std::vector<std::uint32_t>> assign(

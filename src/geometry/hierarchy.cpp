@@ -186,19 +186,6 @@ int PartitionHierarchy::leaf_of(std::uint32_t node) const {
   return leaf_of_node_[node];
 }
 
-int PartitionHierarchy::square_of_at_depth(std::uint32_t node,
-                                           int depth) const {
-  int id = leaf_of(node);
-  GG_CHECK(id >= 0, "node has no leaf square");
-  while (squares_[static_cast<std::size_t>(id)].depth > depth) {
-    id = squares_[static_cast<std::size_t>(id)].parent;
-    GG_CHECK(id >= 0, "walked past the root");
-  }
-  GG_CHECK_ARG(squares_[static_cast<std::size_t>(id)].depth == depth,
-               "requested depth exceeds the node's leaf depth");
-  return id;
-}
-
 std::vector<int> PartitionHierarchy::squares_at_depth(int depth) const {
   std::vector<int> out;
   for (std::size_t id = 0; id < squares_.size(); ++id) {

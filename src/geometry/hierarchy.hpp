@@ -93,9 +93,6 @@ class PartitionHierarchy {
   /// Arena index of the leaf square containing this sensor.
   int leaf_of(std::uint32_t node) const;
 
-  /// The depth-d ancestor square of the sensor's leaf (d <= leaf depth).
-  int square_of_at_depth(std::uint32_t node, int depth) const;
-
   /// All arena indices at exactly this depth.
   std::vector<int> squares_at_depth(int depth) const;
 

@@ -20,17 +20,8 @@ bool Rect::contains_closed(Vec2 p) const noexcept {
   return p.x >= lo_.x && p.x <= hi_.x && p.y >= lo_.y && p.y <= hi_.y;
 }
 
-bool Rect::intersects(const Rect& other) const noexcept {
-  return lo_.x < other.hi_.x && other.lo_.x < hi_.x && lo_.y < other.hi_.y &&
-         other.lo_.y < hi_.y;
-}
-
 Vec2 Rect::clamp(Vec2 p) const noexcept {
   return {std::clamp(p.x, lo_.x, hi_.x), std::clamp(p.y, lo_.y, hi_.y)};
-}
-
-double Rect::distance_sq_to(Vec2 p) const noexcept {
-  return distance_sq(p, clamp(p));
 }
 
 std::vector<Rect> Rect::subdivide(int side) const {

@@ -36,13 +36,8 @@ class Rect {
   /// Closed membership (both edges included); for the outermost square.
   bool contains_closed(Vec2 p) const noexcept;
 
-  bool intersects(const Rect& other) const noexcept;
-
   /// Nearest point of the (closed) rectangle to p; p itself if inside.
   Vec2 clamp(Vec2 p) const noexcept;
-
-  /// Squared distance from p to the rectangle (0 if inside).
-  double distance_sq_to(Vec2 p) const noexcept;
 
   /// Splits into side*side equal subrectangles, row-major from lo corner:
   /// index = row*side + col, row along y, col along x.  Requires side >= 1.

@@ -40,12 +40,6 @@ int BucketGrid::bucket_of(Vec2 p) const noexcept {
   return row_of(p) * side_ + col_of(p);
 }
 
-void BucketGrid::for_each_within(
-    Vec2 p, double radius,
-    const std::function<void(std::uint32_t)>& fn) const {
-  for_each_within(p, radius, [&fn](std::uint32_t idx) { fn(idx); });
-}
-
 std::vector<std::uint32_t> BucketGrid::within(Vec2 p, double radius) const {
   std::vector<std::uint32_t> out;
   // Upper bound on candidates: the scan window's runs, summed — one exact
@@ -107,23 +101,6 @@ std::optional<std::uint32_t> BucketGrid::nearest(Vec2 p) const {
       if (ring_min * ring_min > best_sq) break;
     }
     if (!scanned_any && ring > side_) break;
-  }
-  if (!found) return std::nullopt;
-  return best;
-}
-
-std::optional<std::uint32_t> BucketGrid::nearest_in_rect(
-    Vec2 p, const Rect& rect) const {
-  double best_sq = std::numeric_limits<double>::infinity();
-  std::uint32_t best = 0;
-  bool found = false;
-  for (const std::uint32_t idx : points_in_rect(rect)) {
-    const double d_sq = distance_sq(points_[idx], p);
-    if (d_sq < best_sq || (d_sq == best_sq && found && idx < best)) {
-      best_sq = d_sq;
-      best = idx;
-      found = true;
-    }
   }
   if (!found) return std::nullopt;
   return best;

@@ -6,8 +6,7 @@
 //
 // for_each_within is a template over the visitor so the per-candidate call
 // inlines (graph construction visits every near pair; an indirect call per
-// pair dominated the build).  A std::function overload remains for
-// ABI-stable callers that need type erasure.
+// pair dominated the build).
 #ifndef GEOGOSSIP_GEOMETRY_SPATIAL_INDEX_HPP
 #define GEOGOSSIP_GEOMETRY_SPATIAL_INDEX_HPP
 
@@ -82,8 +81,7 @@ class BucketGrid {
 
   /// Invokes fn(index) for every point with distance(p, point) <= radius.
   /// The query point itself is reported too if it is in the set.  The
-  /// visitor call inlines; use the std::function overload only when type
-  /// erasure is required.
+  /// visitor call inlines.
   template <typename Visitor>
   void for_each_within(Vec2 p, double radius, Visitor&& fn) const {
     const double r_sq = radius * radius;
@@ -94,10 +92,6 @@ class BucketGrid {
       }
     });
   }
-
-  /// Type-erased overload (ABI-stable; prefer the template in hot paths).
-  void for_each_within(Vec2 p, double radius,
-                       const std::function<void(std::uint32_t)>& fn) const;
 
   /// Number of points with distance(p, point) <= radius (the query point
   /// itself included when indexed) — pass 1 of the two-pass CSR build is
@@ -122,10 +116,6 @@ class BucketGrid {
   /// the point set is empty.  Expanding ring search: O(1) expected for
   /// roughly uniform points.
   std::optional<std::uint32_t> nearest(Vec2 p) const;
-
-  /// Nearest point to p among those lying inside `rect`, or nullopt if the
-  /// rect holds no points.  Membership follows points_in_rect().
-  std::optional<std::uint32_t> nearest_in_rect(Vec2 p, const Rect& rect) const;
 
   /// All point indices inside `rect`.  Membership is half-open (lo <= p <
   /// hi), EXCEPT where a rect edge reaches the indexed region's own closed

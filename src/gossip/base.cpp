@@ -40,11 +40,6 @@ double ValueProtocol::value_sum() const noexcept {
   return sum;
 }
 
-void ValueProtocol::set_tracker_refresh_interval(std::uint64_t interval) {
-  GG_CHECK_ARG(interval >= 1, "tracker refresh interval must be >= 1");
-  refresh_interval_ = interval;
-}
-
 void ValueProtocol::note_updates(std::uint64_t count) {
   updates_since_refresh_ += count;
   if (updates_since_refresh_ >= refresh_interval_) {
@@ -106,7 +101,6 @@ void ValueProtocol::snapshot(SnapshotWriter& w) const {
   w.str(name());
   w.f64_span(x_);
   tracker_.save(w);
-  w.u64(refresh_interval_);
   w.u64(updates_since_refresh_);
   w.u64(refreshes_);
   const auto& tx = meter_.snapshot();
@@ -123,9 +117,6 @@ void ValueProtocol::restore(SnapshotReader& r) {
   tracker_.restore(r);
   GG_CHECK_ARG(tracker_.size() == x_.size(),
                "ValueProtocol::restore: tracker size mismatch");
-  refresh_interval_ = r.u64();
-  GG_CHECK_ARG(refresh_interval_ >= 1,
-               "ValueProtocol::restore: tracker refresh interval must be >= 1");
   updates_since_refresh_ = r.u64();
   refreshes_ = r.u64();
   sim::TxSnapshot tx;

@@ -43,19 +43,15 @@ class ValueProtocol : public sim::GossipProtocol {
 
   const graph::GeometricGraph& graph() const noexcept { return *graph_; }
 
-  /// Element updates between exact tracker refreshes (drift bound).
-  /// Requires interval >= 1.
-  void set_tracker_refresh_interval(std::uint64_t interval);
-  std::uint64_t tracker_refresh_interval() const noexcept {
-    return refresh_interval_;
-  }
-  /// Exact refreshes performed so far (cadence observability for tests).
+  /// Exact refreshes performed so far (cadence observability for tests):
+  /// one per max(2^16, 8n) element updates.
   std::uint64_t tracker_refreshes() const noexcept { return refreshes_; }
 
   /// Snapshot/Restore contract (sim::GossipProtocol): the base serializes
   /// the values, the deviation tracker (compensated sums + refresh phase)
-  /// and the transmission meter; families append their trajectory scratch
-  /// via snapshot_scratch()/restore_scratch().
+  /// and the transmission meter (the refresh interval is a function of n,
+  /// not state); families append their trajectory scratch via
+  /// snapshot_scratch()/restore_scratch().
   void snapshot(SnapshotWriter& w) const override;
   void restore(SnapshotReader& r) override;
 
@@ -90,7 +86,8 @@ class ValueProtocol : public sim::GossipProtocol {
 
   std::vector<double> x_;
   sim::DeviationTracker tracker_;
-  std::uint64_t refresh_interval_;
+  /// Element updates between exact tracker refreshes (drift bound).
+  const std::uint64_t refresh_interval_;
   std::uint64_t updates_since_refresh_ = 0;
   std::uint64_t refreshes_ = 0;
 };

@@ -13,6 +13,11 @@ namespace geogossip::gossip {
 
 namespace {
 
+/// Monte Carlo positions per node used to estimate the Voronoi weights.
+constexpr std::uint32_t kWeightSamplesPerNode = 32;
+/// A tick gives up after this many rejected targets (hops still paid).
+constexpr std::uint32_t kMaxRejections = 32;
+
 /// One bump per protocol-level outcome; the member tallies stay the
 /// protocol's own metrics, these feed the sweep-wide telemetry totals.
 void count_rejection() {
@@ -43,8 +48,6 @@ GeographicGossip::GeographicGossip(const graph::GeometricGraph& graph,
 
 void GeographicGossip::estimate_acceptance() {
   const std::size_t n = graph_->node_count();
-  GG_CHECK_ARG(options_.weight_samples_per_node > 0,
-               "weight_samples_per_node must be positive");
 
   // q_hat[i] ~ P(node i is nearest to a uniform position) — proportional to
   // the area of i's Voronoi cell intersected with the region.  Sampling is
@@ -53,7 +56,7 @@ void GeographicGossip::estimate_acceptance() {
   // lower variance than i.i.d. positions), and all samples of a bucket
   // share one precomputed candidate list read straight out of the grid's
   // CSR — amortizing the per-query ring walk the old Monte-Carlo loop paid
-  // weight_samples_per_node * n times.
+  // kWeightSamplesPerNode * n times.
   std::vector<double> q_hat(n, 0.0);
   const auto& grid = graph_->index();
   const auto& region = graph_->region();
@@ -61,7 +64,7 @@ void GeographicGossip::estimate_acceptance() {
   const int side = grid.side();
   const double cell = grid.cell_size();
   const double target_samples =
-      static_cast<double>(options_.weight_samples_per_node) *
+      static_cast<double>(kWeightSamplesPerNode) *
       static_cast<double>(n);
 
   // Per-bucket candidates sorted by distance to the bucket centre, so the
@@ -183,8 +186,7 @@ void GeographicGossip::estimate_acceptance() {
 
 NodeId GeographicGossip::sample_target(NodeId source) {
   const auto& region = graph_->region();
-  for (std::uint32_t attempt = 0; attempt <= options_.max_rejections;
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt <= kMaxRejections; ++attempt) {
     const Vec2 target{rng_->uniform(region.lo().x, region.hi().x),
                       rng_->uniform(region.lo().y, region.hi().y)};
     const auto route = routing::route_to_position(*graph_, source, target);

@@ -29,10 +29,6 @@ namespace geogossip::gossip {
 struct GeographicOptions {
   /// Rejection-sample targets towards the uniform node distribution.
   bool rejection_sampling = true;
-  /// Monte Carlo positions per node used to estimate Voronoi weights.
-  std::uint32_t weight_samples_per_node = 32;
-  /// Give up after this many rejected targets in one tick (hops still paid).
-  std::uint32_t max_rejections = 32;
 };
 
 class GeographicGossip final : public ValueProtocol {

@@ -4,42 +4,8 @@
 #include <deque>
 #include <limits>
 
-#include "support/check.hpp"
 
 namespace geogossip::graph {
-
-UnionFind::UnionFind(std::size_t n)
-    : parent_(n), size_(n, 1), sets_(n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    parent_[i] = static_cast<std::uint32_t>(i);
-  }
-}
-
-std::size_t UnionFind::find(std::size_t x) {
-  GG_CHECK_ARG(x < parent_.size(), "UnionFind: index out of range");
-  while (parent_[x] != x) {
-    parent_[x] = parent_[parent_[x]];  // path halving
-    x = parent_[x];
-  }
-  return x;
-}
-
-bool UnionFind::unite(std::size_t a, std::size_t b) {
-  std::size_t ra = find(a);
-  std::size_t rb = find(b);
-  if (ra == rb) return false;
-  if (size_[ra] < size_[rb]) std::swap(ra, rb);
-  parent_[rb] = static_cast<std::uint32_t>(ra);
-  size_[ra] += size_[rb];
-  --sets_;
-  return true;
-}
-
-bool UnionFind::same(std::size_t a, std::size_t b) {
-  return find(a) == find(b);
-}
-
-std::size_t UnionFind::size_of(std::size_t x) { return size_[find(x)]; }
 
 std::vector<std::uint32_t> connected_components(const CsrGraph& g) {
   const std::size_t n = g.node_count();
@@ -81,39 +47,6 @@ std::size_t largest_component_size(const CsrGraph& g) {
   std::vector<std::size_t> counts(max_label + 1, 0);
   for (const auto l : labels) ++counts[l];
   return *std::max_element(counts.begin(), counts.end());
-}
-
-std::vector<std::uint32_t> bfs_distances(const CsrGraph& g, NodeId source) {
-  GG_CHECK_ARG(source < g.node_count(), "bfs source out of range");
-  constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> dist(g.node_count(), kInf);
-  dist[source] = 0;
-  std::deque<NodeId> queue{source};
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    for (const NodeId u : g.neighbors(v)) {
-      if (dist[u] == kInf) {
-        dist[u] = dist[v] + 1;
-        queue.push_back(u);
-      }
-    }
-  }
-  return dist;
-}
-
-std::uint32_t hop_diameter(const CsrGraph& g) {
-  GG_CHECK_ARG(g.node_count() >= 1, "hop_diameter of empty graph");
-  constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
-  std::uint32_t best = 0;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const auto dist = bfs_distances(g, v);
-    for (const auto d : dist) {
-      GG_CHECK_ARG(d != kInf, "hop_diameter: graph is disconnected");
-      best = std::max(best, d);
-    }
-  }
-  return best;
 }
 
 }  // namespace geogossip::graph

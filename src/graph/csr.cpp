@@ -95,42 +95,6 @@ CsrGraph CsrGraph::from_edges(
   return CsrGraph(std::move(offsets), std::move(targets));
 }
 
-CsrGraph CsrGraph::from_adjacency(
-    const std::vector<std::vector<NodeId>>& adjacency) {
-  check_node_count(adjacency.size());
-  const auto n = static_cast<NodeId>(adjacency.size());
-  std::vector<std::uint64_t> offsets(adjacency.size() + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t v = 0; v < adjacency.size(); ++v) {
-    total += adjacency[v].size();
-    offsets[v + 1] = total;
-  }
-  std::vector<NodeId> targets;
-  targets.reserve(total);
-  for (const auto& list : adjacency) {
-    for (const NodeId t : list) {
-      GG_CHECK_ARG(t < n, "adjacency target out of range");
-      targets.push_back(t);
-    }
-  }
-  CsrGraph g(std::move(offsets), std::move(targets));
-  // Validate symmetry and sort neighbourhoods.
-  for (NodeId v = 0; v < n; ++v) {
-    const auto begin =
-        g.targets_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]);
-    const auto end =
-        g.targets_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v + 1]);
-    std::sort(begin, end);
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    for (const NodeId u : g.neighbors(v)) {
-      GG_CHECK_ARG(u != v, "self-loop in adjacency");
-      GG_CHECK_ARG(g.has_edge(u, v), "adjacency is not symmetric");
-    }
-  }
-  return g;
-}
-
 std::span<const NodeId> CsrGraph::neighbors(NodeId node) const {
   GG_CHECK_ARG(node < node_count(), "node out of range");
   return {targets_.data() + offsets_[node],

@@ -33,11 +33,6 @@ class CsrGraph {
   static CsrGraph from_edges(NodeId node_count,
                              const std::vector<std::pair<NodeId, NodeId>>& edges);
 
-  /// Builds from per-node adjacency lists (must already be symmetric; this
-  /// is validated).
-  static CsrGraph from_adjacency(
-      const std::vector<std::vector<NodeId>>& adjacency);
-
   /// Adopts an already-laid-out CSR: offsets_[v]..offsets_[v+1] must index
   /// `targets`, per-node lists sorted ascending, symmetric, no self-loops
   /// or duplicates.  Validates the cheap structural invariants (monotone

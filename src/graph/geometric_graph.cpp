@@ -39,7 +39,6 @@ GeometricGraph::GeometricGraph(std::vector<geometry::Vec2> points, double r,
                    static_cast<std::int64_t>(points_.size()));
     index_ = std::make_unique<geometry::BucketGrid>(points_, region_, r_);
   }
-  if (options.eager_routing_mirror) ensure_routing_mirror();
 }
 
 void GeometricGraph::build_adjacency() const {

@@ -39,8 +39,8 @@
 // routing-heavy ones (Dimakis et al.'s geographic gossip) switch within
 // their first few percent of hops.  Each neighbour's annulus is guessed
 // from its distance and settled by exact comparisons with the annulus
-// edges, then a counting sort groups the row.  Pass
-// BuildOptions::eager_routing_mirror to front-load CSR and mirror instead.
+// edges, then a counting sort groups the row.  Call ensure_routing_mirror()
+// after construction to front-load CSR and mirror instead.
 #ifndef GEOGOSSIP_GRAPH_GEOMETRIC_GRAPH_HPP
 #define GEOGOSSIP_GRAPH_GEOMETRIC_GRAPH_HPP
 
@@ -70,12 +70,6 @@ struct BuildOptions {
   /// both are built lazily after construction, so it must outlive every
   /// call that may build them.
   const ThreadPool* pool = nullptr;
-  /// Build the CSR and the routing-ordered adjacency mirror during
-  /// construction instead of when the routed hops reach the switch
-  /// threshold.
-  /// Routing-heavy workloads (E6, geographic gossip) amortize it;
-  /// measurement workloads should leave it off.
-  bool eager_routing_mirror = false;
 };
 
 class GeometricGraph {
@@ -132,7 +126,8 @@ class GeometricGraph {
     return lazy_->csr_built.load(std::memory_order_acquire);
   }
 
-  /// Annuli per routing-ordered adjacency list (see routing_ids()).
+  /// Annuli per routing-ordered adjacency list (see
+  /// routing_ids_unchecked()).
   static constexpr int kRoutingAnnuli = 32;
 
   /// Builds the CSR (if needed), then the routing-ordered mirror if it
@@ -141,7 +136,7 @@ class GeometricGraph {
   /// their switch threshold, so plain library users never need to.  Uses
   /// the construction-time pool when one was attached.
   void ensure_routing_mirror() const;
-  /// Whether the mirror has been materialized (eagerly or lazily).
+  /// Whether the mirror has been materialized.
   bool routing_mirror_built() const noexcept {
     return lazy_->mirror_built.load(std::memory_order_acquire);
   }
@@ -166,21 +161,9 @@ class GeometricGraph {
   /// far targets that prunes most of the list, exactly.  The row layout
   /// mirrors the CSR exactly (same per-node counts), so the CSR offsets
   /// slice both arrays (a built mirror implies a built CSR).
-  /// Self-ensuring: the first call materializes the mirror whatever the
-  /// routed-hop tally; the steady-state cost is one relaxed call_once
-  /// check, noise against the row scan that follows.
-  std::span<const NodeId> routing_ids(NodeId node) const {
-    ensure_routing_mirror();
-    return routing_ids_unchecked(node);
-  }
-  std::span<const float> routing_radii(NodeId node) const {
-    ensure_routing_mirror();
-    return routing_radii_unchecked(node);
-  }
-
-  /// Unchecked variants for per-hop loops that have already ensured the
-  /// mirror once at route entry (greedy_step): no call_once check, and
-  /// noexcept.  Calling these before ensure_routing_mirror() is UB, like
+  /// Unchecked, for per-hop loops that have already ensured the mirror
+  /// once at route entry (greedy_step): no call_once check, and noexcept.
+  /// Calling these before ensure_routing_mirror() is UB, like
   /// neighbors_unchecked with a foreign id.
   std::span<const NodeId> routing_ids_unchecked(NodeId node) const noexcept {
     const auto offsets = csr_.offsets();

@@ -155,7 +155,14 @@ void finish_route(const GeometricGraph& g, const RouteResult& result,
 /// branch-free select, so an exact tie goes to the least id.  A CSR-row
 /// hop costs 26-60% of a grid-scan hop (n = 256..32768); decentralized
 /// replicates at n = 4096, which build the CSR and route below the
-/// switch, ran about 1.6x as long on the grid scan.
+/// switch, ran about 1.6x as long on the grid scan.  An end-to-end A/B
+/// with this step removed (grid scan until the one switch rule) left
+/// every sweep-affine, sweep-durable and sweep-baselines metric flat
+/// (sweep-affine medians over 8 alternating pairs: wall 0.325 -> 0.313 s,
+/// cpu 1.09 -> 1.07 s, RSS 18.3 -> 18.3 MiB), but single decentralized
+/// replicates got slower: in 4 of 5 runs at n = 4096 (8 seeds, one
+/// thread), by 4-13% at n = 16384.  So it stays, for E11's decentralized
+/// cells, which those workloads do not weigh.
 struct CsrStep {
   const graph::CsrGraph& adjacency;
 

@@ -31,11 +31,6 @@ struct RouteCampaignResult {
 RouteCampaignResult measure_routes(const graph::GeometricGraph& g,
                                    std::uint64_t pairs, Rng& rng);
 
-/// Routes `pairs` node->uniform-random-position packets (the Dimakis
-/// targeting primitive) and accumulates hop statistics.
-RouteCampaignResult measure_position_routes(const graph::GeometricGraph& g,
-                                            std::uint64_t pairs, Rng& rng);
-
 }  // namespace geogossip::routing
 
 #endif  // GEOGOSSIP_ROUTING_ROUTE_STATS_HPP

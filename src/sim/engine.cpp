@@ -15,9 +15,13 @@ namespace {
 /// Leading tag of every engine snapshot payload; restore rejects payloads
 /// from other producers (e.g. a round-protocol snapshot) up front.  The
 /// tag names the layout: "/2" dropped the model-time slot that followed
-/// the step count under the older tag.
-constexpr std::string_view kEnginePayloadTag = "geogossip-engine-run/2";
-constexpr std::string_view kModelTimePayloadTag = "geogossip-engine-run";
+/// the step count under the untagged name, and "/3" dropped the
+/// convergence-trace samples after the initial deviation and the
+/// protocol's tracker refresh interval.  Older layouts are refused by
+/// name, never read out of step.
+constexpr std::string_view kEnginePayloadTag = "geogossip-engine-run/3";
+constexpr std::string_view kOlderPayloadTags[] = {"geogossip-engine-run",
+                                                  "geogossip-engine-run/2"};
 
 /// Tick protocols poll the wall clock for the seconds cadence only every
 /// this many ticks, keeping clock syscalls off the per-tick hot path.
@@ -75,12 +79,16 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     // not one derived from the mid-flight values.
     SnapshotReader r(resume);
     const std::string tag = r.str();
-    GG_CHECK_ARG(tag != kModelTimePayloadTag,
-                 "run_to_epsilon: resume payload has the older '" +
-                     std::string(kModelTimePayloadTag) +
-                     "' layout; this build reads only '" +
-                     std::string(kEnginePayloadTag) +
-                     "' (delete the snapshot to re-run the replicate)");
+    // A stale snapshot left by an older build is the user's to delete: say
+    // so plainly, without the check expression.
+    for (const std::string_view older : kOlderPayloadTags) {
+      if (tag == older) {
+        throw ArgumentError("run_to_epsilon: resume payload has the older '" +
+                            tag + "' layout; this build reads only '" +
+                            std::string(kEnginePayloadTag) +
+                            "' (delete the snapshot to re-run the replicate)");
+      }
+    }
     GG_CHECK_ARG(tag == kEnginePayloadTag,
                  "run_to_epsilon: resume payload is not an engine snapshot");
     const std::string snap_name = r.str();
@@ -96,14 +104,6 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     initial_dev_sq = r.f64();
     GG_CHECK_ARG(initial_dev_sq > 0.0,
                  "run_to_epsilon: snapshot has no initial deviation");
-    // No reserve from the stored count: every entry is read (and
-    // bounds-checked) before it is stored.
-    const std::uint64_t trace_count = r.u64();
-    for (std::uint64_t i = 0; i < trace_count; ++i) {
-      const std::uint64_t tx = r.u64();
-      const double err = r.f64();
-      result.trace.emplace_back(tx, err);
-    }
     rng.restore(r);
     protocol.restore(r);
     r.finish();
@@ -133,11 +133,6 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     w.u64(n);
     w.u64(clock.ticks_elapsed());
     w.f64(initial_dev_sq);
-    w.u64(result.trace.size());
-    for (const auto& [tx, err] : result.trace) {
-      w.u64(tx);
-      w.f64(err);
-    }
     rng.save(w);
     protocol.snapshot(w);
     checkpoints.persist(w.bytes(), clock.ticks_elapsed());
@@ -148,11 +143,6 @@ RunResult run_to_epsilon(GossipProtocol& protocol, Rng& rng,
     protocol.on_tick(tick);
 
     const double dev_sq = protocol.deviation_sq();
-    if (config.trace_interval != 0 &&
-        (tick.index + 1) % config.trace_interval == 0) {
-      result.trace.emplace_back(protocol.meter().total(),
-                                std::sqrt(dev_sq / initial_dev_sq));
-    }
     if (dev_sq <= target_dev_sq) {
       result.converged = true;
       result.ticks = clock.ticks_elapsed();

@@ -11,8 +11,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "sim/clock.hpp"
 #include "sim/metrics.hpp"
@@ -94,9 +92,6 @@ struct RunConfig {
   /// 10^7 * n heuristic is NOT applied; treat 0 as "caller must set" and
   /// checked).
   std::uint64_t max_ticks = 0;
-  /// When > 0, (transmissions, error) samples are recorded every
-  /// `trace_interval` ticks into RunResult::trace.
-  std::uint64_t trace_interval = 0;
 };
 
 /// The outcome of one run, counted in engine steps and transmissions (the
@@ -107,8 +102,6 @@ struct RunResult {
   /// ||x(end) - mean|| / ||x(0) - mean||.
   double final_error = 1.0;
   TxSnapshot transmissions;
-  /// (total transmissions, relative error) samples, if tracing was enabled.
-  std::vector<std::pair<std::uint64_t, double>> trace;
 
   std::string to_string() const;
 };

@@ -25,12 +25,6 @@ double chernoff_two_sided(double mu, double delta);
 /// probability that ANY cell deviates by a relative `delta`.
 double occupancy_deviation_bound(double mu, double delta, std::size_t cells);
 
-/// Smallest mean mu such that the union bound above is <= failure_prob.
-/// (Answers: how many sensors per square are needed before the paper's
-/// 1/10-deviation event is w.h.p.)
-double required_mean_for_occupancy(double delta, std::size_t cells,
-                                   double failure_prob);
-
 }  // namespace geogossip::stats
 
 #endif  // GEOGOSSIP_STATS_CHERNOFF_HPP

@@ -27,12 +27,6 @@ std::string Interval::to_string(int decimals) const {
   return os.str();
 }
 
-Interval mean_confidence_interval(const RunningStat& stat, double confidence) {
-  const double z = z_score_for(confidence);
-  const double half = z * stat.standard_error();
-  return Interval{stat.mean() - half, stat.mean() + half};
-}
-
 Interval proportion_confidence_interval(std::uint64_t successes,
                                         std::uint64_t trials,
                                         double confidence) {

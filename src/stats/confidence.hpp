@@ -2,9 +2,8 @@
 #ifndef GEOGOSSIP_STATS_CONFIDENCE_HPP
 #define GEOGOSSIP_STATS_CONFIDENCE_HPP
 
+#include <cstdint>
 #include <string>
-
-#include "stats/summary.hpp"
 
 namespace geogossip::stats {
 
@@ -17,13 +16,9 @@ struct Interval {
   std::string to_string(int decimals = 4) const;
 };
 
-/// Normal-approximation CI for the mean of the accumulated sample.
-/// `confidence` in (0,1); only the standard levels {0.90, 0.95, 0.99} are
-/// supported (fixed z-scores — no inverse erf dependency).
-Interval mean_confidence_interval(const RunningStat& stat,
-                                  double confidence = 0.95);
-
 /// Wilson score interval for a binomial proportion (successes/trials).
+/// Only the standard levels {0.90, 0.95, 0.99} are supported (fixed
+/// z-scores — no inverse erf dependency).
 Interval proportion_confidence_interval(std::uint64_t successes,
                                         std::uint64_t trials,
                                         double confidence = 0.95);

@@ -45,15 +45,7 @@ double RunningStat::variance() const noexcept {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
 }
 
-double RunningStat::population_variance() const noexcept {
-  return count_ == 0 ? 0.0 : m2_ / static_cast<double>(count_);
-}
-
 double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
-
-double RunningStat::standard_error() const noexcept {
-  return count_ < 2 ? 0.0 : stddev() / std::sqrt(static_cast<double>(count_));
-}
 
 double RunningStat::min() const noexcept { return count_ == 0 ? 0.0 : min_; }
 double RunningStat::max() const noexcept { return count_ == 0 ? 0.0 : max_; }
@@ -135,14 +127,6 @@ double l2_norm(const std::vector<double>& values) noexcept {
   double accum = 0.0;
   for (const double v : values) accum += v * v;
   return std::sqrt(accum);
-}
-
-double deviation_from_mean(const std::vector<double>& values) {
-  GG_CHECK_ARG(!values.empty(), "deviation_from_mean: empty input");
-  const double m = mean_of(values);
-  double accum = 0.0;
-  for (const double v : values) accum += (v - m) * (v - m);
-  return std::sqrt(accum / static_cast<double>(values.size()));
 }
 
 }  // namespace geogossip::stats

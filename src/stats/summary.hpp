@@ -26,11 +26,7 @@ class RunningStat {
   double mean() const noexcept;
   /// Unbiased sample variance (n-1 denominator); 0 for fewer than 2 samples.
   double variance() const noexcept;
-  /// Population variance (n denominator); 0 when empty.
-  double population_variance() const noexcept;
   double stddev() const noexcept;
-  /// Standard error of the mean; 0 for fewer than 2 samples.
-  double standard_error() const noexcept;
   double min() const noexcept;
   double max() const noexcept;
   double sum() const noexcept;
@@ -81,10 +77,6 @@ double variance_of(const std::vector<double>& values);
 
 /// Euclidean norm.
 double l2_norm(const std::vector<double>& values) noexcept;
-
-/// Root-mean-square deviation of `values` from their own mean — the quantity
-/// driven to zero by an averaging protocol.
-double deviation_from_mean(const std::vector<double>& values);
 
 }  // namespace geogossip::stats
 

@@ -8,6 +8,21 @@
 
 namespace geogossip {
 
+namespace {
+
+/// A list flag's default as --help prints it: the elements as ostream
+/// writes them, comma-separated.
+template <typename T>
+std::string join_commas(const std::vector<T>& values) {
+  std::ostringstream os;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    os << (i > 0 ? "," : "") << values[i];
+  }
+  return os.str();
+}
+
+}  // namespace
+
 ArgParser::ArgParser(std::string program, std::string summary)
     : program_(std::move(program)), summary_(std::move(summary)) {}
 
@@ -44,6 +59,23 @@ void ArgParser::add_flag(const std::string& name, bool* target,
       Flag{name, Kind::kBool, target, help, *target ? "true" : "false"});
 }
 
+void ArgParser::add_flag(const std::string& name, std::vector<double>* target,
+                         const std::string& help) {
+  GG_CHECK_ARG(target != nullptr, "add_flag: null target");
+  GG_CHECK_ARG(find(name) == nullptr, "duplicate flag --" + name);
+  flags_.push_back(
+      Flag{name, Kind::kDoubleList, target, help, join_commas(*target)});
+}
+
+void ArgParser::add_flag(const std::string& name,
+                         std::vector<std::size_t>* target,
+                         const std::string& help) {
+  GG_CHECK_ARG(target != nullptr, "add_flag: null target");
+  GG_CHECK_ARG(find(name) == nullptr, "duplicate flag --" + name);
+  flags_.push_back(
+      Flag{name, Kind::kSizeList, target, help, join_commas(*target)});
+}
+
 const ArgParser::Flag* ArgParser::find(const std::string& name) const noexcept {
   for (const auto& f : flags_) {
     if (f.name == name) return &f;
@@ -66,13 +98,51 @@ void ArgParser::assign(const Flag& flag, const std::string& value) {
       case Kind::kBool:
         *static_cast<bool*>(flag.target) = parse_bool(value);
         return;
+      case Kind::kDoubleList: {
+        std::vector<double> list;
+        for (const auto& element : split(value, ',')) {
+          const double number = parse_double(element);
+          if (number < 0.0) throw ArgumentError("negative element");
+          list.push_back(number);
+        }
+        *static_cast<std::vector<double>*>(flag.target) = std::move(list);
+        return;
+      }
+      case Kind::kSizeList: {
+        std::vector<std::size_t> list;
+        for (const auto& element : split(value, ',')) {
+          const std::int64_t number = parse_int(element);
+          if (number < 0) throw ArgumentError("negative element");
+          list.push_back(static_cast<std::size_t>(number));
+        }
+        *static_cast<std::vector<std::size_t>*>(flag.target) =
+            std::move(list);
+        return;
+      }
     }
   } catch (const ArgumentError&) {
     // A malformed value is the user's mistake: name the flag and the
     // value, not the parser's internal check.
-    const char* expected = flag.kind == Kind::kInt      ? "an integer"
-                           : flag.kind == Kind::kDouble ? "a number"
-                                                        : "true or false";
+    const char* expected = "";
+    switch (flag.kind) {
+      case Kind::kInt:
+        expected = "an integer";
+        break;
+      case Kind::kDouble:
+        expected = "a finite number";
+        break;
+      case Kind::kBool:
+        expected = "true or false";
+        break;
+      case Kind::kDoubleList:
+        expected = "a comma-separated list of non-negative numbers";
+        break;
+      case Kind::kSizeList:
+        expected = "a comma-separated list of non-negative integers";
+        break;
+      case Kind::kString:
+        break;  // any text is a string
+    }
     throw ArgumentError("flag --" + flag.name + " expects " + expected +
                         ", got '" + value + "'");
   }

@@ -1,8 +1,9 @@
 // Tiny declarative command-line flag parser used by examples and benches.
 //
 // Supports --name=value and --name value forms, bool flags without a value
-// ("--verbose"), automatic --help text, and strict rejection of unknown
-// flags so typos in sweep scripts fail loudly.
+// ("--verbose"), comma-separated list flags ("--sizes=512,1024"),
+// automatic --help text, and strict rejection of unknown flags and
+// malformed values so typos in sweep scripts fail loudly, before any work.
 #ifndef GEOGOSSIP_SUPPORT_CLI_HPP
 #define GEOGOSSIP_SUPPORT_CLI_HPP
 
@@ -41,6 +42,14 @@ class ArgParser {
                 const std::string& help);
   void add_flag(const std::string& name, bool* target,
                 const std::string& help);
+  /// Comma-separated lists of non-negative finite numbers / sizes.  Every
+  /// element is parsed inside parse(), so a malformed, empty, negative or
+  /// non-finite element is a kError (and so is an empty value: a list
+  /// holds at least one element).
+  void add_flag(const std::string& name, std::vector<double>* target,
+                const std::string& help);
+  void add_flag(const std::string& name, std::vector<std::size_t>* target,
+                const std::string& help);
 
   /// Parses argv.  Returns kHelp if --help was requested (help text already
   /// printed to stdout) and kError on unknown flags or malformed values
@@ -56,7 +65,7 @@ class ArgParser {
   std::string help_text() const;
 
  private:
-  enum class Kind { kInt, kDouble, kString, kBool };
+  enum class Kind { kInt, kDouble, kString, kBool, kDoubleList, kSizeList };
 
   struct Flag {
     std::string name;

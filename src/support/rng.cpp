@@ -82,13 +82,6 @@ std::uint64_t Rng::below(std::uint64_t n) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  GG_CHECK_ARG(lo <= hi, "uniform_int() requires lo <= hi");
-  const auto span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  return lo + static_cast<std::int64_t>(below(span));
-}
-
 bool Rng::bernoulli(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
@@ -118,52 +111,11 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
 }
 
-std::uint64_t Rng::poisson(double mean) {
-  GG_CHECK_ARG(mean >= 0.0, "poisson() requires mean >= 0");
-  if (mean == 0.0) return 0;
-  if (mean < 64.0) {
-    // Knuth: multiply uniforms until the product drops below exp(-mean).
-    const double limit = std::exp(-mean);
-    std::uint64_t k = 0;
-    double product = next_double();
-    while (product > limit) {
-      ++k;
-      product *= next_double();
-    }
-    return k;
-  }
-  // Normal approximation with continuity correction; adequate for the
-  // simulation workloads (mean is a clock rate, not a statistic under test).
-  const double draw = normal(mean, std::sqrt(mean)) + 0.5;
-  return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw);
-}
-
 std::uint64_t Rng::below_excluding(std::uint64_t n, std::uint64_t exclude) {
   GG_CHECK_ARG(n >= 2, "below_excluding() requires n >= 2");
   GG_CHECK_ARG(exclude < n, "below_excluding() requires exclude < n");
   const std::uint64_t draw = below(n - 1);
   return draw >= exclude ? draw + 1 : draw;
-}
-
-std::vector<std::uint64_t> Rng::sample_without_replacement(std::uint64_t n,
-                                                           std::uint64_t k) {
-  GG_CHECK_ARG(k <= n, "sample_without_replacement() requires k <= n");
-  // Floyd's algorithm: O(k) expected insertions, no O(n) scratch.
-  std::vector<std::uint64_t> chosen;
-  chosen.reserve(k);
-  for (std::uint64_t j = n - k; j < n; ++j) {
-    const std::uint64_t t = below(j + 1);
-    bool already = false;
-    for (const std::uint64_t c : chosen) {
-      if (c == t) {
-        already = true;
-        break;
-      }
-    }
-    chosen.push_back(already ? j : t);
-  }
-  shuffle(chosen);
-  return chosen;
 }
 
 void Rng::save(SnapshotWriter& w) const {

@@ -35,7 +35,8 @@ std::string format_count(std::uint64_t value);
 /// Lowercase copy (ASCII).
 std::string to_lower(std::string_view text);
 
-/// Parses a double, throwing ArgumentError on malformed input.
+/// Parses a finite double, throwing ArgumentError on malformed input and on
+/// the nan / inf spellings strtod also reads.
 double parse_double(std::string_view text);
 
 /// Parses a signed 64-bit integer, throwing ArgumentError on malformed input.

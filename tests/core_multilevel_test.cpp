@@ -37,12 +37,10 @@ std::vector<double> make_field(const GeometricGraph& g, Rng& rng) {
 /// the protocol's default top-round cap.
 sim::RunResult run(MultilevelAffineGossip& protocol, Rng& rng,
                    const MultilevelConfig& config,
-                   std::uint64_t max_rounds = 0,
-                   std::uint64_t trace_every = 0) {
+                   std::uint64_t max_rounds = 0) {
   sim::RunConfig run_config;
   run_config.epsilon = config.eps;
   run_config.max_ticks = protocol.step_cap(max_rounds);
-  run_config.trace_interval = trace_every;
   return sim::run_to_epsilon(protocol, rng, run_config);
 }
 
@@ -241,21 +239,6 @@ TEST(Multilevel, LargeLeafNoiseFloorsTheError) {
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.ticks, 3000u);
   EXPECT_GT(result.final_error, 1e-6);
-}
-
-TEST(Multilevel, TraceIsRecordedWhenRequested) {
-  const auto g = make_graph(1024, 626);
-  Rng rng(627);
-  auto x0 = make_field(g, rng);
-  MultilevelConfig config;
-  config.eps = 1e-2;
-  MultilevelAffineGossip protocol(g, x0, rng, config);
-  const auto result = run(protocol, rng, config, 0, 8);
-  ASSERT_TRUE(result.converged);
-  ASSERT_GT(result.trace.size(), 1u);
-  for (std::size_t i = 1; i < result.trace.size(); ++i) {
-    EXPECT_GE(result.trace[i].first, result.trace[i - 1].first);
-  }
 }
 
 TEST(Multilevel, ConstantFieldConvergesImmediately) {

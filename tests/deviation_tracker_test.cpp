@@ -139,15 +139,22 @@ TEST(ValueProtocol, RefreshCadenceIsHonored) {
   Rng rng(44);
   const auto graph = graph::GeometricGraph::sample(64, 2.0, rng);
   ScriptedProtocol protocol(graph, sim::gaussian_field(64, rng), rng);
-  protocol.set_tracker_refresh_interval(100);
-  EXPECT_EQ(protocol.tracker_refresh_interval(), 100u);
   EXPECT_EQ(protocol.tracker_refreshes(), 0u);
 
-  // 500 pair averages = 1000 element updates = exactly 10 refreshes.
-  for (int i = 0; i < 500; ++i) protocol.apply_pair_average(0, 1);
-  EXPECT_EQ(protocol.tracker_refreshes(), 10u);
-
-  EXPECT_THROW(protocol.set_tracker_refresh_interval(0), ArgumentError);
+  // At n = 64 the cadence is its 2^16 floor: one refresh per 65536
+  // element updates, i.e. per 32768 pair averages.
+  constexpr int kPairsPerRefresh = 32768;
+  for (int i = 0; i < kPairsPerRefresh - 1; ++i) {
+    protocol.apply_pair_average(0, 1);
+  }
+  EXPECT_EQ(protocol.tracker_refreshes(), 0u);
+  protocol.apply_pair_average(0, 1);
+  EXPECT_EQ(protocol.tracker_refreshes(), 1u);
+  // 10 more intervals = exactly 10 more refreshes.
+  for (int i = 0; i < 10 * kPairsPerRefresh; ++i) {
+    protocol.apply_pair_average(0, 1);
+  }
+  EXPECT_EQ(protocol.tracker_refreshes(), 11u);
 }
 
 /// Runs a fresh protocol from seed `seed` (graph, field, then protocol on

@@ -114,16 +114,6 @@ TEST(Scenario, AddLabelsCellsWithKindName) {
   EXPECT_EQ(scenario.cells[3].label, "dimakis");
 }
 
-TEST(Scenario, MakeProtocolSweepBuildsOneCellPerSize) {
-  const auto sweep = make_protocol_sweep(
-      "sweep", core::ProtocolKind::kDimakisGeographic, {64, 128, 256}, 5,
-      11, 1.4);
-  EXPECT_EQ(sweep.cells.size(), 3u);
-  EXPECT_EQ(sweep.replicates, 5u);
-  EXPECT_EQ(sweep.cells[1].n, 128u);
-  EXPECT_DOUBLE_EQ(sweep.cells[2].radius_multiplier, 1.4);
-}
-
 TEST(ScenarioRegistry, BuiltinsRegisterAndUnknownNamesThrow) {
   register_builtin_scenarios();
   auto& registry = ScenarioRegistry::instance();

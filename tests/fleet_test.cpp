@@ -41,6 +41,7 @@
 #include "fleet/worker.hpp"
 #include "support/check.hpp"
 #include "support/durable_file.hpp"
+#include "support/logging.hpp"
 
 namespace geogossip {
 namespace {
@@ -647,6 +648,35 @@ TEST(FleetWorker, RecoversFromAKillAtEveryProtocolPhase) {
          "{\"record\":\"fleet_lease\"}");
     complete_and_verify(dir, scenario, kBatches, reference, "rescue");
   }
+}
+
+TEST(FleetWorker, AFoldedBatchLogsItsDuplicateRecords) {
+  // A worker that lost its lease and kept writing leaves a second copy of
+  // a record the next owner also wrote.  The batch's fold collapses the
+  // copies, and says so in the log, with the batch as its context.
+  const exp::Scenario scenario = fleet_scenario();
+  const exp::SweepSummary reference = reference_summary(scenario);
+  const std::string dir = test_dir("duplicate_records");
+  fleet::ensure_plan(dir, scenario, 2, fast_plan_options());
+  fleet::LeaseStore store(dir);
+  ASSERT_TRUE(store.try_claim(0, "dead", 0.01, "hb/dead.jsonl").has_value());
+  // Batch 0 of 2 owns (cell 0, rep 0); both writers persisted it.
+  const exp::ReplicateResult done = exp::run_replicate(
+      scenario.cells[0], exp::replicate_seed(scenario.master_seed, 0, 0));
+  for (const char* owner : {"dead", "zombie"}) {
+    exp::JsonLinesSink sink(fleet::records_path(dir, 0, 0, owner));
+    sink.write_replicate(scenario.name, scenario.master_seed,
+                         scenario.cells[0], 0, 0, done);
+  }
+  sleep_ms(30);
+
+  std::ostringstream log;
+  LogConfig::set_sink(log);
+  complete_and_verify(dir, scenario, 2, reference, "rescue");
+  LogConfig::set_sink(std::cerr);
+  EXPECT_NE(log.str().find("fleet: batch 0: collapsed 1 duplicate record(s)"),
+            std::string::npos)
+      << log.str();
 }
 
 TEST(FleetWorker, TornSnapshotFallsBackToRestartFromScratch) {

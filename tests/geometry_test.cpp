@@ -60,15 +60,10 @@ TEST(Rect, ClampAndDistance) {
   const Rect r({0.0, 0.0}, {1.0, 1.0});
   EXPECT_EQ(r.clamp({-1.0, 0.5}), Vec2(0.0, 0.5));
   EXPECT_EQ(r.clamp({0.5, 0.5}), Vec2(0.5, 0.5));
-  EXPECT_DOUBLE_EQ(r.distance_sq_to({2.0, 0.5}), 1.0);
-  EXPECT_DOUBLE_EQ(r.distance_sq_to({0.5, 0.5}), 0.0);
-}
-
-TEST(Rect, Intersects) {
-  const Rect a({0.0, 0.0}, {1.0, 1.0});
-  EXPECT_TRUE(a.intersects(Rect({0.5, 0.5}, {2.0, 2.0})));
-  EXPECT_FALSE(a.intersects(Rect({1.0, 0.0}, {2.0, 1.0})));  // share an edge
-  EXPECT_FALSE(a.intersects(Rect({5.0, 5.0}, {6.0, 6.0})));
+  // The clamped point is the nearest point of the rect: the distance to
+  // it is the distance to the rect, 0 inside.
+  EXPECT_DOUBLE_EQ(distance_sq({2.0, 0.5}, r.clamp({2.0, 0.5})), 1.0);
+  EXPECT_DOUBLE_EQ(distance_sq({0.5, 0.5}, r.clamp({0.5, 0.5})), 0.0);
 }
 
 TEST(Rect, SubdivideCoversExactly) {
@@ -152,17 +147,10 @@ TEST(SquareGrid, CellMappingAndCoords) {
   EXPECT_EQ(grid.cell_of({0.9, 0.9}), 15);
   EXPECT_EQ(grid.cell_of({1.0, 1.0}), 15);  // closed outer edge clamped
   EXPECT_EQ(grid.cell_of({2.0, 0.0}), -1);
-  const auto [row, col] = grid.cell_coords(6);
-  EXPECT_EQ(row, 1);
-  EXPECT_EQ(col, 2);
-  EXPECT_EQ(grid.cell_index(1, 2), 6);
-}
-
-TEST(SquareGrid, NeighborsCornerEdgeInterior) {
-  const SquareGrid grid(Rect::unit_square(), 4);
-  EXPECT_EQ(grid.neighbors_of(0).size(), 3u);    // corner
-  EXPECT_EQ(grid.neighbors_of(1).size(), 5u);    // edge
-  EXPECT_EQ(grid.neighbors_of(5).size(), 8u);    // interior
+  // Row-major: cell 6 is row 1 (y), column 2 (x).
+  EXPECT_EQ(grid.cell_rect(6).lo(), Vec2(0.5, 0.25));
+  EXPECT_EQ(grid.cell_rect(6).hi(), Vec2(0.75, 0.5));
+  EXPECT_EQ(grid.cell_of(grid.cell_rect(6).center()), 6);
 }
 
 TEST(SquareGrid, AssignPartitionsAllPoints) {
@@ -297,17 +285,6 @@ TEST(BucketGrid, PointsInRectMatchesBruteForce) {
   EXPECT_EQ(got, expected);
 }
 
-TEST(BucketGrid, NearestInRect) {
-  const std::vector<Vec2> points{{0.1, 0.1}, {0.4, 0.4}, {0.9, 0.9}};
-  const BucketGrid index(points, Rect::unit_square(), 0.2);
-  const Rect query({0.3, 0.3}, {1.0, 1.0});
-  const auto got = index.nearest_in_rect({0.0, 0.0}, query);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 1u);  // (0.4, 0.4) is the nearest member of the rect
-  const Rect empty_query({0.6, 0.05}, {0.8, 0.15});
-  EXPECT_FALSE(index.nearest_in_rect({0.0, 0.0}, empty_query).has_value());
-}
-
 TEST(BucketGrid, RectQueryIncludesClosedRegionBoundary) {
   // The constructor accepts points sitting exactly on the region's closed
   // top/right boundary (contains_closed); rect queries whose edges reach
@@ -330,10 +307,9 @@ TEST(BucketGrid, RectQueryIncludesClosedRegionBoundary) {
   auto interior = index.points_in_rect(Rect({0.2, 0.2}, {0.3, 0.3}));
   EXPECT_EQ(interior, (std::vector<std::uint32_t>{3}));
 
-  // nearest_in_rect sees boundary sitters through the same rule.
-  const auto corner = index.nearest_in_rect({2.0, 2.0}, Rect({0.9, 0.9}, {1.0, 1.0}));
-  ASSERT_TRUE(corner.has_value());
-  EXPECT_EQ(*corner, 2u);
+  // A corner rect closed on both axes holds the corner sitter alone.
+  EXPECT_EQ(index.points_in_rect(Rect({0.9, 0.9}, {1.0, 1.0})),
+            (std::vector<std::uint32_t>{2}));
 }
 
 TEST(BucketGrid, BucketIntrospectionCoversAllPoints) {
@@ -488,11 +464,18 @@ TEST(Hierarchy, LeafOfAndAncestorWalk) {
     EXPECT_TRUE(sq.is_leaf());
     EXPECT_NE(std::find(sq.members.begin(), sq.members.end(), node),
               sq.members.end());
-    EXPECT_EQ(h.square_of_at_depth(node, 0), h.root());
-    const int mid = h.square_of_at_depth(node, 1);
-    EXPECT_EQ(h.square(mid).depth, 1);
-    EXPECT_TRUE(h.square(mid).rect.contains(points[node]) ||
-                h.square(mid).rect.contains_closed(points[node]));
+    // Every ancestor holds the sensor, one depth up each step, ending at
+    // the root.
+    int id = leaf;
+    while (h.square(id).parent >= 0) {
+      const int parent = h.square(id).parent;
+      EXPECT_EQ(h.square(parent).depth, h.square(id).depth - 1);
+      const auto& members = h.square(parent).members;
+      EXPECT_NE(std::find(members.begin(), members.end(), node),
+                members.end());
+      id = parent;
+    }
+    EXPECT_EQ(id, h.root());
   }
 }
 

@@ -57,17 +57,6 @@ TEST(Csr, RejectsBadEdges) {
   EXPECT_THROW(CsrGraph::from_edges(3, {{0, 1}, {1, 0}}), ArgumentError);
 }
 
-TEST(Csr, FromAdjacencyValidatesSymmetry) {
-  const std::vector<std::vector<NodeId>> good{{1}, {0, 2}, {1}};
-  const auto g = CsrGraph::from_adjacency(good);
-  EXPECT_EQ(g.edge_count(), 2u);
-  EXPECT_TRUE(g.has_edge(0, 1));
-  const std::vector<std::vector<NodeId>> asymmetric{{1}, {}};
-  EXPECT_THROW(CsrGraph::from_adjacency(asymmetric), ArgumentError);
-  const std::vector<std::vector<NodeId>> self_loop{{0}};
-  EXPECT_THROW(CsrGraph::from_adjacency(self_loop), ArgumentError);
-}
-
 TEST(Csr, FromPartsAcceptsValidLayoutAndRejectsBrokenOnes) {
   // 0-1, 1-2 as a hand-laid CSR.
   const auto g = CsrGraph::from_parts({0, 1, 3, 4}, {1, 0, 2, 1});
@@ -163,22 +152,6 @@ TEST(Csr, EmptyGraph) {
   EXPECT_EQ(g.min_degree(), 0u);
 }
 
-// ------------------------------------------------------------ UnionFind ----
-
-TEST(UnionFind, MergesAndCounts) {
-  UnionFind uf(5);
-  EXPECT_EQ(uf.set_count(), 5u);
-  EXPECT_TRUE(uf.unite(0, 1));
-  EXPECT_TRUE(uf.unite(1, 2));
-  EXPECT_FALSE(uf.unite(0, 2));
-  EXPECT_EQ(uf.set_count(), 3u);
-  EXPECT_TRUE(uf.same(0, 2));
-  EXPECT_FALSE(uf.same(0, 3));
-  EXPECT_EQ(uf.size_of(2), 3u);
-  EXPECT_EQ(uf.size_of(4), 1u);
-  EXPECT_THROW(uf.find(5), ArgumentError);
-}
-
 // --------------------------------------------------------- Connectivity ----
 
 TEST(Connectivity, ComponentsOnKnownGraph) {
@@ -195,25 +168,10 @@ TEST(Connectivity, ComponentsOnKnownGraph) {
   EXPECT_EQ(largest_component_size(g), 3u);
 }
 
-TEST(Connectivity, PathGraphDistancesAndDiameter) {
-  const auto g = CsrGraph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  EXPECT_TRUE(is_connected(g));
-  const auto dist = bfs_distances(g, 0);
-  for (std::uint32_t i = 0; i < 5; ++i) EXPECT_EQ(dist[i], i);
-  EXPECT_EQ(hop_diameter(g), 4u);
-}
-
-TEST(Connectivity, BfsUnreachableIsMarked) {
-  const auto g = CsrGraph::from_edges(3, {{0, 1}});
-  const auto dist = bfs_distances(g, 0);
-  EXPECT_EQ(dist[2], std::numeric_limits<std::uint32_t>::max());
-  EXPECT_THROW(hop_diameter(g), ArgumentError);
-}
-
 TEST(Connectivity, SingletonIsConnected) {
   const auto g = CsrGraph::from_edges(1, {});
   EXPECT_TRUE(is_connected(g));
-  EXPECT_EQ(hop_diameter(g), 0u);
+  EXPECT_EQ(largest_component_size(g), 1u);
 }
 
 // --------------------------------------------------------------- Radius ----
@@ -312,6 +270,12 @@ TEST(GeometricGraph, Validation) {
 
 // ----------------------------------------- two-pass build / lazy mirror ----
 
+/// `g` with its CSR and routing mirror built up front.
+GeometricGraph eagerly_mirrored(GeometricGraph g) {
+  g.ensure_routing_mirror();
+  return g;
+}
+
 /// Full structural equality of two graphs built from the same points:
 /// CSR offsets + per-node neighbour lists, then (after forcing both
 /// mirrors) the routing-ordered ids and radii, byte for byte.
@@ -330,12 +294,12 @@ void expect_identical_graphs(const GeometricGraph& a,
     const auto nb = b.neighbors(v);
     ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
         << "node " << v;
-    const auto ia = a.routing_ids(v);
-    const auto ib = b.routing_ids(v);
+    const auto ia = a.routing_ids_unchecked(v);
+    const auto ib = b.routing_ids_unchecked(v);
     ASSERT_TRUE(std::equal(ia.begin(), ia.end(), ib.begin(), ib.end()))
         << "routing ids of node " << v;
-    const auto ra = a.routing_radii(v);
-    const auto rb = b.routing_radii(v);
+    const auto ra = a.routing_radii_unchecked(v);
+    const auto rb = b.routing_radii_unchecked(v);
     ASSERT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
         << "routing radii of node " << v;
   }
@@ -353,14 +317,15 @@ std::uint64_t graph_digest(const GeometricGraph& g) {
   };
   const auto offsets = g.adjacency().offsets();
   mix(offsets.data(), offsets.size_bytes());
+  g.ensure_routing_mirror();
   for (NodeId v = 0; v < g.node_count(); ++v) {
     mix(g.neighbors(v).data(), g.neighbors(v).size_bytes());
   }
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    mix(g.routing_ids(v).data(), g.routing_ids(v).size_bytes());
+    mix(g.routing_ids_unchecked(v).data(), g.routing_ids_unchecked(v).size_bytes());
   }
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    mix(g.routing_radii(v).data(), g.routing_radii(v).size_bytes());
+    mix(g.routing_radii_unchecked(v).data(), g.routing_radii_unchecked(v).size_bytes());
   }
   return hash;
 }
@@ -419,11 +384,11 @@ routing::RouteResult route(const GeometricGraph& g, const RouteRequest& req,
              : routing::route_to_position(g, req.source, req.target, options);
 }
 
-TEST(GeometricGraph, RoutingMirrorIsLazyAndEagerOptionForcesIt) {
+TEST(GeometricGraph, RoutingMirrorIsLazyAndEnsureForcesIt) {
   // The mirror waits until the graph's routed hops reach the switch
   // threshold: every route below it scans the CSR row and leaves the
-  // mirror unbuilt, the first route past it builds the mirror, and the
-  // eager option builds it up front.  Routes on either side of the switch
+  // mirror unbuilt, the first route past it builds the mirror, and
+  // ensure_routing_mirror() builds it up front.  Routes on either side of the switch
   // take exactly the hops they take on the eager graph.
   const Vec2 edges_and_corners[] = {{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0},
                                     {1.0, 1.0}, {0.5, 0.0}, {0.0, 0.5},
@@ -440,8 +405,7 @@ TEST(GeometricGraph, RoutingMirrorIsLazyAndEagerOptionForcesIt) {
                     : geometry::sample_unit_square(400, rng);
       const double r = paper_radius(points.size(), 2.0);
       const GeometricGraph lazy(points, r);
-      const GeometricGraph eager(points, r, geometry::Rect::unit_square(),
-                                 {.eager_routing_mirror = true});
+      const auto eager = eagerly_mirrored(GeometricGraph(points, r));
       EXPECT_FALSE(lazy.routing_mirror_built());
       EXPECT_TRUE(eager.routing_mirror_built());
       const std::uint64_t switch_hops = routing::mirror_switch_hops(lazy);
@@ -533,8 +497,8 @@ TEST(GeometricGraph, ConcurrentRoutesCrossTheSwitchOnce) {
   Rng rng_eager(77);
   const ThreadPool pool(4);
   const auto lazy = GeometricGraph::sample(500, 2.0, rng_lazy);
-  const auto eager = GeometricGraph::sample(500, 2.0, rng_eager,
-                                            {.eager_routing_mirror = true});
+  const auto eager =
+      eagerly_mirrored(GeometricGraph::sample(500, 2.0, rng_eager));
   constexpr std::size_t kChunks = 16;
   constexpr std::size_t kPerChunk = 600;
   // Read before the routes: once the switch has built the CSR, the
@@ -593,8 +557,8 @@ TEST(GeometricGraph, CsrIsBuiltOnTheFirstNeighbourRead) {
   EXPECT_EQ(g.neighbors(7).data(), csr.neighbors(7).data());
   EXPECT_FALSE(g.routing_mirror_built());
   Rng eager_rng(90);
-  const auto eager = GeometricGraph::sample(2000, 1.2, eager_rng,
-                                            {.eager_routing_mirror = true});
+  const auto eager =
+      eagerly_mirrored(GeometricGraph::sample(2000, 1.2, eager_rng));
   EXPECT_TRUE(eager.adjacency_built());
   expect_identical_graphs(g, eager);
 }
@@ -744,6 +708,7 @@ void expect_mirror_matches_reference(const GeometricGraph& g) {
     }
   }
   const auto& points = g.points();
+  g.ensure_routing_mirror();
   std::vector<int> annulus;
   std::vector<NodeId> ids;
   std::vector<float> radii;
@@ -765,8 +730,8 @@ void expect_mirror_matches_reference(const GeometricGraph& g) {
         radii.push_back(bound_up[a]);
       }
     }
-    const auto got_ids = g.routing_ids(v);
-    const auto got_radii = g.routing_radii(v);
+    const auto got_ids = g.routing_ids_unchecked(v);
+    const auto got_radii = g.routing_radii_unchecked(v);
     ASSERT_EQ(got_ids.size(), ids.size()) << "node " << v;
     ASSERT_EQ(got_radii.size(), radii.size()) << "node " << v;
     ASSERT_EQ(std::memcmp(got_ids.data(), ids.data(), got_ids.size_bytes()),

@@ -166,8 +166,8 @@ TEST(Telemetry, UnmirroredHopsCountOnlyRoutesBeforeTheMirror) {
   }
   // Routes on a graph whose mirror exists from the start add none.
   gg::Rng eager_rng(31);
-  const auto eager = gg::graph::GeometricGraph::sample(
-      300, 2.0, eager_rng, {.eager_routing_mirror = true});
+  const auto eager = gg::graph::GeometricGraph::sample(300, 2.0, eager_rng);
+  eager.ensure_routing_mirror();
   for (int k = 0; k < 50; ++k) {
     hops += gg::routing::route_to_node(eager, 0, 299 - k).hops;
   }

@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/convergence.hpp"
@@ -757,7 +758,7 @@ TEST(SnapshotMutation, CorruptedPayloadsFinishOrThrow) {
     int finished = 0;
     int rejected = 0;
     // Half the flips land in the first 128 bytes: the engine header (tag,
-    // protocol name, n, step count, initial deviation, trace count), which
+    // protocol name, n, step count, initial deviation), which
     // is a small share of the payload but holds most of its lengths and
     // bounds.
     for (int flip = 0; flip < 192; ++flip) {
@@ -785,8 +786,11 @@ TEST(SnapshotMutation, CorruptedPayloadsFinishOrThrow) {
 TEST(SnapshotMutation, TheModelTimeLayoutIsRefusedByItsTag) {
   // Builds that tracked Poisson model time tagged their payloads
   // "geogossip-engine-run" and stored an f64 model time after the step
-  // count.  Such a payload, otherwise genuine, is refused by name: it is
-  // never read as the current layout eight bytes out of step.
+  // count; builds with a convergence trace tagged them
+  // "geogossip-engine-run/2" and stored a trace count after the initial
+  // deviation (and the tracker refresh interval in the protocol state).
+  // Such payloads, otherwise genuine, are refused by name: they are never
+  // read as the current layout out of step.
   Rng graph_rng(4300);
   const auto g = GeometricGraph::sample(128, 2.0, graph_rng);
   Rng field_rng(4301);
@@ -809,35 +813,51 @@ TEST(SnapshotMutation, TheModelTimeLayoutIsRefusedByItsTag) {
   const std::string name = r.str();
   const std::uint64_t n = r.u64();
   const std::uint64_t steps = r.u64();
+  const double initial_dev_sq = r.f64();
   SnapshotWriter head;
   head.str(tag);
   head.str(name);
   head.u64(n);
   head.u64(steps);
+  const std::size_t steps_end = head.bytes().size();
+  head.f64(initial_dev_sq);
   ASSERT_EQ(payload.compare(0, head.bytes().size(), head.bytes()), 0);
 
-  const std::string old_tag = "geogossip-engine-run";
-  ASSERT_NE(tag, old_tag);
-  SnapshotWriter old_head;
-  old_head.str(old_tag);
-  old_head.str(name);
-  old_head.u64(n);
-  old_head.u64(steps);
-  old_head.f64(static_cast<double>(steps) / static_cast<double>(n));
-  const std::string old_payload =
-      old_head.bytes() + payload.substr(head.bytes().size());
+  const std::string model_time_tag = "geogossip-engine-run";
+  SnapshotWriter model_time_head;
+  model_time_head.str(model_time_tag);
+  model_time_head.str(name);
+  model_time_head.u64(n);
+  model_time_head.u64(steps);
+  model_time_head.f64(static_cast<double>(steps) / static_cast<double>(n));
 
-  Rng rng(kSubjectSeed);
-  auto protocol = ticks.make(rng);
-  try {
-    (void)sim::run_to_epsilon(*protocol, rng, ticks.config,
-                              sim::CheckpointPolicy{}, old_payload);
-    ADD_FAILURE() << "a model-time payload was resumed";
-  } catch (const ArgumentError& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("'" + old_tag + "'"), std::string::npos)
-        << message;
-    EXPECT_NE(message.find("'" + tag + "'"), std::string::npos) << message;
+  const std::string trace_tag = "geogossip-engine-run/2";
+  SnapshotWriter trace_head;
+  trace_head.str(trace_tag);
+  trace_head.str(name);
+  trace_head.u64(n);
+  trace_head.u64(steps);
+  trace_head.f64(initial_dev_sq);
+  trace_head.u64(0);  // no trace samples
+
+  const std::pair<std::string, std::string> older[] = {
+      {model_time_tag, model_time_head.bytes() + payload.substr(steps_end)},
+      {trace_tag, trace_head.bytes() + payload.substr(head.bytes().size())}};
+  for (const auto& [old_tag, old_payload] : older) {
+    SCOPED_TRACE(old_tag);
+    ASSERT_NE(tag, old_tag);
+    Rng rng(kSubjectSeed);
+    auto protocol = ticks.make(rng);
+    try {
+      (void)sim::run_to_epsilon(*protocol, rng, ticks.config,
+                                sim::CheckpointPolicy{}, old_payload);
+      ADD_FAILURE() << "an older-layout payload was resumed";
+    } catch (const ArgumentError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("'" + old_tag + "'"), std::string::npos)
+          << message;
+      EXPECT_NE(message.find("'" + tag + "'"), std::string::npos) << message;
+    }
   }
   EXPECT_TRUE(resumes(ticks, payload));
 }

@@ -114,21 +114,6 @@ TEST(Rng, BelowExcludingNeverReturnsExcluded) {
   EXPECT_THROW(rng.below_excluding(1, 0), ArgumentError);
 }
 
-TEST(Rng, UniformIntInclusiveBounds) {
-  Rng rng(7);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 20000; ++i) {
-    const auto v = rng.uniform_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, BernoulliEdgeCasesAndRate) {
   Rng rng(8);
   EXPECT_FALSE(rng.bernoulli(0.0));
@@ -150,49 +135,6 @@ TEST(Rng, NormalMoments) {
   }
   EXPECT_NEAR(sum / kDraws, 0.0, 0.02);
   EXPECT_NEAR(sum_sq / kDraws, 1.0, 0.02);
-}
-
-TEST(Rng, PoissonMeanSmallAndLargeRegimes) {
-  Rng rng(11);
-  for (const double mean : {0.5, 8.0, 200.0}) {
-    double total = 0.0;
-    constexpr int kDraws = 20000;
-    for (int i = 0; i < kDraws; ++i) {
-      total += static_cast<double>(rng.poisson(mean));
-    }
-    EXPECT_NEAR(total / kDraws, mean, mean * 0.05 + 0.05) << "mean=" << mean;
-  }
-  EXPECT_EQ(Rng(1).poisson(0.0), 0u);
-}
-
-TEST(Rng, SampleWithoutReplacementIsDistinctAndComplete) {
-  Rng rng(12);
-  const auto sample = rng.sample_without_replacement(100, 100);
-  std::set<std::uint64_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 100u);
-  EXPECT_EQ(*unique.begin(), 0u);
-  EXPECT_EQ(*unique.rbegin(), 99u);
-  EXPECT_THROW(rng.sample_without_replacement(3, 4), ArgumentError);
-}
-
-TEST(Rng, SampleWithoutReplacementSubset) {
-  Rng rng(13);
-  for (int round = 0; round < 50; ++round) {
-    const auto sample = rng.sample_without_replacement(50, 7);
-    std::set<std::uint64_t> unique(sample.begin(), sample.end());
-    EXPECT_EQ(unique.size(), 7u);
-    for (const auto v : unique) EXPECT_LT(v, 50u);
-  }
-}
-
-TEST(Rng, ShuffleIsAPermutation) {
-  Rng rng(14);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
-  auto shuffled = v;
-  rng.shuffle(shuffled);
-  std::multiset<int> a(v.begin(), v.end());
-  std::multiset<int> b(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(a, b);
 }
 
 // ---------------------------------------------------------- string_util ----
@@ -234,6 +176,10 @@ TEST(StringUtil, ParseDouble) {
   EXPECT_THROW(parse_double("abc"), ArgumentError);
   EXPECT_THROW(parse_double("1.5x"), ArgumentError);
   EXPECT_THROW(parse_double(""), ArgumentError);
+  // strtod reads these; a flag value never means them.
+  for (const char* text : {"nan", "NaN", "inf", "-inf", "infinity", "1e400"}) {
+    EXPECT_THROW(parse_double(text), ArgumentError) << text;
+  }
 }
 
 TEST(StringUtil, ParseInt) {
@@ -366,11 +312,15 @@ TEST(Cli, RejectsUnknownFlagAndMissingValueWithKError) {
   double eps = 0.0;
   bool verbose = false;
   std::string csv;
+  std::vector<std::size_t> sizes;
+  std::vector<double> factors;
   ArgParser parser("prog", "test");
   parser.add_flag("n", &n, "count");
   parser.add_flag("eps", &eps, "accuracy");
   parser.add_flag("verbose", &verbose, "chatty");
   parser.add_flag("csv", &csv, "output");
+  parser.add_flag("sizes", &sizes, "sizes");
+  parser.add_flag("factors", &factors, "factors");
   const std::vector<std::pair<std::vector<const char*>, std::string>> cases =
       {
           {{"prog", "--bogus=1"}, "unknown flag --bogus"},
@@ -379,7 +329,24 @@ TEST(Cli, RejectsUnknownFlagAndMissingValueWithKError) {
           {{"prog", "--csv"}, "flag --csv expects a value"},
           {{"prog", "--n=abc"}, "flag --n expects an integer, got 'abc'"},
           {{"prog", "--n", "1.5"}, "flag --n expects an integer, got '1.5'"},
-          {{"prog", "--eps=x"}, "flag --eps expects a number, got 'x'"},
+          {{"prog", "--eps=x"}, "flag --eps expects a finite number, got 'x'"},
+          {{"prog", "--eps=nan"},
+           "flag --eps expects a finite number, got 'nan'"},
+          {{"prog", "--eps", "inf"},
+           "flag --eps expects a finite number, got 'inf'"},
+          {{"prog", "--sizes=512,abc"},
+           "flag --sizes expects a comma-separated list of non-negative "
+           "integers, got '512,abc'"},
+          {{"prog", "--sizes=-4"}, "flag --sizes expects"},
+          {{"prog", "--sizes=1.5"}, "flag --sizes expects"},
+          {{"prog", "--sizes=64,,128"}, "flag --sizes expects"},
+          {{"prog", "--sizes="}, "flag --sizes expects"},
+          {{"prog", "--factors=abc"},
+           "flag --factors expects a comma-separated list of non-negative "
+           "numbers, got 'abc'"},
+          {{"prog", "--factors=1,-0.5"}, "flag --factors expects"},
+          {{"prog", "--factors=0.5,nan"}, "flag --factors expects"},
+          {{"prog", "--factors", "inf"}, "flag --factors expects"},
           {{"prog", "--verbose=maybe"},
            "flag --verbose expects true or false, got 'maybe'"},
       };
@@ -393,6 +360,29 @@ TEST(Cli, RejectsUnknownFlagAndMissingValueWithKError) {
     EXPECT_EQ(err.find("GG_CHECK"), std::string::npos) << err;
     EXPECT_EQ(err.find("cli.cpp"), std::string::npos) << err;
   }
+}
+
+TEST(Cli, ListFlagsParseEveryElement) {
+  std::vector<std::size_t> sizes{8, 16};
+  std::vector<double> factors{0.05, 1};
+  ArgParser parser("prog", "test");
+  parser.add_flag("sizes", &sizes, "sizes");
+  parser.add_flag("factors", &factors, "factors");
+  const std::string help = parser.help_text();
+  EXPECT_NE(help.find("(default: 8,16)"), std::string::npos) << help;
+  EXPECT_NE(help.find("(default: 0.05,1)"), std::string::npos) << help;
+
+  const char* argv[] = {"prog", "--sizes= 512, 1024", "--factors", "0,2.5,1e-3"};
+  ASSERT_EQ(parser.parse(4, argv), ParseResult::kOk);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{512, 1024}));
+  EXPECT_EQ(factors, (std::vector<double>{0.0, 2.5, 1e-3}));
+
+  // A refused value leaves the target as it was.
+  const char* bad[] = {"prog", "--sizes=4,x"};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(parser.parse(2, bad), ParseResult::kError);
+  (void)testing::internal::GetCapturedStderr();
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{512, 1024}));
 }
 
 TEST(Cli, ExitCodesDistinguishHelpFromError) {

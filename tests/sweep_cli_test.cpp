@@ -97,6 +97,20 @@ TEST(SweepCliMisuse, ExitsOneWithAMessageBeforeAnyWork) {
        {"--fleet-dir=" + root.string(), "--fleet-merge",
         "--trace=" + (root / "trace.json").string()},
        "--fleet-merge runs nothing"},
+      // strtod reads nan and inf; no flag value means them.
+      {"nan snapshot cadence",
+       {"--snapshot-dir=" + (root / "snaps").string(), "--snapshot-every=nan"},
+       "--snapshot-every=nan"},
+      {"infinite memory budget",
+       {"--mem-budget=inf"},
+       "flag --mem-budget expects a finite number, got 'inf'"},
+      {"nan heartbeat interval",
+       {"--heartbeat=" + (root / "hb.jsonl").string() + ",nan"},
+       "interval must be positive finite seconds"},
+      {"infinite fleet lease",
+       {"--fleet-dir=" + (root / "fleet-c").string(), "--fleet-batches=2",
+        "--fleet-ttl=inf"},
+       "flag --fleet-ttl expects a finite number, got 'inf'"},
       // Not flags: the fleet splits a sweep and --fleet-merge merges it.
       {"retired --shard", {"--shard=0/2"}, "unknown flag --shard"},
       {"retired --merge-only", {"--merge-only"}, "unknown flag --merge-only"},
@@ -116,6 +130,10 @@ TEST(SweepCliMisuse, ExitsOneWithAMessageBeforeAnyWork) {
   // The refused fleet directories were not created.
   EXPECT_FALSE(fs::exists(root / "fleet-a"));
   EXPECT_FALSE(fs::exists(root / "fleet-b"));
+  EXPECT_FALSE(fs::exists(root / "fleet-c"));
+  // The nan interval was refused, not taken into the heartbeat's path.
+  EXPECT_FALSE(fs::exists(root / "hb.jsonl,nan"));
+  EXPECT_FALSE(fs::exists(root / "hb.jsonl"));
 }
 
 TEST(SweepCliMisuse, WritableOutputsStillRunAndProbesLeaveNoFile) {
