@@ -35,14 +35,17 @@ int main(int argc, char** argv) {
   gg::exp::SweepCli cli(
       "fig_e11_decentralized",
       "E11: decentralized affine gossip (the paper's §8 open problem)");
-  cli.parser().add_flag("n", &n, "deployment size");
-  cli.parser().add_flag("seeds", &seeds, "replicates per configuration");
+  cli.parser().add_flag("n", &n, "deployment size", {.above = 1});
+  cli.parser().add_flag("seeds", &seeds, "replicates per configuration",
+                        {.above = 0});
   cli.parser().add_flag("seed", &master_seed, "master seed");
-  cli.parser().add_flag("eps", &eps, "accuracy target");
+  cli.parser().add_flag("eps", &eps, "accuracy target",
+                        {.above = 0, .below = 1});
   cli.parser().add_flag("radius-mult", &radius_multiplier,
-                        "radius multiplier");
+                        "radius multiplier", {.above = 0});
   cli.parser().add_flag("separations", &separations,
-                        "comma-separated rate-separation factors");
+                        "comma-separated rate-separation factors",
+                        {.above = 0});
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
   const auto nn = static_cast<std::size_t>(n);

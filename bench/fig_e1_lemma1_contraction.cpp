@@ -29,9 +29,10 @@ int main(int argc, char** argv) {
   gg::exp::SweepCli cli("fig_e1_lemma1_contraction",
                         "E1: Lemma 1 contraction on the complete graph");
   cli.parser().add_flag("trials", &trials,
-                        "independent runs per configuration");
+                        "independent runs per configuration", {.above = 0});
   cli.parser().add_flag("seed", &seed, "master seed");
-  cli.parser().add_flag("sizes", &ns, "comma-separated n values");
+  cli.parser().add_flag("sizes", &ns, "comma-separated n values",
+                        {.above = 1});
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
   std::cout << "=== E1: Lemma 1 — mean ||x(t)||^2 vs (1-1/2n)^t bound ===\n\n";

@@ -28,11 +28,12 @@ int main(int argc, char** argv) {
 
   gg::exp::SweepCli cli("fig_e2_tail_bound",
                         "E2: Corollary 1 tail probability vs Markov bound");
-  cli.parser().add_flag("n", &n, "complete-graph size");
-  cli.parser().add_flag("trials", &trials, "independent runs per t");
+  cli.parser().add_flag("n", &n, "complete-graph size", {.above = 1});
+  cli.parser().add_flag("trials", &trials, "independent runs per t",
+                        {.above = 0});
   cli.parser().add_flag("seed", &seed, "master seed");
   cli.parser().add_flag("epsilons", &eps_values,
-                        "comma-separated eps thresholds");
+                        "comma-separated eps thresholds", {.above = 0});
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
   const auto nn = static_cast<std::size_t>(n);

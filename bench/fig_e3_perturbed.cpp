@@ -28,11 +28,11 @@ int main(int argc, char** argv) {
 
   gg::exp::SweepCli cli("fig_e3_perturbed",
                         "E3: Lemma 2 perturbed-averaging envelope");
-  cli.parser().add_flag("n", &n, "complete-graph size");
+  cli.parser().add_flag("n", &n, "complete-graph size", {.above = 1});
   cli.parser().add_flag("trials", &trials,
-                        "independent runs per configuration");
+                        "independent runs per configuration", {.above = 0});
   cli.parser().add_flag("seed", &seed, "master seed");
-  cli.parser().add_flag("a", &a, "Lemma 2 exponent a");
+  cli.parser().add_flag("a", &a, "Lemma 2 exponent a", {.above = 0});
   cli.parser().add_flag("noises", &noise_values,
                         "comma-separated noise bounds eps");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;

@@ -28,8 +28,12 @@ int main(int argc, char** argv) {
   gg::exp::SweepCli cli("fig_e4_spectral",
                         "E4: contraction spectrum of E[A^T A]");
   cli.parser().add_flag("seed", &seed, "master seed");
-  cli.parser().add_flag("iterations", &iterations, "power-iteration steps");
-  cli.parser().add_flag("sizes", &ns, "comma-separated n values");
+  cli.parser().add_flag("iterations", &iterations, "power-iteration steps",
+                        {.above = 0});
+  // At n = 2 the zero-sum subspace is one line, which the convex mode
+  // maps to 0: the power iteration has nothing to converge to.
+  cli.parser().add_flag("sizes", &ns, "comma-separated n values",
+                        {.above = 2});
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
   std::cout << "=== E4: lambda_max of E[A^T A] on the zero-sum subspace ===\n\n";

@@ -30,11 +30,13 @@ int main(int argc, char** argv) {
   gg::exp::SweepCli cli("fig_e6_routing_hops",
                         "E6: greedy routing hop scaling");
   cli.parser().add_flag("pairs", &pairs,
-                        "random source/destination pairs per graph");
+                        "random source/destination pairs per graph",
+                        {.above = 0});
   cli.parser().add_flag("seed", &seed, "master seed");
   cli.parser().add_flag("radius-mult", &radius_multiplier,
-                        "radius multiplier");
-  cli.parser().add_flag("sizes", &ns, "comma-separated n values");
+                        "radius multiplier", {.above = 0});
+  cli.parser().add_flag("sizes", &ns, "comma-separated n values",
+                        {.above = 1});
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
   std::cout << "=== E6: greedy geographic routing hops (r = "

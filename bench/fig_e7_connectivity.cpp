@@ -27,11 +27,14 @@ int main(int argc, char** argv) {
 
   gg::exp::SweepCli cli("fig_e7_connectivity",
                         "E7: connectivity threshold of G(n, r)");
-  cli.parser().add_flag("trials", &trials, "graphs per (n, c)");
+  cli.parser().add_flag("trials", &trials, "graphs per (n, c)",
+                        {.above = 0});
   cli.parser().add_flag("seed", &seed, "master seed");
-  cli.parser().add_flag("sizes", &ns, "comma-separated n values");
+  cli.parser().add_flag("sizes", &ns, "comma-separated n values",
+                        {.above = 1});
   cli.parser().add_flag("multipliers", &cs_values,
-                        "comma-separated c values in r = c sqrt(log n / n)");
+                        "comma-separated c values in r = c sqrt(log n / n)",
+                        {.above = 0});
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
   std::cout << "=== E7: P(connected) and giant-component size vs radius ===\n"

@@ -28,9 +28,11 @@ int main(int argc, char** argv) {
 
   gg::exp::SweepCli cli("fig_e8_occupancy",
                         "E8: occupancy concentration across the partition");
-  cli.parser().add_flag("trials", &trials, "deployments per n");
+  cli.parser().add_flag("trials", &trials, "deployments per n",
+                        {.above = 0});
   cli.parser().add_flag("seed", &seed, "master seed");
-  cli.parser().add_flag("sizes", &ns, "comma-separated n values");
+  cli.parser().add_flag("sizes", &ns, "comma-separated n values",
+                        {.above = 1});
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
   std::cout << "=== E8: sqrt(n)-square occupancy concentration (paper §3) "

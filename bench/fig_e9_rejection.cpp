@@ -28,11 +28,13 @@ int main(int argc, char** argv) {
 
   gg::exp::SweepCli cli("fig_e9_rejection",
                         "E9: target-node uniformity via rejection sampling");
-  cli.parser().add_flag("samples", &samples, "target draws per replicate");
+  cli.parser().add_flag("samples", &samples, "target draws per replicate",
+                        {.above = 0});
   cli.parser().add_flag("seed", &seed, "master seed");
   cli.parser().add_flag("radius-mult", &radius_multiplier,
-                        "radius multiplier");
-  cli.parser().add_flag("sizes", &ns, "comma-separated n values");
+                        "radius multiplier", {.above = 0});
+  cli.parser().add_flag("sizes", &ns, "comma-separated n values",
+                        {.above = 1});
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
   std::cout << "=== E9: sampled-target uniformity (TV distance, chi^2/df) "

@@ -42,12 +42,13 @@ int main(int argc, char** argv) {
   double radius_multiplier = 1.2;
 
   gg::exp::SweepCli cli("tab_e10_ablation", "E10: design-choice ablations");
-  cli.parser().add_flag("n", &n, "deployment size");
-  cli.parser().add_flag("seeds", &seeds, "replicates per row");
+  cli.parser().add_flag("n", &n, "deployment size", {.above = 1});
+  cli.parser().add_flag("seeds", &seeds, "replicates per row", {.above = 0});
   cli.parser().add_flag("seed", &master_seed, "master seed");
-  cli.parser().add_flag("eps", &eps, "accuracy target");
+  cli.parser().add_flag("eps", &eps, "accuracy target",
+                        {.above = 0, .below = 1});
   cli.parser().add_flag("radius-mult", &radius_multiplier,
-                        "radius multiplier");
+                        "radius multiplier", {.above = 0});
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;
 
   const auto nn = static_cast<std::size_t>(n);

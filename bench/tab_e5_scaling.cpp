@@ -38,21 +38,27 @@ int main(int argc, char** argv) {
 
   gg::exp::SweepCli cli("tab_e5_scaling",
                         "E5: transmissions-to-eps scaling (headline table)");
-  cli.parser().add_flag("seeds", &seeds, "replicates per (protocol, n)");
+  cli.parser().add_flag("seeds", &seeds, "replicates per (protocol, n)",
+                        {.above = 0});
   cli.parser().add_flag("seed", &master_seed, "master seed");
-  cli.parser().add_flag("eps", &eps, "accuracy target");
+  cli.parser().add_flag("eps", &eps, "accuracy target",
+                        {.above = 0, .below = 1});
   cli.parser().add_flag("radius-mult", &radius_multiplier,
-                        "radius multiplier c in r = c sqrt(log n / n)");
+                        "radius multiplier c in r = c sqrt(log n / n)",
+                        {.above = 0});
   cli.parser().add_flag("boyd-ns", &boyd_ns,
-                        "comma-separated n sweep for Boyd");
-  cli.parser().add_flag("dimakis-ns", &dimakis_ns, "n sweep for Dimakis");
+                        "comma-separated n sweep for Boyd", {.above = 1});
+  cli.parser().add_flag("dimakis-ns", &dimakis_ns, "n sweep for Dimakis",
+                        {.above = 1});
   cli.parser().add_flag("pathavg-ns", &pathavg_ns,
-                        "n sweep for path averaging");
+                        "n sweep for path averaging", {.above = 1});
   cli.parser().add_flag("onelevel-ns", &one_level_ns,
-                        "n sweep for affine-1level");
-  cli.parser().add_flag("multi-ns", &multi_ns, "n sweep for affine-multi");
+                        "n sweep for affine-1level", {.above = 1});
+  cli.parser().add_flag("multi-ns", &multi_ns, "n sweep for affine-multi",
+                        {.above = 1});
   cli.parser().add_flag("decentral-ns", &decentral_ns,
-                        "n sweep for the decentralized extension");
+                        "n sweep for the decentralized extension",
+                        {.above = 1});
   cli.parser().add_flag("quick", &quick,
                         "shrink sweeps for a fast smoke run");
   if (const auto exit_code = cli.parse(argc, argv)) return *exit_code;

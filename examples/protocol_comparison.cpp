@@ -25,8 +25,9 @@ int main(int argc, char** argv) {
 
   gg::ArgParser parser("protocol_comparison",
                        "all protocols on one deployment");
-  parser.add_flag("n", &n, "number of sensors");
-  parser.add_flag("eps", &eps, "relative accuracy target");
+  parser.add_flag("n", &n, "number of sensors", {.above = 1});
+  parser.add_flag("eps", &eps, "relative accuracy target",
+                  {.above = 0, .below = 1});
   parser.add_flag("seed", &seed, "random seed");
   parser.add_flag("field", &field,
                   "initial field: spike|gradient|gaussian|checkerboard");

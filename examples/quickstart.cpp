@@ -23,8 +23,9 @@ int main(int argc, char** argv) {
   std::int64_t seed = 7;
 
   gg::ArgParser parser("quickstart", "minimal affine-gossip averaging run");
-  parser.add_flag("n", &n, "number of sensors");
-  parser.add_flag("eps", &eps, "relative accuracy target");
+  parser.add_flag("n", &n, "number of sensors", {.above = 1});
+  parser.add_flag("eps", &eps, "relative accuracy target",
+                  {.above = 0, .below = 1});
   parser.add_flag("seed", &seed, "random seed");
   const auto parsed = parser.parse(argc, argv);
   if (parsed != geogossip::ParseResult::kOk) {

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
 
   gg::ArgParser parser("routing_demo",
                        "greedy routing + hierarchy visualization");
-  parser.add_flag("n", &n, "number of sensors");
+  parser.add_flag("n", &n, "number of sensors", {.above = 1});
   parser.add_flag("seed", &seed, "random seed");
   const auto parsed = parser.parse(argc, argv);
   if (parsed != geogossip::ParseResult::kOk) {

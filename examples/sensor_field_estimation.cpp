@@ -43,8 +43,9 @@ int main(int argc, char** argv) {
 
   gg::ArgParser parser("sensor_field_estimation",
                        "distributed mean-temperature estimation");
-  parser.add_flag("n", &n, "number of sensors");
-  parser.add_flag("eps", &eps, "relative accuracy target");
+  parser.add_flag("n", &n, "number of sensors", {.above = 1});
+  parser.add_flag("eps", &eps, "relative accuracy target",
+                  {.above = 0, .below = 1});
   parser.add_flag("noise", &sensor_noise, "per-sensor measurement noise sd");
   parser.add_flag("seed", &seed, "random seed");
   const auto parsed = parser.parse(argc, argv);

@@ -11,8 +11,6 @@ std::string_view alpha_mode_name(AlphaMode mode) noexcept {
   switch (mode) {
     case AlphaMode::kPaperFixed:
       return "paper-fixed";
-    case AlphaMode::kPaperPerStep:
-      return "paper-per-step";
     case AlphaMode::kConvexHalf:
       return "convex-1/2";
     case AlphaMode::kEndpointThird:
@@ -34,9 +32,6 @@ CompleteGraphModel::CompleteGraphModel(const CompleteGraphConfig& config,
       case AlphaMode::kPaperFixed:
         alpha_[i] = draw_alpha(*rng_);
         break;
-      case AlphaMode::kPaperPerStep:
-        alpha_[i] = 0.0;  // redrawn per step
-        break;
       case AlphaMode::kConvexHalf:
         alpha_[i] = 0.5;
         break;
@@ -52,13 +47,7 @@ void CompleteGraphModel::step() {
   const std::size_t i = rng_->below(config_.n);
   const std::size_t j = rng_->below_excluding(config_.n, i);
 
-  double ai = alpha_[i];
-  double aj = alpha_[j];
-  if (config_.alpha_mode == AlphaMode::kPaperPerStep) {
-    ai = draw_alpha(*rng_);
-    aj = draw_alpha(*rng_);
-  }
-  affine_pair_update(x_[i], x_[j], ai, aj);
+  affine_pair_update(x_[i], x_[j], alpha_[i], alpha_[j]);
 
   if (config_.noise_bound > 0.0) {
     // Lemma 2's perturbation: +nu at i, -nu at j (mass-preserving).

@@ -17,12 +17,13 @@
 
 namespace geogossip::core {
 
-/// How per-node coefficients alpha_i are chosen.
+/// How per-node coefficients alpha_i are chosen, once per node.  The
+/// values are E1's `alpha_mode` cell parameter (a CSV column), so they
+/// stay fixed.
 enum class AlphaMode {
-  kPaperFixed,    ///< drawn once per node from U(1/3, 1/2) — lemma statement
-  kPaperPerStep,  ///< redrawn from U(1/3, 1/2) at every exchange
-  kConvexHalf,    ///< alpha = 1/2 exactly — classical convex gossip
-  kEndpointThird, ///< alpha = 1/3 + tiny — worst coefficient in the range
+  kPaperFixed = 0,     ///< drawn from U(1/3, 1/2) — lemma statement
+  kConvexHalf = 2,     ///< alpha = 1/2 exactly — classical convex gossip
+  kEndpointThird = 3,  ///< alpha = 1/3 + tiny — worst coefficient in range
 };
 
 std::string_view alpha_mode_name(AlphaMode mode) noexcept;

@@ -5,6 +5,7 @@
 
 #include "core/affine.hpp"
 #include "core/round_protocol.hpp"
+#include "geometry/grid.hpp"
 #include "routing/greedy.hpp"
 #include "support/check.hpp"
 #include "support/snapshot.hpp"
@@ -19,23 +20,23 @@ DecentralizedAffineGossip::DecentralizedAffineGossip(
     const DecentralizedConfig& config)
     : ValueProtocol(graph, std::move(x0), rng),
       config_(config),
-      grid_(graph.region(),
-            static_cast<int>(std::llround(std::sqrt(static_cast<double>(
-                geometry::paper_subsquare_count(
-                    static_cast<double>(graph.node_count()))))))) {
+      side_(static_cast<int>(std::llround(std::sqrt(static_cast<double>(
+          geometry::paper_subsquare_count(
+              static_cast<double>(graph.node_count()))))))) {
   GG_CHECK_ARG(config.separation > 0.0, "separation must be positive");
 
   const std::size_t n = graph.node_count();
   square_of_.resize(n);
-  occupancy_.assign(static_cast<std::size_t>(grid_.cell_count()), 0);
+  occupancy_.assign(static_cast<std::size_t>(square_count()), 0);
   for (std::size_t i = 0; i < n; ++i) {
-    const int cell = grid_.cell_of(graph.position(static_cast<NodeId>(i)));
+    const int cell = graph.region().subsquare_index(
+        graph.position(static_cast<NodeId>(i)), side_);
     GG_CHECK(cell >= 0, "sensor outside the deployment region");
     square_of_[i] = static_cast<std::uint16_t>(cell);
     ++occupancy_[static_cast<std::size_t>(cell)];
   }
   for (std::uint32_t cell = 0;
-       cell < static_cast<std::uint32_t>(grid_.cell_count()); ++cell) {
+       cell < static_cast<std::uint32_t>(square_count()); ++cell) {
     if (occupancy_[cell] > 0) nonempty_squares_.push_back(cell);
   }
 
@@ -52,7 +53,7 @@ DecentralizedAffineGossip::DecentralizedAffineGossip(
   square_peers_.shrink_to_fit();  // only the in-square subset is kept
 
   const double m =
-      static_cast<double>(n) / static_cast<double>(grid_.cell_count());
+      static_cast<double>(n) / static_cast<double>(square_count());
   far_probability_ =
       std::min(1.0, 1.0 / (config.separation * m * std::log(m + 1.0)));
 }
@@ -95,7 +96,7 @@ void DecentralizedAffineGossip::far(NodeId node) {
   // Route to a uniform position inside the target square (a fresh random
   // landing node each time spreads the perturbation load).
   const geometry::Rect target_rect =
-      grid_.cell_rect(static_cast<int>(target_square));
+      graph_->region().subsquare(static_cast<int>(target_square), side_);
   const Vec2 target{rng_->uniform(target_rect.lo().x, target_rect.hi().x),
                     rng_->uniform(target_rect.lo().y, target_rect.hi().y)};
   const auto there = routing::route_to_position(*graph_, node, target);

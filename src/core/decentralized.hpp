@@ -7,8 +7,9 @@
 //
 // Construction: drop ALL control (no states, no counters, no
 // Activate/Deactivate, no representatives).  Every sensor derives its
-// square from its own position (the same sqrt(n)-square partition every
-// sensor can compute from n, which is known at deployment), and each
+// square from its own position (the same partition into
+// paper_subsquare_count(n) ~ sqrt(n) squares that every sensor can compute
+// from n, which is known at deployment; Rect::subsquare_index), and each
 // square's occupancy is learned once at setup by a local count (setup
 // cost, like the Dimakis weight estimation).  On each tick a sensor
 //   - with probability far_probability: samples a uniform position inside
@@ -36,7 +37,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "geometry/grid.hpp"
 #include "gossip/base.hpp"
 #include "graph/geometric_graph.hpp"
 
@@ -64,11 +64,12 @@ class DecentralizedAffineGossip final : public gossip::ValueProtocol {
   double far_probability() const noexcept { return far_probability_; }
   std::uint64_t far_exchanges() const noexcept { return far_exchanges_; }
   std::uint64_t near_exchanges() const noexcept { return near_exchanges_; }
-  int square_count() const noexcept { return grid_.cell_count(); }
+  int square_count() const noexcept { return side_ * side_; }
 
  protected:
-  /// Only the exchange counters are trajectory state; the occupancy grid,
-  /// peer CSR and far probability are deterministic ctor products.
+  /// Only the exchange counters are trajectory state; the square
+  /// occupancies, peer CSR and far probability are deterministic ctor
+  /// products.
   void snapshot_scratch(SnapshotWriter& w) const override;
   void restore_scratch(SnapshotReader& r) override;
 
@@ -78,7 +79,7 @@ class DecentralizedAffineGossip final : public gossip::ValueProtocol {
   void dilute(graph::NodeId node);
 
   DecentralizedConfig config_;
-  geometry::SquareGrid grid_;
+  int side_;  ///< the partition is side_ x side_ squares, row-major ids
   std::vector<std::uint16_t> square_of_;       ///< node -> flat square id
   std::vector<std::uint32_t> occupancy_;       ///< per-square sensor count
   std::vector<std::uint32_t> nonempty_squares_;

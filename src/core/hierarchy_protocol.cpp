@@ -162,7 +162,7 @@ void HierarchicalAffineProtocol::far(NodeId node, int square_id) {
   meter_.add(sim::TxCategory::kLongRange, 2ull * routes_.hops(node, peer));
 
   const double beta =
-      exchange_beta(config_.beta_mode, sq.expected_occupancy,
+      exchange_beta(BetaMode::kActualHarmonic, sq.expected_occupancy,
                     std::max<std::size_t>(1, sq.occupancy()),
                     std::max<std::size_t>(1, sibling.occupancy()));
   apply_affine_jump(node, peer, beta);

@@ -34,16 +34,16 @@
 // gate, consecutive Fars of the same representative compound the Omega(
 // sqrt(n)) jump before local averaging spreads it, and the run can diverge.
 //
-// Default gain: BetaMode::kActualHarmonic (beta from the squares' actual
-// occupancies).  The paper's beta = (2/5) E# relies on every occupancy
-// concentrating within 10% of E#, which needs the (log n)^8-sized squares
-// of the asymptotic regime; at simulable occupancies (tens of sensors), a
-// persistently under-occupied square makes the effective alpha = beta / m
-// exceed 1 and the mirrored update amplifies instead of contracts.  The
-// harmonic gain keeps alpha in (0, 0.8) for every occupancy pair while
-// remaining a Theta(E#) non-convex affine jump — the paper's mechanism.
-// kExpected stays available for ablations (E10) and for configurations
-// with paper-scale occupancies.
+// Far's gain is BetaMode::kActualHarmonic (beta from the squares' actual
+// occupancies), as in the §8 variant.  The paper's beta = (2/5) E# relies
+// on every occupancy concentrating within 10% of E#, which needs the
+// (log n)^8-sized squares of the asymptotic regime; at simulable
+// occupancies (tens of sensors), a persistently under-occupied square makes
+// the effective alpha = beta / m exceed 1 and the mirrored update amplifies
+// instead of contracts.  The harmonic gain keeps alpha in (0, 0.8) for
+// every occupancy pair while remaining a Theta(E#) non-convex affine jump —
+// the paper's mechanism.  The round protocol (multilevel.hpp) keeps the
+// other gains for the E10 ablation.
 //
 // The root representative has no siblings: it never fires Far and never
 // deactivates — it turns the hierarchy on and the closed-loop engine stops
@@ -69,9 +69,6 @@ struct HierarchyProtocolConfig : ScheduleConfig {
   double budget_constant = 2.0;
   /// Stand-in for the paper's n^a control-separation factor (>= 1).
   double latency_factor = 4.0;
-  /// Affine gain mode for Far (see header comment; paper-literal is
-  /// kExpected, which requires paper-scale occupancy concentration).
-  BetaMode beta_mode = BetaMode::kActualHarmonic;
 };
 
 class HierarchicalAffineProtocol final : public gossip::ValueProtocol {

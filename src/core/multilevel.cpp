@@ -22,8 +22,7 @@ MultilevelAffineGossip::MultilevelAffineGossip(
   leaf_charge_.resize(hierarchy.square_count());
   for (std::size_t id = 0; id < leaf_charge_.size(); ++id) {
     const SquareInfo& square = hierarchy.square(static_cast<int>(id));
-    if (square.is_leaf() && !square.members.empty() &&
-        config_.leaf_cost != LeafCostModel::kMeasured) {
+    if (square.is_leaf() && !square.members.empty()) {
       leaf_charge_[id] = charged_leaf_cost(
           config_.leaf_cost, square.members.size(),
           square.rect.width() / graph_->radius(),
@@ -64,62 +63,10 @@ void MultilevelAffineGossip::charge_activation(int square_id,
   }
 }
 
-void MultilevelAffineGossip::measured_leaf_average(const SquareInfo& square,
-                                                   double eps) {
-  // Run actual nearest-neighbour gossip restricted to the square until the
-  // in-square deviation shrinks by eps (relative to the in-square start).
-  const auto& members = square.members;
-  const std::size_t m = members.size();
-
-  double mean = 0.0;
-  for (const auto node : members) mean += value(node);
-  mean /= static_cast<double>(m);
-  double dev_sq = 0.0;
-  for (const auto node : members) {
-    dev_sq += (value(node) - mean) * (value(node) - mean);
-  }
-  if (dev_sq == 0.0) return;
-  const double target_sq = dev_sq * eps * eps;
-
-  // Membership test for neighbour filtering.
-  const int leaf_id = hierarchy().leaf_of(members.front());
-  const std::uint64_t tick_cap =
-      1000ull * m * static_cast<std::uint64_t>(
-                        std::ceil(std::log(static_cast<double>(m) / eps)));
-  std::uint64_t ticks = 0;
-  double current_sq = dev_sq;
-  while (current_sq > target_sq && ticks < tick_cap) {
-    ++ticks;
-    const auto node = members[rng_->below(m)];
-    // Uniform neighbour within the leaf square.
-    std::uint32_t in_leaf = 0;
-    NodeId chosen = node;
-    for (const NodeId u : graph_->neighbors(node)) {
-      if (hierarchy().leaf_of(u) != leaf_id) continue;
-      ++in_leaf;
-      if (rng_->below(in_leaf) == 0) chosen = u;
-    }
-    if (in_leaf == 0 || chosen == node) continue;
-    // Update the in-square deviation incrementally.
-    const double avg = 0.5 * (value(node) + value(chosen));
-    const double di = value(node) - mean;
-    const double dj = value(chosen) - mean;
-    const double da = avg - mean;
-    current_sq += 2.0 * da * da - di * di - dj * dj;
-    apply_pair_average(node, chosen);
-    meter_.add(sim::TxCategory::kLocal, 2);
-  }
-}
-
 void MultilevelAffineGossip::leaf_average(int square_id) {
   const SquareInfo& square = hierarchy().square(square_id);
   const auto& members = square.members;
   if (members.size() <= 1) return;
-
-  if (config_.leaf_cost == LeafCostModel::kMeasured) {
-    measured_leaf_average(square, schedule_.eps(square_id));
-    return;
-  }
 
   // Idealized averaging: charge the model cost, set members to the mean,
   // optionally perturb (Lemma 2's imperfect-averaging noise).

@@ -8,7 +8,8 @@
 //     representatives' values over measured greedy routes, apply the affine
 //     jump beta = (2/5) E#(child), re-average both children recursively;
 //     deactivate);
-//   * leaves run (or charge) nearest-neighbour averaging.
+//   * leaves are charged the cost of nearest-neighbour averaging (a
+//     LeafCostModel) and set to their mean.
 //
 // The TOP level is closed-loop: sim::run_to_epsilon drives one top-level
 // round per engine step until the measured global error reaches the
@@ -98,15 +99,14 @@ class MultilevelAffineGossip final : public gossip::ValueProtocol {
   /// Open-loop recursive averaging of one square at its schedule budget.
   void average_square(int square_id);
   void leaf_average(int square_id);
-  void measured_leaf_average(const geometry::SquareInfo& square, double eps);
   void exchange(int child_i, int child_j);
   /// `square` is hierarchy().square(square_id).
   void charge_activation(int square_id, const geometry::SquareInfo& square);
 
   MultilevelConfig config_;
   Schedule schedule_;
-  /// Per square (analytic leaf models only): the charged leaf-averaging
-  /// cost, computed once by the constructor.
+  /// Per leaf square: the charged leaf-averaging cost, computed once by
+  /// the constructor.
   std::vector<std::uint64_t> leaf_charge_;
   RouteHopCache routes_;
   std::uint64_t alpha_out_of_range_ = 0;

@@ -16,8 +16,6 @@ std::string_view leaf_cost_model_name(LeafCostModel model) noexcept {
       return "grg-mixing";
     case LeafCostModel::kQuadratic:
       return "quadratic";
-    case LeafCostModel::kMeasured:
-      return "measured";
   }
   return "?";
 }
@@ -70,9 +68,6 @@ std::uint64_t charged_leaf_cost(LeafCostModel model, std::size_t m,
     case LeafCostModel::kQuadratic:
       exchanges = mm * mm * log_term;
       break;
-    case LeafCostModel::kMeasured:
-      throw ArgumentError(
-          "charged_leaf_cost: kMeasured is simulated, not charged");
   }
   // Each nearest-neighbour exchange is 2 transmissions.
   return static_cast<std::uint64_t>(std::llround(2.0 * exchanges));

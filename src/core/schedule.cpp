@@ -12,7 +12,7 @@ namespace geogossip::core {
 
 namespace {
 
-/// The practical-threshold hierarchy of a validated `config`.
+/// The hierarchy of a validated `config`.
 geometry::HierarchyConfig checked_hierarchy(const ScheduleConfig& config) {
   GG_CHECK_ARG(config.eps > 0.0 && config.eps < 1.0, "eps in (0,1)");
   GG_CHECK_ARG(config.eps_decay > 1.0, "eps_decay > 1");
@@ -20,7 +20,6 @@ geometry::HierarchyConfig checked_hierarchy(const ScheduleConfig& config) {
   GG_CHECK_ARG(config.leaf_threshold >= 1.0, "leaf_threshold >= 1");
   GG_CHECK_ARG(config.max_depth >= 1, "max_depth >= 1");
   geometry::HierarchyConfig hierarchy;
-  hierarchy.threshold = geometry::HierarchyConfig::Threshold::kPractical;
   hierarchy.leaf_occupancy = config.leaf_threshold;
   hierarchy.max_depth = config.max_depth;
   return hierarchy;
@@ -90,8 +89,7 @@ PaperSchedule make_paper_schedule(std::size_t n, double eps0, double delta0,
   GG_CHECK_ARG(eps0 > 0.0 && eps0 < 1.0, "eps0 in (0,1)");
   GG_CHECK_ARG(delta0 > 0.0 && delta0 < 1.0, "delta0 in (0,1)");
   GG_CHECK_ARG(a > 0.0, "a > 0");
-  const double threshold = hierarchy.threshold_value(n);
-  GG_CHECK_ARG(threshold >= 1.0, "leaf threshold >= 1");
+  GG_CHECK_ARG(hierarchy.leaf_occupancy >= 1.0, "leaf threshold >= 1");
 
   const double nn = static_cast<double>(n);
   PaperSchedule schedule;
@@ -100,7 +98,7 @@ PaperSchedule make_paper_schedule(std::size_t n, double eps0, double delta0,
   double expected = nn;
   for (int depth = 0;; ++depth) {
     schedule.fan_out.push_back(geometry::split_fan_out(
-        expected, depth, threshold, hierarchy.max_depth));
+        expected, depth, hierarchy.leaf_occupancy, hierarchy.max_depth));
     if (schedule.fan_out.back() == 0) break;
     expected /= static_cast<double>(schedule.fan_out.back());
   }

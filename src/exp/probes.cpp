@@ -184,11 +184,15 @@ ReplicateResult occupancy_trial(const Cell& cell, std::uint64_t seed) {
   const double beta = core::far_beta(expected);
 
   const auto points = geometry::sample_unit_square(cell.n, rng);
-  const geometry::SquareGrid grid(geometry::Rect::unit_square(), side);
+  std::vector<std::uint32_t> counts(static_cast<std::size_t>(squares), 0);
+  for (const geometry::Vec2& p : points) {
+    ++counts[static_cast<std::size_t>(
+        geometry::Rect::unit_square().subsquare_index(p, side))];
+  }
   double worst = 0.0;
   double alpha_lo = 1.0;
   double alpha_hi = 0.0;
-  for (const auto count : grid.occupancy(points)) {
+  for (const auto count : counts) {
     worst = std::max(
         worst, std::abs(static_cast<double>(count) / expected - 1.0));
     if (count > 0) {

@@ -26,26 +26,12 @@ namespace geogossip::exp {
 
 namespace {
 
-std::vector<double> make_initial_field(const Cell& cell,
-                                       const graph::GeometricGraph& graph,
-                                       Rng& rng) {
-  switch (cell.field) {
-    case CellField::kSpikedGaussian: {
-      auto x0 = sim::gaussian_field(cell.n, rng);
-      x0[rng.below(cell.n)] += std::sqrt(static_cast<double>(cell.n));
-      return x0;
-    }
-    case CellField::kGaussian:
-      return sim::gaussian_field(cell.n, rng);
-    case CellField::kSpike:
-      return sim::make_field(sim::FieldKind::kSpike, graph.points(), rng);
-    case CellField::kGradient:
-      return sim::make_field(sim::FieldKind::kGradient, graph.points(), rng);
-    case CellField::kCheckerboard:
-      return sim::make_field(sim::FieldKind::kCheckerboard, graph.points(),
-                             rng);
+std::vector<double> make_initial_field(const Cell& cell, Rng& rng) {
+  auto x0 = sim::gaussian_field(cell.n, rng);
+  if (cell.field == CellField::kSpikedGaussian) {
+    x0[rng.below(cell.n)] += std::sqrt(static_cast<double>(cell.n));
   }
-  throw ArgumentError("make_initial_field: bad field kind");
+  return x0;
 }
 
 }  // namespace
@@ -72,7 +58,7 @@ ReplicateResult run_replicate(const Cell& cell, std::uint64_t seed,
   Rng rng(seed);
   const auto graph =
       graph::GeometricGraph::sample(cell.n, cell.radius_multiplier, rng);
-  auto x0 = make_initial_field(cell, graph, rng);
+  auto x0 = make_initial_field(cell, rng);
   sim::center_and_normalize(x0);
 
   const auto outcome = core::run_protocol_trial(
@@ -302,8 +288,6 @@ SweepSummary SweepShard::summarize(unsigned threads,
   summary.master_seed = scenario_.master_seed;
   summary.threads = threads;
   summary.wall_seconds = wall_seconds;
-  summary.shard_index = options_.shard_index;
-  summary.shard_count = options_.shard_count;
   summary.resumed_replicates = resumed_;
   summary.executed_replicates = pending_.size();
   summary.peak_rss_kb = obs::max_rss_kb();
@@ -500,9 +484,6 @@ void print_summary(std::ostream& out, const SweepSummary& summary) {
   out << "[" << summary.scenario << "] replicates=" << summary.replicates
       << " seed=" << summary.master_seed << " threads=" << summary.threads
       << " wall=" << format_fixed(summary.wall_seconds, 2) << "s";
-  if (summary.shard_count > 1) {
-    out << " shard=" << summary.shard_index << "/" << summary.shard_count;
-  }
   if (summary.resumed_replicates > 0) {
     out << " resumed=" << summary.resumed_replicates
         << " executed=" << summary.executed_replicates;

@@ -87,9 +87,6 @@ struct SweepSummary {
   std::uint64_t master_seed = 0;
   unsigned threads = 1;
   double wall_seconds = 0.0;
-  /// Shard coordinates this summary was produced under (0 of 1 = full run).
-  std::uint32_t shard_index = 0;
-  std::uint32_t shard_count = 1;
   /// Replicates re-ingested from RunnerOptions::resume_from instead of run.
   std::uint64_t resumed_replicates = 0;
   /// Replicates actually executed by this process.

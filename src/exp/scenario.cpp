@@ -15,12 +15,6 @@ std::string_view cell_field_name(CellField field) noexcept {
       return "spiked-gaussian";
     case CellField::kGaussian:
       return "gaussian";
-    case CellField::kSpike:
-      return "spike";
-    case CellField::kGradient:
-      return "gradient";
-    case CellField::kCheckerboard:
-      return "checkerboard";
   }
   return "?";
 }

@@ -57,9 +57,6 @@ using TrialFn =
 enum class CellField {
   kSpikedGaussian,  ///< i.i.d. gaussians + a sqrt(n) spike at a random node
   kGaussian,        ///< i.i.d. standard normals
-  kSpike,           ///< single spike (hardest case for local protocols)
-  kGradient,        ///< x + y of the node position
-  kCheckerboard,    ///< +-1 by spatial parity
 };
 
 std::string_view cell_field_name(CellField field) noexcept;

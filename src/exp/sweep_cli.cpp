@@ -235,10 +235,15 @@ std::optional<int> SweepCli::parse(int argc, char** argv) {
     return 1;
   }
 
-  if (mem_budget_gb_ < 0.0) {
-    std::cerr << "--mem-budget must be >= 0\n";
+  // Converted once; a byte count of 2^64 or more has no uint64_t value.
+  const double budget_bytes = mem_budget_gb_ * 1024.0 * 1024.0 * 1024.0;
+  if (mem_budget_gb_ < 0.0 || !(budget_bytes < 0x1p64)) {
+    std::cerr << "--mem-budget must be >= 0 and below 2^34 GiB (a 64-bit "
+                 "byte count), got "
+              << mem_budget_gb_ << "\n";
     return 1;
   }
+  memory_budget_bytes_ = static_cast<std::uint64_t>(budget_bytes);
   try {
     threads_ = checked_threads(threads_flag_);
   } catch (const ArgumentError& error) {
@@ -331,8 +336,7 @@ void SweepCli::apply_overrides(Scenario& scenario) const {
 RunnerOptions SweepCli::base_options() const {
   RunnerOptions options;
   options.threads = threads_;
-  options.memory_budget_bytes = static_cast<std::uint64_t>(
-      mem_budget_gb_ * 1024.0 * 1024.0 * 1024.0);
+  options.memory_budget_bytes = memory_budget_bytes_;
   options.resume_from = checkpoint_;
   return options;
 }
@@ -453,8 +457,7 @@ int SweepCli::run_fleet_worker(const Scenario& scenario, std::ostream& out) {
   options.ttl_seconds = fleet_ttl_seconds_;
   options.batches = static_cast<std::uint32_t>(fleet_batches_flag_);
   options.threads = threads_;
-  options.memory_budget_bytes = static_cast<std::uint64_t>(
-      mem_budget_gb_ * 1024.0 * 1024.0 * 1024.0);
+  options.memory_budget_bytes = memory_budget_bytes_;
   if (snapshot_every_ticks_ > 0 || snapshot_every_seconds_ > 0.0) {
     options.snapshot_every_ticks = snapshot_every_ticks_;
     options.snapshot_every_seconds = snapshot_every_seconds_;

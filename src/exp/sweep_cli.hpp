@@ -113,6 +113,7 @@ class SweepCli {
   bool fleet_merge_ = false;
 
   unsigned threads_ = 0;
+  std::uint64_t memory_budget_bytes_ = 0;
   std::string heartbeat_path_;
   double heartbeat_interval_seconds_ = 5.0;
   std::uint64_t snapshot_every_ticks_ = 0;

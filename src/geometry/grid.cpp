@@ -31,41 +31,4 @@ std::int64_t paper_subsquare_count(double expected_occupancy) {
   return nearest_even_square(std::sqrt(expected_occupancy));
 }
 
-SquareGrid::SquareGrid(const Rect& region, int side)
-    : region_(region), side_(side) {
-  GG_CHECK_ARG(side >= 1, "SquareGrid requires side >= 1");
-}
-
-int SquareGrid::cell_of(Vec2 p) const {
-  return region_.subsquare_index(p, side_);
-}
-
-Rect SquareGrid::cell_rect(int cell) const {
-  return region_.subsquare(cell, side_);
-}
-
-std::vector<std::vector<std::uint32_t>> SquareGrid::assign(
-    const std::vector<Vec2>& points) const {
-  std::vector<std::vector<std::uint32_t>> members(
-      static_cast<std::size_t>(cell_count()));
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const int cell = cell_of(points[i]);
-    GG_CHECK(cell >= 0, "assign: point outside the grid region");
-    members[static_cast<std::size_t>(cell)].push_back(
-        static_cast<std::uint32_t>(i));
-  }
-  return members;
-}
-
-std::vector<std::uint32_t> SquareGrid::occupancy(
-    const std::vector<Vec2>& points) const {
-  std::vector<std::uint32_t> counts(static_cast<std::size_t>(cell_count()), 0);
-  for (const Vec2& p : points) {
-    const int cell = cell_of(p);
-    GG_CHECK(cell >= 0, "occupancy: point outside the grid region");
-    ++counts[static_cast<std::size_t>(cell)];
-  }
-  return counts;
-}
-
 }  // namespace geogossip::geometry

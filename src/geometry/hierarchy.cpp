@@ -10,18 +10,6 @@
 
 namespace geogossip::geometry {
 
-double HierarchyConfig::threshold_value(std::size_t n) const {
-  switch (threshold) {
-    case Threshold::kPaper: {
-      const double ln_n = std::log(static_cast<double>(std::max<std::size_t>(n, 2)));
-      return std::pow(ln_n, 8.0);
-    }
-    case Threshold::kPractical:
-      return leaf_occupancy;
-  }
-  return leaf_occupancy;
-}
-
 std::int64_t split_fan_out(double expected, int depth, double threshold,
                            int max_depth) {
   if (expected <= threshold || depth >= max_depth) return 0;
@@ -64,7 +52,6 @@ std::int32_t nearest_member(const std::vector<Vec2>& points,
 void PartitionHierarchy::build(const Rect& region,
                                const HierarchyConfig& config) {
   const std::size_t n = points_->size();
-  const double threshold = config.threshold_value(n);
 
   // Root: whole region, all sensors.
   SquareInfo root_square;
@@ -77,7 +64,7 @@ void PartitionHierarchy::build(const Rect& region,
   }
   squares_.push_back(std::move(root_square));
 
-  // Breadth-first subdivision per §4.1: split while E# > threshold.
+  // Breadth-first subdivision per §4.1: split while E# > leaf_occupancy.
   std::deque<int> queue{0};
   while (!queue.empty()) {
     const int id = queue.front();
@@ -86,7 +73,8 @@ void PartitionHierarchy::build(const Rect& region,
     const double expected = squares_[static_cast<std::size_t>(id)].expected_occupancy;
     const int depth = squares_[static_cast<std::size_t>(id)].depth;
     const std::int64_t subsquares =
-        split_fan_out(expected, depth, threshold, config.max_depth);
+        split_fan_out(expected, depth, config.leaf_occupancy,
+                      config.max_depth);
     if (subsquares == 0) continue;
     const int side = static_cast<int>(std::llround(
         std::sqrt(static_cast<double>(subsquares))));

@@ -4,10 +4,11 @@
 // sqrt(n)); each subsquare with expected occupancy m above a leaf threshold
 // is split again into nearest_even_square(sqrt(m)) subsquares, and so on.
 // The paper's literal threshold is (log n)^8, which exceeds n for every
-// simulable n (the constants are asymptotic); HierarchyConfig therefore also
-// offers a practical threshold that preserves the structure (depth ~
-// log log n, fan-out ~ sqrt(occupancy)); README "Substitutions from the
-// paper" lists it.  split_fan_out() is the one statement of the split rule.
+// simulable n (the constants are asymptotic), so it would never split; the
+// hierarchy therefore splits at a practical leaf occupancy that preserves
+// the structure (depth ~ log log n, fan-out ~ sqrt(occupancy)); README
+// "Substitutions from the paper" lists it.  split_fan_out() is the one
+// statement of the split rule.
 //
 // Every square records its representative s(square) — the member sensor
 // nearest the square's centre — and each sensor gets the paper's Level:
@@ -27,20 +28,11 @@
 namespace geogossip::geometry {
 
 struct HierarchyConfig {
-  enum class Threshold {
-    kPaper,      ///< split while expected occupancy > (ln n)^8 (literal §4.1)
-    kPractical,  ///< split while expected occupancy > leaf_occupancy
-  };
-
-  Threshold threshold = Threshold::kPractical;
-  /// Leaf size for the practical threshold.  Chosen so leaves still hold
-  /// Theta(polylog) sensors at simulable n.
+  /// A square splits while its expected occupancy exceeds this.  Chosen so
+  /// leaves still hold Theta(polylog) sensors at simulable n.
   double leaf_occupancy = 48.0;
   /// Hard safety cap on recursion depth.
   int max_depth = 12;
-
-  /// The value of the splitting threshold for a deployment of n sensors.
-  double threshold_value(std::size_t n) const;
 };
 
 /// The §4.1 split rule: a square of expected occupancy `expected` at

@@ -11,7 +11,7 @@
 // between square representatives over greedy routes, which scan the
 // bucket grid (routing/greedy.hpp) — so their replicates never allocate
 // the CSR's 4 bytes/arc + 8 bytes/node.  Protocols that gossip with
-// neighbours (Boyd et al., the §4.2 Near ticks, measured leaves, flooding)
+// neighbours (Boyd et al., the §4.2 Near ticks, the §8 variant, flooding)
 // build it on their first read.
 //
 // The CSR build is two passes straight from the bucket grid: pass 1

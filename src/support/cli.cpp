@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <cmath>
 #include <iostream>
 #include <sstream>
 
@@ -21,26 +22,41 @@ std::string join_commas(const std::vector<T>& values) {
   return os.str();
 }
 
+/// `range` as the diagnostics print it: "", " > 1", " < 1" or " in (0, 1)".
+std::string range_text(const FlagRange& range) {
+  const bool lo = std::isfinite(range.above);
+  const bool hi = std::isfinite(range.below);
+  std::ostringstream os;
+  if (lo && hi) {
+    os << " in (" << range.above << ", " << range.below << ")";
+  } else if (lo) {
+    os << " > " << range.above;
+  } else if (hi) {
+    os << " < " << range.below;
+  }
+  return os.str();
+}
+
 }  // namespace
 
 ArgParser::ArgParser(std::string program, std::string summary)
     : program_(std::move(program)), summary_(std::move(summary)) {}
 
 void ArgParser::add_flag(const std::string& name, std::int64_t* target,
-                         const std::string& help) {
+                         const std::string& help, FlagRange range) {
   GG_CHECK_ARG(target != nullptr, "add_flag: null target");
   GG_CHECK_ARG(find(name) == nullptr, "duplicate flag --" + name);
   flags_.push_back(
-      Flag{name, Kind::kInt, target, help, std::to_string(*target)});
+      Flag{name, Kind::kInt, target, help, std::to_string(*target), range});
 }
 
 void ArgParser::add_flag(const std::string& name, double* target,
-                         const std::string& help) {
+                         const std::string& help, FlagRange range) {
   GG_CHECK_ARG(target != nullptr, "add_flag: null target");
   GG_CHECK_ARG(find(name) == nullptr, "duplicate flag --" + name);
   std::ostringstream os;
   os << *target;
-  flags_.push_back(Flag{name, Kind::kDouble, target, help, os.str()});
+  flags_.push_back(Flag{name, Kind::kDouble, target, help, os.str(), range});
 }
 
 void ArgParser::add_flag(const std::string& name, std::string* target,
@@ -48,7 +64,7 @@ void ArgParser::add_flag(const std::string& name, std::string* target,
   GG_CHECK_ARG(target != nullptr, "add_flag: null target");
   GG_CHECK_ARG(find(name) == nullptr, "duplicate flag --" + name);
   flags_.push_back(Flag{name, Kind::kString, target, help,
-                        target->empty() ? "\"\"" : *target});
+                        target->empty() ? "\"\"" : *target, {}});
 }
 
 void ArgParser::add_flag(const std::string& name, bool* target,
@@ -56,24 +72,24 @@ void ArgParser::add_flag(const std::string& name, bool* target,
   GG_CHECK_ARG(target != nullptr, "add_flag: null target");
   GG_CHECK_ARG(find(name) == nullptr, "duplicate flag --" + name);
   flags_.push_back(
-      Flag{name, Kind::kBool, target, help, *target ? "true" : "false"});
+      Flag{name, Kind::kBool, target, help, *target ? "true" : "false", {}});
 }
 
 void ArgParser::add_flag(const std::string& name, std::vector<double>* target,
-                         const std::string& help) {
+                         const std::string& help, FlagRange range) {
   GG_CHECK_ARG(target != nullptr, "add_flag: null target");
   GG_CHECK_ARG(find(name) == nullptr, "duplicate flag --" + name);
-  flags_.push_back(
-      Flag{name, Kind::kDoubleList, target, help, join_commas(*target)});
+  flags_.push_back(Flag{name, Kind::kDoubleList, target, help,
+                        join_commas(*target), range});
 }
 
 void ArgParser::add_flag(const std::string& name,
                          std::vector<std::size_t>* target,
-                         const std::string& help) {
+                         const std::string& help, FlagRange range) {
   GG_CHECK_ARG(target != nullptr, "add_flag: null target");
   GG_CHECK_ARG(find(name) == nullptr, "duplicate flag --" + name);
-  flags_.push_back(
-      Flag{name, Kind::kSizeList, target, help, join_commas(*target)});
+  flags_.push_back(Flag{name, Kind::kSizeList, target, help,
+                        join_commas(*target), range});
 }
 
 const ArgParser::Flag* ArgParser::find(const std::string& name) const noexcept {
@@ -84,13 +100,20 @@ const ArgParser::Flag* ArgParser::find(const std::string& name) const noexcept {
 }
 
 void ArgParser::assign(const Flag& flag, const std::string& value) {
+  const auto in_range = [&flag](auto number) {
+    const auto x = static_cast<double>(number);
+    if (!(x > flag.range.above && x < flag.range.below)) {
+      throw ArgumentError("out of range");
+    }
+    return number;
+  };
   try {
     switch (flag.kind) {
       case Kind::kInt:
-        *static_cast<std::int64_t*>(flag.target) = parse_int(value);
+        *static_cast<std::int64_t*>(flag.target) = in_range(parse_int(value));
         return;
       case Kind::kDouble:
-        *static_cast<double*>(flag.target) = parse_double(value);
+        *static_cast<double*>(flag.target) = in_range(parse_double(value));
         return;
       case Kind::kString:
         *static_cast<std::string*>(flag.target) = value;
@@ -103,7 +126,7 @@ void ArgParser::assign(const Flag& flag, const std::string& value) {
         for (const auto& element : split(value, ',')) {
           const double number = parse_double(element);
           if (number < 0.0) throw ArgumentError("negative element");
-          list.push_back(number);
+          list.push_back(in_range(number));
         }
         *static_cast<std::vector<double>*>(flag.target) = std::move(list);
         return;
@@ -113,7 +136,7 @@ void ArgParser::assign(const Flag& flag, const std::string& value) {
         for (const auto& element : split(value, ',')) {
           const std::int64_t number = parse_int(element);
           if (number < 0) throw ArgumentError("negative element");
-          list.push_back(static_cast<std::size_t>(number));
+          list.push_back(static_cast<std::size_t>(in_range(number)));
         }
         *static_cast<std::vector<std::size_t>*>(flag.target) =
             std::move(list);
@@ -121,9 +144,11 @@ void ArgParser::assign(const Flag& flag, const std::string& value) {
       }
     }
   } catch (const ArgumentError&) {
-    // A malformed value is the user's mistake: name the flag and the
-    // value, not the parser's internal check.
-    const char* expected = "";
+    // A malformed or out-of-range value is the user's mistake: name the
+    // flag, the accepted values and the value, not the parser's internal
+    // check.  A list's lower bound of 0 or more makes "non-negative" moot.
+    const char* sign = flag.range.above >= 0.0 ? "" : "non-negative ";
+    std::string expected;
     switch (flag.kind) {
       case Kind::kInt:
         expected = "an integer";
@@ -135,16 +160,18 @@ void ArgParser::assign(const Flag& flag, const std::string& value) {
         expected = "true or false";
         break;
       case Kind::kDoubleList:
-        expected = "a comma-separated list of non-negative numbers";
+        expected = std::string("a comma-separated list of ") + sign +
+                   "numbers";
         break;
       case Kind::kSizeList:
-        expected = "a comma-separated list of non-negative integers";
+        expected = std::string("a comma-separated list of ") + sign +
+                   "integers";
         break;
       case Kind::kString:
         break;  // any text is a string
     }
     throw ArgumentError("flag --" + flag.name + " expects " + expected +
-                        ", got '" + value + "'");
+                        range_text(flag.range) + ", got '" + value + "'");
   }
 }
 

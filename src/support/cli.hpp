@@ -2,12 +2,14 @@
 //
 // Supports --name=value and --name value forms, bool flags without a value
 // ("--verbose"), comma-separated list flags ("--sizes=512,1024"),
-// automatic --help text, and strict rejection of unknown flags and
-// malformed values so typos in sweep scripts fail loudly, before any work.
+// automatic --help text, and strict rejection of unknown flags, malformed
+// values and values outside a flag's declared range, so typos in sweep
+// scripts fail loudly, before any work.
 #ifndef GEOGOSSIP_SUPPORT_CLI_HPP
 #define GEOGOSSIP_SUPPORT_CLI_HPP
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,6 +29,15 @@ enum class ParseResult {
 /// Conventional process exit code for a non-kOk parse result.
 int parse_exit_code(ParseResult result) noexcept;
 
+/// The open interval (above, below) a numeric flag's value must lie in
+/// (every element, for a list flag).  ArgParser::parse reports a value
+/// outside it like a malformed one, so a value the program cannot run on
+/// fails before any work.  The default admits every value the kind parses.
+struct FlagRange {
+  double above = -std::numeric_limits<double>::infinity();
+  double below = std::numeric_limits<double>::infinity();
+};
+
 class ArgParser {
  public:
   /// `program` and `summary` appear in the --help output.
@@ -35,9 +46,9 @@ class ArgParser {
   /// Registers a flag; the pointer must outlive parse().  The current value
   /// of the target is taken as the documented default.
   void add_flag(const std::string& name, std::int64_t* target,
-                const std::string& help);
+                const std::string& help, FlagRange range = {});
   void add_flag(const std::string& name, double* target,
-                const std::string& help);
+                const std::string& help, FlagRange range = {});
   void add_flag(const std::string& name, std::string* target,
                 const std::string& help);
   void add_flag(const std::string& name, bool* target,
@@ -47,9 +58,9 @@ class ArgParser {
   /// non-finite element is a kError (and so is an empty value: a list
   /// holds at least one element).
   void add_flag(const std::string& name, std::vector<double>* target,
-                const std::string& help);
+                const std::string& help, FlagRange range = {});
   void add_flag(const std::string& name, std::vector<std::size_t>* target,
-                const std::string& help);
+                const std::string& help, FlagRange range = {});
 
   /// Parses argv.  Returns kHelp if --help was requested (help text already
   /// printed to stdout) and kError on unknown flags or malformed values
@@ -73,6 +84,7 @@ class ArgParser {
     void* target;
     std::string help;
     std::string default_text;
+    FlagRange range;
   };
 
   const Flag* find(const std::string& name) const noexcept;

@@ -147,19 +147,6 @@ TEST(CompleteGraphModel, Lemma1ContractionHolds) {
   EXPECT_LT(summary.cells.back().metric_mean("norm_sq"), 0.2 * 2.0);
 }
 
-TEST(CompleteGraphModel, PerStepAlphaModeAlsoContracts) {
-  constexpr std::size_t kN = 48;
-  const auto summary = exp::Runner().run(
-      e1_cells(kN, AlphaMode::kPaperPerStep, 48, 505));
-  bool checked = false;
-  for (const auto& cell : summary.cells) {
-    if (cell.cell.param("t") != 6.0 * kN) continue;
-    EXPECT_LT(cell.metric_mean("norm_sq"), 0.4 * 2.0);
-    checked = true;
-  }
-  EXPECT_TRUE(checked) << "no E1 horizon at t = 6n";
-}
-
 TEST(CompleteGraphModel, BoundsFormulas) {
   EXPECT_NEAR(lemma1_bound(10, 0), 1.0, 1e-15);
   EXPECT_NEAR(lemma1_bound(10, 20), std::pow(0.95, 20), 1e-12);

@@ -200,19 +200,6 @@ TEST(Multilevel, QuadraticLeafModelChargesMore) {
             r1.transmissions[sim::TxCategory::kLocal]);
 }
 
-TEST(Multilevel, MeasuredLeafModeConvergesAndCostsRealExchanges) {
-  const auto g = make_graph(512, 620);
-  Rng rng(621);
-  auto x0 = make_field(g, rng);
-  MultilevelConfig config;
-  config.eps = 1e-2;
-  config.leaf_cost = LeafCostModel::kMeasured;
-  MultilevelAffineGossip protocol(g, x0, rng, config);
-  const auto result = run(protocol, rng, config);
-  EXPECT_TRUE(result.converged);
-  EXPECT_GT(result.transmissions[sim::TxCategory::kLocal], 0u);
-}
-
 TEST(Multilevel, LeafNoiseInjectionStillConverges) {
   // Lemma 2 in vivo: small imperfect-averaging noise does not break
   // convergence to a coarser epsilon.

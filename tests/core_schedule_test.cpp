@@ -344,11 +344,9 @@ TEST(ChargedLeafCost, ModelsScaleAsDocumented) {
       charged_leaf_cost(LeafCostModel::kGrgMixing, 32, 4.0, 1e-3);
   EXPECT_NEAR(static_cast<double>(wide) / linear_small, 16.0, 1.0);
 
-  // Single node costs nothing; measured model cannot be charged.
+  // Single node costs nothing.
   EXPECT_EQ(charged_leaf_cost(LeafCostModel::kGrgMixing, 1, 1.0, 1e-3),
             0u);
-  EXPECT_THROW(charged_leaf_cost(LeafCostModel::kMeasured, 32, 1.0, 1e-3),
-               ArgumentError);
 }
 
 TEST(Names, EnumsHaveStableNames) {

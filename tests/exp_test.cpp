@@ -884,11 +884,7 @@ TEST(Sharding, MergedShardFilesReproduceTheUnshardedRunBitIdentically) {
       auto merged = std::make_shared<Checkpoint>(scenario.name,
                                                  scenario.master_seed);
       for (std::uint32_t shard = 0; shard < k; ++shard) {
-        const auto [summary, records] =
-            run_streaming(scenario, threads, shard, k);
-        EXPECT_EQ(summary.shard_index, shard);
-        EXPECT_EQ(summary.shard_count, k);
-        merged->load(records);
+        merged->load(run_streaming(scenario, threads, shard, k).second);
       }
       ASSERT_EQ(merged->size(),
                 scenario.cells.size() * scenario.replicates);

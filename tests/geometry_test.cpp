@@ -93,6 +93,17 @@ TEST(Rect, SubsquareIndexRoundTrip) {
   EXPECT_EQ(r.subsquare_index({5.0, 5.0}, 2), -1);
   // Closed top/right edge points are clamped into the last cell.
   EXPECT_EQ(r.subsquare_index({2.0, 2.0}, 2), 3);
+
+  // Row-major with rows along y: on the unit square's 4 x 4 grid, cell 6
+  // is row 1, column 2.
+  const Rect unit = Rect::unit_square();
+  EXPECT_EQ(unit.subsquare(6, 4).lo(), Vec2(0.5, 0.25));
+  EXPECT_EQ(unit.subsquare(6, 4).hi(), Vec2(0.75, 0.5));
+  EXPECT_EQ(unit.subsquare_index({0.6, 0.3}, 4), 6);
+  EXPECT_EQ(unit.subsquare_index({0.1, 0.1}, 4), 0);
+  EXPECT_EQ(unit.subsquare_index({0.9, 0.9}, 4), 15);
+  EXPECT_EQ(unit.subsquare_index({1.0, 1.0}, 4), 15);
+  EXPECT_EQ(unit.subsquare_index({2.0, 0.0}, 4), -1);  // outside in x only
 }
 
 // --------------------------------------------------- nearest_even_square ----
@@ -136,40 +147,6 @@ TEST(PaperSubsquareCount, FollowsRule) {
   EXPECT_EQ(paper_subsquare_count(1e6), 1024);
   // m = 1024 -> sqrt = 32 -> nearest even square is 36.
   EXPECT_EQ(paper_subsquare_count(1024.0), 36);
-}
-
-// ----------------------------------------------------------- SquareGrid ----
-
-TEST(SquareGrid, CellMappingAndCoords) {
-  const SquareGrid grid(Rect::unit_square(), 4);
-  EXPECT_EQ(grid.cell_count(), 16);
-  EXPECT_EQ(grid.cell_of({0.1, 0.1}), 0);
-  EXPECT_EQ(grid.cell_of({0.9, 0.9}), 15);
-  EXPECT_EQ(grid.cell_of({1.0, 1.0}), 15);  // closed outer edge clamped
-  EXPECT_EQ(grid.cell_of({2.0, 0.0}), -1);
-  // Row-major: cell 6 is row 1 (y), column 2 (x).
-  EXPECT_EQ(grid.cell_rect(6).lo(), Vec2(0.5, 0.25));
-  EXPECT_EQ(grid.cell_rect(6).hi(), Vec2(0.75, 0.5));
-  EXPECT_EQ(grid.cell_of(grid.cell_rect(6).center()), 6);
-}
-
-TEST(SquareGrid, AssignPartitionsAllPoints) {
-  Rng rng(42);
-  const auto points = sample_unit_square(500, rng);
-  const SquareGrid grid(Rect::unit_square(), 5);
-  const auto members = grid.assign(points);
-  std::size_t total = 0;
-  for (std::size_t cell = 0; cell < members.size(); ++cell) {
-    for (const auto idx : members[cell]) {
-      EXPECT_EQ(grid.cell_of(points[idx]), static_cast<int>(cell));
-    }
-    total += members[cell].size();
-  }
-  EXPECT_EQ(total, points.size());
-  const auto occupancy = grid.occupancy(points);
-  for (std::size_t cell = 0; cell < members.size(); ++cell) {
-    EXPECT_EQ(occupancy[cell], members[cell].size());
-  }
 }
 
 // ------------------------------------------------------------- Sampling ----
@@ -341,7 +318,6 @@ TEST(BucketGrid, RejectsOutOfRegionPoints) {
 
 HierarchyConfig practical_config(double leaf, int max_depth = 12) {
   HierarchyConfig config;
-  config.threshold = HierarchyConfig::Threshold::kPractical;
   config.leaf_occupancy = leaf;
   config.max_depth = max_depth;
   return config;
@@ -479,18 +455,6 @@ TEST(Hierarchy, LeafOfAndAncestorWalk) {
   }
 }
 
-TEST(Hierarchy, PaperThresholdNeverSplitsAtSimulableN) {
-  // (ln n)^8 > n for all n <= ~10^6, so the literal paper threshold gives a
-  // single-square hierarchy — documenting why the practical mode exists.
-  Rng rng(18);
-  const auto points = sample_unit_square(4096, rng);
-  HierarchyConfig config;
-  config.threshold = HierarchyConfig::Threshold::kPaper;
-  const PartitionHierarchy h(points, config);
-  EXPECT_EQ(h.square_count(), 1u);
-  EXPECT_EQ(h.levels(), 1);
-}
-
 TEST(Hierarchy, ClusteredDeploymentYieldsEmptySquares) {
   Rng rng(19);
   const auto points =
@@ -506,16 +470,6 @@ TEST(Hierarchy, SummaryMentionsLevels) {
   const std::string text = h.summary();
   EXPECT_NE(text.find("levels"), std::string::npos);
   EXPECT_NE(text.find("depth 0"), std::string::npos);
-}
-
-TEST(HierarchyConfig, ThresholdValues) {
-  HierarchyConfig paper;
-  paper.threshold = HierarchyConfig::Threshold::kPaper;
-  const double v = paper.threshold_value(1000000);
-  EXPECT_NEAR(v, std::pow(std::log(1e6), 8.0), 1e-6);
-  HierarchyConfig practical;
-  practical.leaf_occupancy = 99.0;
-  EXPECT_DOUBLE_EQ(practical.threshold_value(12345), 99.0);
 }
 
 }  // namespace

@@ -324,7 +324,7 @@ TEST(Cli, RejectsUnknownFlagAndMissingValueWithKError) {
   const std::vector<std::pair<std::vector<const char*>, std::string>> cases =
       {
           {{"prog", "--bogus=1"}, "unknown flag --bogus"},
-          {{"prog", "--shard=0/2"}, "unknown flag --shard"},
+          {{"prog", "--shard", "0/2"}, "unknown flag --shard"},
           {{"prog", "--n"}, "flag --n expects a value"},
           {{"prog", "--csv"}, "flag --csv expects a value"},
           {{"prog", "--n=abc"}, "flag --n expects an integer, got 'abc'"},
@@ -383,6 +383,60 @@ TEST(Cli, ListFlagsParseEveryElement) {
   EXPECT_EQ(parser.parse(2, bad), ParseResult::kError);
   (void)testing::internal::GetCapturedStderr();
   EXPECT_EQ(sizes, (std::vector<std::size_t>{512, 1024}));
+}
+
+TEST(Cli, RangedFlagsAcceptOnlyTheirOpenInterval) {
+  // A value that parses but that no program can run on (n = 1, eps = 1,
+  // zero trials) fails in parse(), named like a malformed one, and leaves
+  // the target as it was.
+  std::int64_t trials = 5;
+  double eps = 0.5;
+  std::vector<std::size_t> sizes{64};
+  std::vector<double> factors{1.0};
+  ArgParser parser("prog", "test");
+  parser.add_flag("trials", &trials, "trials", {.above = 0});
+  parser.add_flag("eps", &eps, "accuracy", {.above = 0, .below = 1});
+  parser.add_flag("sizes", &sizes, "sizes", {.above = 1});
+  parser.add_flag("factors", &factors, "factors", {.above = 0});
+
+  const char* ok[] = {"prog", "--trials=1", "--eps=0.999", "--sizes=2,500",
+                      "--factors=1e-9"};
+  ASSERT_EQ(parser.parse(5, ok), ParseResult::kOk);
+  EXPECT_EQ(trials, 1);
+  EXPECT_EQ(eps, 0.999);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 500}));
+  EXPECT_EQ(factors, (std::vector<double>{1e-9}));
+
+  const std::vector<std::pair<std::vector<const char*>, std::string>> cases =
+      {
+          {{"prog", "--trials=0"}, "flag --trials expects an integer > 0, "
+                                   "got '0'"},
+          {{"prog", "--trials", "-3"}, "flag --trials expects an integer > 0"},
+          {{"prog", "--eps=1"},
+           "flag --eps expects a finite number in (0, 1), got '1'"},
+          {{"prog", "--eps=0"}, "flag --eps expects a finite number in (0, 1)"},
+          {{"prog", "--sizes=500,1"},
+           "flag --sizes expects a comma-separated list of integers > 1, "
+           "got '500,1'"},
+          {{"prog", "--sizes=0"}, "flag --sizes expects"},
+          {{"prog", "--factors=2,0"},
+           "flag --factors expects a comma-separated list of numbers > 0, "
+           "got '2,0'"},
+          {{"prog", "--factors=-1"}, "flag --factors expects"},
+      };
+  for (const auto& [argv, message] : cases) {
+    SCOPED_TRACE(message);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(parser.parse(static_cast<int>(argv.size()), argv.data()),
+              ParseResult::kError);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(message), std::string::npos) << err;
+    EXPECT_EQ(err.find("GG_CHECK"), std::string::npos) << err;
+  }
+  EXPECT_EQ(trials, 1);
+  EXPECT_EQ(eps, 0.999);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 500}));
+  EXPECT_EQ(factors, (std::vector<double>{1e-9}));
 }
 
 TEST(Cli, ExitCodesDistinguishHelpFromError) {

@@ -104,6 +104,12 @@ TEST(SweepCliMisuse, ExitsOneWithAMessageBeforeAnyWork) {
       {"infinite memory budget",
        {"--mem-budget=inf"},
        "flag --mem-budget expects a finite number, got 'inf'"},
+      // Finite, but its byte count overflows uint64_t.
+      {"memory budget past 2^64 bytes",
+       {"--mem-budget=1e300"},
+       "--mem-budget must be >= 0 and below 2^34 GiB (a 64-bit byte count), "
+       "got 1e+300"},
+      {"negative memory budget", {"--mem-budget=-1"}, "--mem-budget must"},
       {"nan heartbeat interval",
        {"--heartbeat=" + (root / "hb.jsonl").string() + ",nan"},
        "interval must be positive finite seconds"},
@@ -112,7 +118,7 @@ TEST(SweepCliMisuse, ExitsOneWithAMessageBeforeAnyWork) {
         "--fleet-ttl=inf"},
        "flag --fleet-ttl expects a finite number, got 'inf'"},
       // Not flags: the fleet splits a sweep and --fleet-merge merges it.
-      {"retired --shard", {"--shard=0/2"}, "unknown flag --shard"},
+      {"retired --shard", {"--shard", "0/2"}, "unknown flag --shard"},
       {"retired --merge-only", {"--merge-only"}, "unknown flag --merge-only"},
   };
   for (const MisuseCase& c : cases) {
