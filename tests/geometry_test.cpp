@@ -93,17 +93,6 @@ TEST(Rect, SubsquareIndexRoundTrip) {
   EXPECT_EQ(r.subsquare_index({5.0, 5.0}, 2), -1);
   // Closed top/right edge points are clamped into the last cell.
   EXPECT_EQ(r.subsquare_index({2.0, 2.0}, 2), 3);
-
-  // Row-major with rows along y: on the unit square's 4 x 4 grid, cell 6
-  // is row 1, column 2.
-  const Rect unit = Rect::unit_square();
-  EXPECT_EQ(unit.subsquare(6, 4).lo(), Vec2(0.5, 0.25));
-  EXPECT_EQ(unit.subsquare(6, 4).hi(), Vec2(0.75, 0.5));
-  EXPECT_EQ(unit.subsquare_index({0.6, 0.3}, 4), 6);
-  EXPECT_EQ(unit.subsquare_index({0.1, 0.1}, 4), 0);
-  EXPECT_EQ(unit.subsquare_index({0.9, 0.9}, 4), 15);
-  EXPECT_EQ(unit.subsquare_index({1.0, 1.0}, 4), 15);
-  EXPECT_EQ(unit.subsquare_index({2.0, 0.0}, 4), -1);  // outside in x only
 }
 
 // --------------------------------------------------- nearest_even_square ----
@@ -147,6 +136,23 @@ TEST(PaperSubsquareCount, FollowsRule) {
   EXPECT_EQ(paper_subsquare_count(1e6), 1024);
   // m = 1024 -> sqrt = 32 -> nearest even square is 36.
   EXPECT_EQ(paper_subsquare_count(1024.0), 36);
+}
+
+// ----------------------------------------------------------- SquareGrid ----
+
+// The square grid a region is cut into: Rect::subdivide, subsquare and
+// subsquare_index on the unit square's 4 x 4 grid.
+TEST(SquareGrid, CellMappingAndCoords) {
+  const Rect unit = Rect::unit_square();
+  EXPECT_EQ(unit.subdivide(4).size(), 16u);
+  EXPECT_EQ(unit.subsquare_index({0.1, 0.1}, 4), 0);
+  EXPECT_EQ(unit.subsquare_index({0.9, 0.9}, 4), 15);
+  EXPECT_EQ(unit.subsquare_index({1.0, 1.0}, 4), 15);  // closed outer edge clamped
+  EXPECT_EQ(unit.subsquare_index({2.0, 0.0}, 4), -1);  // outside in x only
+  // Row-major with rows along y: cell 6 is row 1, column 2.
+  EXPECT_EQ(unit.subsquare(6, 4).lo(), Vec2(0.5, 0.25));
+  EXPECT_EQ(unit.subsquare(6, 4).hi(), Vec2(0.75, 0.5));
+  EXPECT_EQ(unit.subsquare_index({0.6, 0.3}, 4), 6);
 }
 
 // ------------------------------------------------------------- Sampling ----
